@@ -1,99 +1,53 @@
-//! Runs the experiment suite and its sweep-farm tooling.
+//! Runs the experiment suite and the registry regression gate.
 //!
 //! ```text
-//! run_experiments run            [--quick] [--only eN] [--cache | --no-cache]
-//! run_experiments check          [--quick] [--no-cache] [--traced]
-//! run_experiments bless          [--quick] [--no-cache]
-//! run_experiments metrics <glob> [--quick] [--cache | --no-cache]
+//! run_experiments [run]          [--quick] [--only eN]
+//! run_experiments check          [--quick] [--traced]
+//! run_experiments bless          [--quick]
+//! run_experiments metrics <glob> [--quick]
 //! run_experiments throughput     [--quick]
-//! run_experiments shard <i/m>    [--quick]
-//! run_experiments merge <dest-dir> <shard-dir>...
-//! run_experiments farm           [--quick] [--shards M] [--check | --bless]
-//!                                [--keep-going] [--resume] [--max-retries N]
-//!                                [--hang-timeout-ms N]
-//! run_experiments fsck [<dir>]   [--quick] [--repair]
 //! run_experiments help
 //! ```
 //!
-//! * `run` prints every experiment table (`--only eN` narrows to one).
-//!   Sweeps consult the persistent result cache (`target/sweep-cache/`,
-//!   override with `CCWAN_SWEEP_CACHE_DIR`) by default; a warm invocation
-//!   executes zero scenario cells and prints byte-identical tables.
-//!   `--no-cache` forces fresh execution; `--cache` states the default
-//!   explicitly. The hit/miss summary goes to **stderr**, so stdout stays
-//!   comparable across cold and warm runs.
+//! Every sweep executes every cell, in this process, through the
+//! work-stealing [`SweepRunner`] (`CCWAN_SWEEP_THREADS` sets its worker
+//! count); results are byte-identical at any thread count. `--no-cache`
+//! is still accepted on `run`, `check`, `bless` and `metrics` and has no
+//! effect: there is no result cache to bypass.
+//!
+//! * `run` prints every experiment table (`--only eN` narrows to one). A
+//!   bare invocation means `run`.
 //! * `check` replays the standard scenario registry against the committed
 //!   golden summary (`golden/sweeps/`, override with `CCWAN_GOLDEN_DIR`)
 //!   and exits nonzero on any drift — the CI regression gate, covering
 //!   the per-spec frame summaries (probe metrics included) since golden
-//!   format v2. `bless` rewrites the golden file after an intentional
+//!   format v2. The safety scan runs first ([`golden::gate`]): a cell
+//!   that breaks agreement or validity fails the gate and is never
+//!   blessed. `bless` rewrites the golden file after an intentional
 //!   behavior change. Either way the observed summary is also written
 //!   under `target/sweep-summaries/` for CI artifact upload.
 //! * `check --traced` forces every registry cell onto the engine's
 //!   *traced* path — including specs whose outcome-only probe manifest
-//!   normally opts out — freshly executed, and diffs the per-spec
-//!   summaries against the same golden files. Traced and untraced
-//!   executions are identical by construction, so any drift here is a
-//!   trace-representation or probe-path regression.
-//! * `metrics <glob>` runs the standard registry sweep (cache-assisted)
-//!   and prints a per-spec summary table of every probe metric whose name
-//!   matches the glob (`*` and `?` wildcards, e.g. `cd_*` or
-//!   `*_rounds`). Ordering is stable — registry order, then canonical
-//!   metric order — and the table is a pure function of the results
-//!   frame, so cold and warm invocations print byte-identical stdout.
-//! * `throughput` times a *fresh* (never cached) execution of every
-//!   registry spec and prints a per-spec wall-clock summary — simulated
-//!   rounds/sec, plus messages/sec where the spec's probe manifest
-//!   records broadcasts — to **stderr**. This is the sweep-scale view of
-//!   the batched delivery kernels: the `engine_dispatch` bench measures
-//!   single engines in isolation, this measures the real work-stealing
-//!   sweep stack end to end.
-//! * `shard <i/m>` runs exactly the registry cells that shard `i` of `m`
-//!   owns under the content-addressed `CellKey` partition, into this
-//!   process's own store (point `CCWAN_SWEEP_CACHE_DIR` somewhere
-//!   per-shard). The partition is a pure function of each cell's content,
-//!   so the `m` workers coordinate through nothing at all.
-//! * `merge <dest-dir> <shard-dir>...` folds the shard stores into one at
-//!   `dest-dir` — a checked set union: byte-identical duplicate rows
-//!   collapse, a *divergent* row for the same key aborts the merge (a
-//!   determinism violation, never silently resolved). The merged store is
-//!   written in canonical key-sorted form, so its bytes depend only on
-//!   the cell set.
-//! * `farm` is shard + merge + assemble in one command: it fans `--shards
-//!   M` (default 4) `shard i/M` subprocesses across cores, each with its
-//!   own store under the cache dir, relays their stderr progress
-//!   prefixed, merges the shard stores, then replays the suite (or, with
-//!   `--check`/`--bless`, the golden gate) entirely from the merged store
-//!   — stdout byte-identical to the serial unsharded run. Every shard
-//!   runs **supervised** ([`wan_bench::sweep::supervisor`]): nonzero
-//!   exits and spawn failures are retried with capped exponential
-//!   backoff (`--max-retries`, default 2), and a heartbeat-driven
-//!   watchdog kills and retries a shard whose store stops growing for
-//!   `--hang-timeout-ms` (default 30000). Shard stores are append-synced
-//!   per cell, so a retry is a *warm* run that executes only what the
-//!   killed attempt had left. `--resume` keeps the per-shard stores from
-//!   an interrupted farm (by default they are cleared), so a re-run
-//!   executes only the missing cells. `--keep-going` lets
-//!   permanently-failed shards not abort the others: the merge still
-//!   happens, and if cells are missing the farm lists each one on stderr
-//!   and exits **3** instead of replaying a partial sweep.
-//! * `fsck [<dir>]` scans a store (default: the cache dir) for corrupt
-//!   lines, duplicate and divergent keys, cells outside the current
-//!   registry (`--quick` selects which registry), and non-canonical
-//!   form. Exit codes are a contract: 0 clean, 1 repairable defects, 2
-//!   divergent keys. `--repair` atomically rewrites the canonical
-//!   deduplicated form (refused while any key is divergent).
-//!
-//! `WAN_FARM_FAULT=shard=I:kind=panic|hang|torn-store[:times=N]` is the
-//! test-only fault-injection hook the recovery tests and the CI chaos
-//! step drive; see [`wan_bench::sweep::supervisor::FaultPlan`].
+//!   normally opts out — and diffs the per-spec summaries against the
+//!   same golden files. Traced and untraced executions are identical by
+//!   construction, so any drift here is a trace-representation or
+//!   probe-path regression.
+//! * `metrics <glob>` runs the standard registry sweep and prints a
+//!   per-spec summary table of every probe metric whose name matches the
+//!   glob (`*` and `?` wildcards, e.g. `cd_*` or `*_rounds`). Ordering is
+//!   stable — registry order, then canonical metric order — and the table
+//!   is a pure function of the results frame, so stdout is byte-identical
+//!   at any worker count.
+//! * `throughput` times a fresh execution of every registry spec and
+//!   prints a per-spec wall-clock summary — simulated rounds/sec, plus
+//!   messages/sec where the spec's probe manifest records broadcasts — to
+//!   **stderr**. This is the sweep-scale view of the batched delivery
+//!   kernels: the `engine_dispatch` bench measures single engines in
+//!   isolation, this measures the real work-stealing sweep stack end to
+//!   end.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
-use wan_bench::sweep::{
-    cache, fsck, golden, heartbeat_line, merge_stores, supervise, CellKey, FarmConfig, FaultPlan,
-    MetricId, Registry, ResultsFrame, ShardSpec, SweepCache, SweepRunner, SweepSummary,
-};
+use wan_bench::sweep::{golden, MetricId, Registry, ResultsFrame, SweepRunner, SweepSummary};
 use wan_bench::{experiments, Scale, Table};
 
 type Experiment = fn(Scale) -> Table;
@@ -123,7 +77,7 @@ const EXPERIMENTS: [(&str, Experiment); 16] = [
 ];
 
 const USAGE: &str = "\
-usage: run_experiments <command> [options]
+usage: run_experiments [command] [options]
 
 commands:
   run            print every experiment table (the default command)
@@ -132,87 +86,26 @@ commands:
   metrics <glob> per-spec summary of probe metrics; the glob selects
                  metric names or registry spec names (e.g. 'absmac/*')
   throughput     time a fresh execution of every registry spec (stderr)
-  shard <i/m>    run the registry cells shard i of m owns into this
-                 process's own store (set CCWAN_SWEEP_CACHE_DIR per shard)
-  merge <dest-dir> <shard-dir>...
-                 fold shard stores into one (checked set union; divergent
-                 rows abort), written in canonical key-sorted form
-  farm           fan `--shards M` shard subprocesses across cores, merge
-                 their stores, then replay the suite (or the golden gate,
-                 with --check / --bless) from the merged store — stdout
-                 byte-identical to the serial unsharded run; each shard
-                 is supervised: retried with backoff on failure, killed
-                 and retried when its store stops growing
-  fsck [<dir>]   scan a store (default: the cache dir) for corrupt lines,
-                 duplicate/divergent keys, stale cells, non-canonical
-                 form; exits 0 clean / 1 repairable / 2 divergent
-  help           this text
 
 options:
-  --quick           CI-sized sweeps instead of paper-sized
-  --only eN         (run) a single experiment (e1..e16)
-  --cache           (run/metrics) consult the sweep result cache (default)
-  --no-cache        (run/check/bless/metrics) force fresh execution
-  --traced          (check) force every cell onto the traced path
-  --shards M        (farm) subprocess count (default 4)
-  --check / --bless (farm) follow the merge with the golden gate
-  --max-retries N   (farm) retries per shard before permanent failure
-                    (default 2; capped exponential backoff between tries)
-  --hang-timeout-ms N
-                    (farm) kill+retry a shard with no store growth for
-                    N ms (default 30000)
-  --keep-going      (farm) permanently-failed shards don't abort the
-                    others; merge what landed, list each missing cell on
-                    stderr, and exit 3 if any are missing
-  --resume          (farm) keep per-shard stores from a previous run, so
-                    shards execute only their missing cells
-  --repair          (fsck) atomically rewrite the canonical deduplicated
-                    store (refused while any key is divergent)
-  --help            this text
+  --quick        CI-sized sweeps instead of paper-sized
+  --only eN      (run) a single experiment (e1..e16)
+  --traced       (check) force every cell onto the traced path
+  --no-cache     (run/check/bless/metrics) accepted for compatibility;
+                 has no effect, every sweep runs fresh
+  --help, help   this text
 
-Legacy flag-style invocations (`--check`, `--bless`, `--metrics <glob>`,
-`--throughput` with no command word) are deprecated aliases and keep
-working; they print a pointer to the command form on stderr.";
+environment:
+  CCWAN_SWEEP_THREADS  sweep worker threads (default: available cores)
+  CCWAN_GOLDEN_DIR     golden summary directory (default: golden/sweeps)";
 
 /// What `main` dispatches on once the command line is understood.
 enum Command {
-    Run {
-        only: Option<String>,
-    },
-    Check {
-        traced: bool,
-    },
+    Run { only: Option<String> },
+    Check { traced: bool },
     Bless,
-    Metrics {
-        glob: String,
-    },
+    Metrics { glob: String },
     Throughput,
-    Shard {
-        shard: ShardSpec,
-    },
-    Merge {
-        dest: PathBuf,
-        sources: Vec<PathBuf>,
-    },
-    Farm {
-        shards: u32,
-        follow: FarmFollow,
-        keep_going: bool,
-        resume: bool,
-        max_retries: u32,
-        hang_timeout_ms: u64,
-    },
-    Fsck {
-        dir: Option<PathBuf>,
-        repair: bool,
-    },
-}
-
-/// What `farm` runs over the merged store once the shards land.
-enum FarmFollow {
-    Suite,
-    Check,
-    Bless,
 }
 
 fn main() {
@@ -224,104 +117,46 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let (command, quick, use_cache) = match parse(&args) {
+    let (command, quick, no_cache) = match parse(&args) {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}\n\nrun `run_experiments help` for usage");
             std::process::exit(2);
         }
     };
-    let scale = if quick { Scale::Quick } else { Scale::Full };
-
-    if use_cache {
-        cache::install_global(cache_dir());
+    if no_cache {
+        eprintln!("note: --no-cache has no effect; every sweep runs fresh");
     }
-
+    let scale = if quick { Scale::Quick } else { Scale::Full };
     let code = match command {
         Command::Run { only } => run_suite(scale, only.as_deref()),
         Command::Check { traced } => run_check(scale, false, traced),
         Command::Bless => run_check(scale, true, false),
         Command::Metrics { glob } => run_metrics(scale, &glob),
         Command::Throughput => run_throughput(scale),
-        Command::Shard { shard } => run_shard(scale, shard),
-        Command::Merge { dest, sources } => run_merge(&dest, &sources),
-        Command::Farm {
-            shards,
-            follow,
-            keep_going,
-            resume,
-            max_retries,
-            hang_timeout_ms,
-        } => run_farm(
-            scale,
-            follow,
-            FarmOptions {
-                shards,
-                keep_going,
-                resume,
-                max_retries,
-                hang_timeout_ms,
-            },
-        ),
-        Command::Fsck { dir, repair } => run_fsck(scale, dir, repair),
     };
-
-    if use_cache {
-        if let Some(stats) = cache::uninstall_global() {
-            // stderr, so cold and warm stdout stay byte-identical.
-            eprintln!("sweep-cache: {stats}");
-        }
-    }
     std::process::exit(code);
 }
 
-/// The sweep-cache directory this invocation targets.
-fn cache_dir() -> String {
-    std::env::var("CCWAN_SWEEP_CACHE_DIR").unwrap_or_else(|_| cache::DEFAULT_DIR.to_string())
-}
-
-/// Parses the command line into `(command, quick, install_global_cache)`.
-///
-/// The first non-flag argument selects the command; an invocation that
-/// leads with flags is the legacy grammar, mapped to the equivalent
-/// command with a deprecation note on stderr.
+/// Parses the command line into `(command, quick, no_cache)`. The first
+/// argument selects the command unless it is a flag, in which case the
+/// command is `run`.
 fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
-    let mut rest = args;
-    let word = match args.first() {
-        Some(first) if !first.starts_with('-') => {
-            rest = &args[1..];
-            Some(first.as_str())
-        }
-        _ => None,
+    let (word, rest) = match args.split_first() {
+        Some((first, rest)) if !first.starts_with('-') => (first.as_str(), rest),
+        _ => ("run", args),
     };
-
-    // Shared options; command-specific positionals/flags below.
     let mut quick = false;
-    let mut cache_flag: Option<bool> = None;
-    let mut only: Option<String> = None;
-    let mut metrics: Option<String> = None;
+    let mut no_cache = false;
     let mut traced = false;
-    let mut check = false;
-    let mut bless = false;
-    let mut throughput = false;
-    let mut shards: Option<u32> = None;
-    let mut repair = false;
-    let mut keep_going = false;
-    let mut resume = false;
-    let mut max_retries: Option<u32> = None;
-    let mut hang_timeout_ms: Option<u64> = None;
-    let mut positional: Vec<String> = Vec::new();
-
+    let mut only: Option<String> = None;
+    let mut positional: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
             "--quick" => quick = true,
-            "--cache" => cache_flag = Some(true),
-            "--no-cache" => cache_flag = Some(false),
+            "--no-cache" => no_cache = true,
             "--traced" => traced = true,
-            "--check" => check = true,
-            "--bless" => bless = true,
-            "--throughput" => throughput = true,
             "--only" => {
                 i += 1;
                 only = Some(
@@ -330,75 +165,30 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
                         .to_lowercase(),
                 );
             }
-            "--metrics" => {
-                i += 1;
-                metrics = Some(
-                    rest.get(i)
-                        .ok_or("--metrics requires a glob (e.g. 'cd_*')")?
-                        .clone(),
-                );
+            flag @ ("--check" | "--bless" | "--metrics" | "--throughput") => {
+                return Err(format!(
+                    "the flag-style {flag} was removed; use the `{}` command",
+                    &flag[2..]
+                ));
             }
-            "--shards" => {
-                i += 1;
-                let count = rest
-                    .get(i)
-                    .ok_or("--shards requires a count (e.g. 4)")?
-                    .parse::<u32>()
-                    .map_err(|_| "--shards requires a positive number".to_string())?;
-                if count == 0 {
-                    return Err("--shards requires at least 1".into());
-                }
-                shards = Some(count);
-            }
-            "--repair" => repair = true,
-            "--keep-going" => keep_going = true,
-            "--resume" => resume = true,
-            "--max-retries" => {
-                i += 1;
-                max_retries = Some(
-                    rest.get(i)
-                        .ok_or("--max-retries requires a count (e.g. 2)")?
-                        .parse::<u32>()
-                        .map_err(|_| "--max-retries requires a number".to_string())?,
-                );
-            }
-            "--hang-timeout-ms" => {
-                i += 1;
-                let timeout = rest
-                    .get(i)
-                    .ok_or("--hang-timeout-ms requires a duration in ms")?
-                    .parse::<u64>()
-                    .map_err(|_| "--hang-timeout-ms requires a number".to_string())?;
-                if timeout == 0 {
-                    return Err("--hang-timeout-ms requires a positive duration".into());
-                }
-                hang_timeout_ms = Some(timeout);
-            }
-            flag if flag.starts_with('-') => {
-                return Err(format!("unknown flag {flag:?}"));
-            }
-            value => positional.push(value.to_string()),
+            flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
+            value => positional.push(value),
         }
         i += 1;
     }
 
-    let reject = |flag: &str, cmd: &str| -> String { format!("{flag} does not apply to `{cmd}`") };
-    let no_positionals = |cmd: &str| -> Result<(), String> {
-        match positional.first() {
-            Some(extra) => Err(format!("`{cmd}` takes no positional argument {extra:?}")),
-            None => Ok(()),
-        }
-    };
-
-    let command = match word {
-        Some("run") => {
-            no_positionals("run")?;
-            if check || bless || traced || throughput || metrics.is_some() || shards.is_some() {
-                return Err(reject(
-                    "--check/--bless/--traced/--throughput/--metrics/--shards",
-                    "run",
-                ));
-            }
+    let reject = |flag: &str| format!("{flag} does not apply to `{word}`");
+    if only.is_some() && word != "run" {
+        return Err(reject("--only"));
+    }
+    if traced && word != "check" {
+        return Err(reject("--traced"));
+    }
+    if no_cache && word == "throughput" {
+        return Err(reject("--no-cache"));
+    }
+    let command = match (word, positional.as_slice()) {
+        ("run", []) => {
             if let Some(filter) = &only {
                 if !EXPERIMENTS.iter().any(|(id, _)| id == filter) {
                     return Err(format!(
@@ -409,227 +199,20 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
             }
             Command::Run { only }
         }
-        Some("check") => {
-            no_positionals("check")?;
-            if only.is_some() || metrics.is_some() || throughput || shards.is_some() {
-                return Err(reject("--only/--metrics/--throughput/--shards", "check"));
-            }
-            if bless {
-                return Err("use the `bless` command instead of `check --bless`".into());
-            }
-            Command::Check { traced }
+        ("check", []) => Command::Check { traced },
+        ("bless", []) => Command::Bless,
+        ("throughput", []) => Command::Throughput,
+        ("metrics", [glob]) => Command::Metrics {
+            glob: glob.to_string(),
+        },
+        ("metrics", []) => return Err("`metrics` requires a glob (e.g. 'cd_*')".into()),
+        ("metrics", _) => return Err("`metrics` takes exactly one glob".into()),
+        ("run" | "check" | "bless" | "throughput", [extra, ..]) => {
+            return Err(format!("`{word}` takes no positional argument {extra:?}"));
         }
-        Some("bless") => {
-            no_positionals("bless")?;
-            if only.is_some() || metrics.is_some() || throughput || traced || shards.is_some() {
-                return Err(reject(
-                    "--only/--metrics/--throughput/--traced/--shards",
-                    "bless",
-                ));
-            }
-            Command::Bless
-        }
-        Some("metrics") => {
-            if check || bless || traced || throughput || only.is_some() || shards.is_some() {
-                return Err(reject(
-                    "--check/--bless/--traced/--throughput/--only/--shards",
-                    "metrics",
-                ));
-            }
-            let glob = match (metrics, positional.as_slice()) {
-                (Some(glob), []) => glob,
-                (None, [glob]) => glob.clone(),
-                (None, []) => return Err("`metrics` requires a glob (e.g. 'cd_*')".into()),
-                _ => return Err("`metrics` takes exactly one glob".into()),
-            };
-            Command::Metrics { glob }
-        }
-        Some("throughput") => {
-            no_positionals("throughput")?;
-            if check || bless || traced || only.is_some() || metrics.is_some() || shards.is_some() {
-                return Err(reject(
-                    "--check/--bless/--traced/--only/--metrics/--shards",
-                    "throughput",
-                ));
-            }
-            Command::Throughput
-        }
-        Some("shard") => {
-            if check || bless || traced || throughput || only.is_some() || metrics.is_some() {
-                return Err(reject(
-                    "--check/--bless/--traced/--throughput/--only/--metrics",
-                    "shard",
-                ));
-            }
-            let spec = match positional.as_slice() {
-                [spec] => ShardSpec::parse(spec)?,
-                [] => return Err("`shard` requires an identity `i/m` (e.g. 0/4)".into()),
-                _ => return Err("`shard` takes exactly one identity `i/m`".into()),
-            };
-            if let Some(count) = shards {
-                if count != spec.count {
-                    return Err(format!(
-                        "--shards {count} contradicts the shard identity {spec}"
-                    ));
-                }
-            }
-            Command::Shard { shard: spec }
-        }
-        Some("merge") => {
-            if check || bless || traced || throughput || only.is_some() || metrics.is_some() {
-                return Err(reject(
-                    "--check/--bless/--traced/--throughput/--only/--metrics",
-                    "merge",
-                ));
-            }
-            if positional.len() < 2 {
-                return Err("`merge` requires a destination and at least one shard dir".into());
-            }
-            let mut dirs = positional.iter().map(PathBuf::from);
-            Command::Merge {
-                dest: dirs.next().expect("checked above"),
-                sources: dirs.collect(),
-            }
-        }
-        Some("farm") => {
-            no_positionals("farm")?;
-            if only.is_some() || metrics.is_some() || throughput || traced {
-                return Err(reject("--only/--metrics/--throughput/--traced", "farm"));
-            }
-            let follow = match (check, bless) {
-                (false, false) => FarmFollow::Suite,
-                (true, false) => FarmFollow::Check,
-                (false, true) => FarmFollow::Bless,
-                (true, true) => return Err("`farm` takes --check or --bless, not both".into()),
-            };
-            Command::Farm {
-                shards: shards.unwrap_or(4),
-                follow,
-                keep_going,
-                resume,
-                max_retries: max_retries.unwrap_or(2),
-                hang_timeout_ms: hang_timeout_ms.unwrap_or(30_000),
-            }
-        }
-        Some("fsck") => {
-            if check || bless || traced || throughput || only.is_some() || metrics.is_some() {
-                return Err(reject(
-                    "--check/--bless/--traced/--throughput/--only/--metrics",
-                    "fsck",
-                ));
-            }
-            if shards.is_some() {
-                return Err(reject("--shards", "fsck"));
-            }
-            let dir = match positional.as_slice() {
-                [] => None,
-                [dir] => Some(PathBuf::from(dir)),
-                _ => return Err("`fsck` takes at most one store directory".into()),
-            };
-            Command::Fsck { dir, repair }
-        }
-        Some(other) => {
-            return Err(format!("unknown command {other:?}"));
-        }
-        // Legacy flag-style grammar: map to the equivalent command.
-        None => {
-            if shards.is_some() {
-                return Err("--shards only applies to the `farm` command".into());
-            }
-            no_positionals("run_experiments")?;
-            if (check || bless) && only.is_some() {
-                return Err(
-                    "--only cannot be combined with --check (the gate covers the full registry)"
-                        .into(),
-                );
-            }
-            if metrics.is_some() && (check || bless || only.is_some()) {
-                return Err(
-                    "--metrics is its own mode; it cannot be combined with --check or --only"
-                        .into(),
-                );
-            }
-            if throughput && (check || bless || metrics.is_some() || only.is_some()) {
-                return Err(
-                    "--throughput is its own mode; it cannot be combined with --check, --metrics, or --only"
-                        .into(),
-                );
-            }
-            let legacy = if bless {
-                Command::Bless
-            } else if check {
-                Command::Check { traced }
-            } else if let Some(glob) = metrics {
-                Command::Metrics { glob }
-            } else if throughput {
-                Command::Throughput
-            } else {
-                if let Some(filter) = &only {
-                    if !EXPERIMENTS.iter().any(|(id, _)| id == filter) {
-                        return Err(format!(
-                            "unknown experiment {filter:?}; expected one of e1..e{}",
-                            EXPERIMENTS.len()
-                        ));
-                    }
-                }
-                Command::Run { only }
-            };
-            if traced && !matches!(legacy, Command::Check { .. }) {
-                return Err("--traced only applies to --check (the traced registry gate)".into());
-            }
-            if let Command::Check { .. }
-            | Command::Bless
-            | Command::Metrics { .. }
-            | Command::Throughput = &legacy
-            {
-                let name = match &legacy {
-                    Command::Bless => "bless",
-                    Command::Check { .. } => "check",
-                    Command::Metrics { .. } => "metrics",
-                    _ => "throughput",
-                };
-                eprintln!(
-                    "note: flag-style modes are deprecated; this invocation is \
-                     `run_experiments {name} ...` in the command grammar \
-                     (run | check | bless | metrics <glob> | throughput | \
-                     shard <i/m> | merge <dest> <shards>... | farm | \
-                     fsck [--repair], exiting 0 clean / 1 repairable / 2 \
-                     divergent; see `run_experiments help`)"
-                );
-            }
-            legacy
-        }
+        (other, _) => return Err(format!("unknown command {other:?}")),
     };
-
-    if !matches!(command, Command::Farm { .. })
-        && (keep_going || resume || max_retries.is_some() || hang_timeout_ms.is_some())
-    {
-        return Err(
-            "--keep-going/--resume/--max-retries/--hang-timeout-ms only apply to the `farm` \
-             command"
-                .into(),
-        );
-    }
-    if repair && !matches!(command, Command::Fsck { .. }) {
-        return Err("--repair only applies to the `fsck` command".into());
-    }
-
-    // Which modes engage the process-global cache shim. `shard` opens its
-    // own scoped store instead, `merge` and `fsck` only touch stores
-    // directly, and `farm` installs the merged store itself after the
-    // shards land.
-    let use_cache = match &command {
-        Command::Run { .. } | Command::Metrics { .. } | Command::Check { .. } | Command::Bless => {
-            cache_flag.unwrap_or(true)
-        }
-        // Timing a cache hit would measure file I/O, not the engine.
-        Command::Throughput
-        | Command::Shard { .. }
-        | Command::Merge { .. }
-        | Command::Farm { .. }
-        | Command::Fsck { .. } => false,
-    };
-    Ok((command, quick, use_cache))
+    Ok((command, quick, no_cache))
 }
 
 fn run_suite(scale: Scale, only: Option<&str>) -> i32 {
@@ -660,8 +243,7 @@ fn glob_match(pattern: &str, text: &str) -> bool {
 
 /// `metrics <glob>`: one row per (registry spec, selected metric), with
 /// exact summary statistics from the results frame. Pure function of the
-/// frame, so cold (executed) and warm (cache-served) runs are
-/// byte-identical on stdout.
+/// frame, so stdout is byte-identical at any worker count.
 ///
 /// The glob selects either way: matched against **metric names** it shows
 /// that metric across every spec; matched against **registry spec names**
@@ -685,7 +267,7 @@ fn run_metrics(scale: Scale, glob: &str) -> i32 {
         );
         return 2;
     }
-    let frame: ResultsFrame = SweepRunner::parallel().run(registry.specs());
+    let frame: ResultsFrame = SweepRunner::parallel().run_fresh(registry.specs());
     let mut table = Table::new(
         format!("Probe metrics matching {glob:?} over the standard registry ({scale:?})"),
         &[
@@ -782,347 +364,36 @@ fn run_throughput(scale: Scale) -> i32 {
     0
 }
 
-/// The registry regression gate: summarize a (cache-assisted) run of the
-/// standard registry — or, with `traced`, a fresh fully-traced run —
-/// apply the sweep-wide safety gate, record the observed summary for
-/// artifact upload, then bless or compare.
+/// `check` / `bless`: summarize a fresh run of the standard registry — or,
+/// with `traced`, a fully-traced one — record the observed summary for
+/// artifact upload, then apply [`golden::gate`] (safety scan first, then
+/// bless or compare).
 fn run_check(scale: Scale, bless: bool, traced: bool) -> i32 {
+    let runner = SweepRunner::parallel();
     let (observed, violations) = if traced {
-        SweepSummary::measure_traced_gated(scale, &SweepRunner::parallel())
+        SweepSummary::measure_traced_gated(scale, &runner)
     } else {
-        SweepSummary::measure_gated(scale, &SweepRunner::parallel())
+        SweepSummary::measure_gated(scale, &runner)
     };
-
-    // Safety gate first, and unconditionally: every registry environment
-    // (fault-injection timelines included) is constructed so consensus
-    // safety holds, so a violated cell is a bug — it must fail the gate
-    // loudly and must never be blessed into a golden file.
-    if !violations.is_empty() {
-        eprintln!(
-            "check: {} cell(s) violated consensus safety (agreement/validity):",
-            violations.len()
-        );
-        for violation in &violations {
-            eprintln!("  {violation}");
-        }
-        eprintln!(
-            "(reproduce a cell with its seed; the cell-key locates any poisoned sweep-cache entry)"
-        );
-        return 1;
-    }
-    let golden_dir = PathBuf::from(
-        std::env::var("CCWAN_GOLDEN_DIR").unwrap_or_else(|_| "golden/sweeps".to_string()),
-    );
-    let golden_path = golden_dir.join(golden::golden_file_name(scale));
-
-    let observed_dir = PathBuf::from("target/sweep-summaries");
-    let observed_path = observed_dir.join(golden::golden_file_name(scale));
-    // Atomic, like every canonical write: a kill mid-`check`/`bless`
-    // must never leave a torn summary or golden file behind.
-    if let Err(err) = cache::atomic_write(&observed_path, observed.to_json().as_bytes()) {
+    let file_name = golden::golden_file_name(scale);
+    let observed_path = Path::new("target/sweep-summaries").join(file_name);
+    if let Err(err) = golden::atomic_write(&observed_path, observed.to_json().as_bytes()) {
         eprintln!(
             "check: could not record observed summary at {}: {err}",
             observed_path.display()
         );
     }
-
-    if bless {
-        if let Err(err) = cache::atomic_write(&golden_path, observed.to_json().as_bytes()) {
-            eprintln!("bless: writing {} failed: {err}", golden_path.display());
-            return 1;
-        }
-        println!(
-            "--bless: wrote {} spec summaries to {}",
-            observed.specs.len(),
-            golden_path.display()
-        );
-        return 0;
-    }
-
-    let text = match std::fs::read_to_string(&golden_path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!(
-                "check: cannot read golden summary {}: {err}\n\
-                 (generate it with `run_experiments bless{}`)",
-                golden_path.display(),
-                if scale == Scale::Quick {
-                    " --quick"
-                } else {
-                    ""
-                },
-            );
-            return 1;
-        }
-    };
-    let expected = match SweepSummary::parse(&text) {
-        Ok(expected) => expected,
-        Err(err) => {
-            eprintln!("check: {}: {err}", golden_path.display());
-            return 1;
-        }
-    };
-    let drift = expected.diff(&observed);
-    if drift.is_empty() {
-        println!(
-            "--check: {} specs match {}",
-            observed.specs.len(),
-            golden_path.display()
-        );
-        return 0;
-    }
-    eprintln!(
-        "check: {} drift(s) against {}:",
-        drift.len(),
-        golden_path.display()
+    let golden_dir = PathBuf::from(
+        std::env::var("CCWAN_GOLDEN_DIR").unwrap_or_else(|_| "golden/sweeps".to_string()),
     );
-    for line in &drift {
-        eprintln!("  {line}");
-    }
-    eprintln!("(if this change is intentional, regenerate with `bless`)");
-    1
-}
-
-/// `shard <i/m>`: run exactly the registry cells this shard owns into the
-/// store at `CCWAN_SWEEP_CACHE_DIR` (each worker gets its own directory;
-/// the farm orchestrator arranges that). Progress and the final report go
-/// to stderr; stdout stays silent so the farm's stdout belongs entirely
-/// to the follow-on mode.
-///
-/// Every executed cell is recorded, fdatasynced, and heartbeat
-/// (`@ccwan-hb …` on stderr) as it lands, so the supervising farm can
-/// both watch for stalls and rely on a killed attempt's partial work:
-/// the retry re-opens the store and executes only what's still missing.
-/// `WAN_FARM_FAULT` (test-only) injects a deterministic failure halfway
-/// through this shard's owned misses.
-fn run_shard(scale: Scale, shard: ShardSpec) -> i32 {
-    let dir = PathBuf::from(cache_dir());
-    let fault = match FaultPlan::from_env(shard) {
-        Ok(plan) => plan,
-        Err(msg) => {
-            eprintln!("shard {shard}: {msg}");
-            return 2;
-        }
-    };
-    // One budget consumption per attempt, up front: whether this attempt
-    // fires is decided before any work runs, so a fault that exhausts its
-    // budget mid-retry can't half-fire.
-    let armed = fault.filter(|plan| plan.arm(&dir));
-    let registry = Registry::standard(scale);
-    let store = SweepCache::open_scoped(&dir);
-    let store_path = store.path();
-    eprintln!("shard {shard}: store {}", store_path.display());
-    let report = store.with(|store| {
-        SweepRunner::parallel().run_shard_observed(
-            registry.specs(),
-            shard,
-            store,
-            &|done, owned| {
-                eprintln!("{}", heartbeat_line(shard, done, owned));
-                if let Some(plan) = armed {
-                    if done == (owned / 2).max(1) {
-                        plan.fire(&store_path);
-                    }
-                }
-            },
-        )
-    });
-    if let Err(err) = store.flush() {
-        eprintln!(
-            "shard {shard}: flush to {} failed: {err}",
-            store.path().display()
-        );
-        return 1;
-    }
-    eprintln!("shard {shard}: {report}");
-    0
-}
-
-/// `merge <dest> <src>...`: fold shard stores into one, canonical form.
-fn run_merge(dest: &Path, sources: &[PathBuf]) -> i32 {
-    match merge_stores(dest, sources) {
-        Ok(stats) => {
-            println!("merge: {stats}");
+    match golden::gate(&observed, violations, &golden_dir.join(file_name), bless) {
+        Ok(line) => {
+            println!("{line}");
             0
         }
         Err(err) => {
-            eprintln!("merge: {err}");
+            eprintln!("{err}");
             1
         }
     }
-}
-
-/// The supervision knobs `farm` forwards into [`FarmConfig`].
-struct FarmOptions {
-    shards: u32,
-    keep_going: bool,
-    resume: bool,
-    max_retries: u32,
-    hang_timeout_ms: u64,
-}
-
-/// `farm`: the whole sharded pipeline in one command. Fans `shards`
-/// subprocesses (`shard i/m`, each with its own store under the cache
-/// dir) under the [`supervise`] state machine — stderr relayed
-/// line-by-line with a `farm[i/m]` prefix, heartbeats folded into the
-/// hang watchdog, failed attempts retried with capped backoff against
-/// the surviving store — merges the shard stores into the cache dir,
-/// then runs the follow-on mode entirely from the merged store — every
-/// cell a hit, stdout byte-identical to the serial unsharded invocation.
-///
-/// By default per-shard stores are cleared first so the gate is
-/// authoritative; `--resume` keeps them, so a farm interrupted wholesale
-/// (^C, OOM, power) re-executes only the missing cells. With
-/// `--keep-going`, permanently-failed shards don't abort the rest: the
-/// merge proceeds over whatever landed, and if the merged store is
-/// incomplete the farm lists every missing cell on stderr and exits 3
-/// rather than replaying a partial sweep.
-fn run_farm(scale: Scale, follow: FarmFollow, options: FarmOptions) -> i32 {
-    let base = PathBuf::from(cache_dir());
-    let shards = options.shards;
-    let exe = match std::env::current_exe() {
-        Ok(exe) => exe,
-        Err(err) => {
-            eprintln!("farm: cannot locate own executable: {err}");
-            return 1;
-        }
-    };
-    let shard_dir = |i: u32| base.join(format!("shard-{i}"));
-    if !options.resume {
-        // A fresh farm owns its per-shard stores outright (stale ones
-        // would change what "the shards executed" means — and would
-        // carry over a previous run's fault-injection budget).
-        for i in 0..shards {
-            let _ = std::fs::remove_dir_all(shard_dir(i));
-        }
-    }
-    eprintln!(
-        "farm: {shards} supervised shard subprocess(es), stores under {}{}",
-        base.display(),
-        if options.resume { " (resuming)" } else { "" }
-    );
-    let mut config = FarmConfig::new(shards);
-    config.max_attempts = options.max_retries.saturating_add(1).max(1);
-    config.hang_timeout = Duration::from_millis(options.hang_timeout_ms);
-    config.keep_going = options.keep_going;
-    let report = supervise(&config, |i| {
-        let mut command = std::process::Command::new(&exe);
-        command.arg("shard").arg(format!("{i}/{shards}"));
-        if scale == Scale::Quick {
-            command.arg("--quick");
-        }
-        command.env("CCWAN_SWEEP_CACHE_DIR", shard_dir(i));
-        command.stdout(std::process::Stdio::null());
-        command
-    });
-    let failed = report.failed_shards();
-    if !failed.is_empty() {
-        eprintln!(
-            "farm: {} of {shards} shard(s) failed permanently: {}",
-            failed.len(),
-            failed
-                .iter()
-                .map(|i| format!("{i}/{shards}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        if !options.keep_going {
-            return 1;
-        }
-        eprintln!("farm: --keep-going: merging the surviving stores");
-    }
-    let sources: Vec<PathBuf> = (0..shards).map(shard_dir).collect();
-    match merge_stores(&base, &sources) {
-        Ok(stats) => eprintln!("farm: merged — {stats}"),
-        Err(err) => {
-            eprintln!("farm: {err}");
-            return 1;
-        }
-    }
-    if !failed.is_empty() {
-        // The replay would silently execute missing cells in-process,
-        // masking the failure. Report exactly what's missing instead.
-        let registry = Registry::standard(scale);
-        let mut merged = SweepCache::open(&base);
-        let missing = SweepRunner::parallel().missing_cells(registry.specs(), &mut merged);
-        if !missing.is_empty() {
-            eprintln!(
-                "farm: merged store is missing {} cell(s) from failed shard(s):",
-                missing.len()
-            );
-            for cell in &missing {
-                eprintln!("farm: missing {cell}");
-            }
-            eprintln!("farm: re-run with --resume to execute only these cells");
-            return 3;
-        }
-        eprintln!("farm: merged store is complete despite the failure(s); continuing");
-    }
-    // Follow-on over the merged store: the compat shim installs it
-    // process-globally, the replay answers every cell from it, and stdout
-    // is byte-identical to the serial unsharded run.
-    cache::install_global(&base);
-    let code = match follow {
-        FarmFollow::Suite => run_suite(scale, None),
-        FarmFollow::Check => run_check(scale, false, false),
-        FarmFollow::Bless => run_check(scale, true, false),
-    };
-    if let Some(stats) = cache::uninstall_global() {
-        eprintln!("sweep-cache: {stats}");
-    }
-    code
-}
-
-/// `fsck [<dir>]`: scan a store for corrupt lines, duplicate/divergent
-/// keys, cells outside the current registry, and non-canonical form —
-/// optionally (`--repair`) rewriting the canonical deduplicated form
-/// atomically. Exit codes are the contract the tests pin: 0 clean, 1
-/// repairable defects, 2 divergent keys (repair refused — choosing a
-/// side would forge a result).
-fn run_fsck(scale: Scale, dir: Option<PathBuf>, repair: bool) -> i32 {
-    let dir = dir.unwrap_or_else(|| PathBuf::from(cache_dir()));
-    // The expected key set comes from the *current* registry, canaries
-    // executed fresh into a throwaway store (never flushed): staleness is
-    // judged against this binary, not against anything on disk. Quick
-    // keys are a subset of full keys (the parameter fingerprint excludes
-    // the seed count), so `--quick` never misflags full-scale cells as
-    // stale — but a full-scale store checked with `--quick` will.
-    let registry = Registry::standard(scale);
-    let mut throwaway = SweepCache::open(dir.join(".fsck-expected"));
-    let expected: std::collections::HashSet<CellKey> = SweepRunner::parallel()
-        .registry_cell_keys(registry.specs(), &mut throwaway)
-        .into_iter()
-        .map(|(_, key)| key)
-        .collect();
-    let verdict = if repair {
-        fsck::repair_store(&dir, Some(&expected))
-    } else {
-        fsck::fsck_store(&dir, Some(&expected))
-    };
-    let report = match verdict {
-        Ok(report) => report,
-        Err(err) => {
-            eprintln!(
-                "fsck: cannot read store {}: {err}",
-                dir.join(cache::FILE_NAME).display()
-            );
-            return 1;
-        }
-    };
-    eprintln!("fsck: {}: {report}", dir.join(cache::FILE_NAME).display());
-    for key in &report.divergent {
-        eprintln!(
-            "fsck: divergent key {} — two different rows claim it; repair refused \
-             (a determinism violation, not storage damage)",
-            key.to_hex()
-        );
-    }
-    if repair {
-        if report.divergent.is_empty() {
-            eprintln!("fsck: repaired — store rewritten in canonical form");
-            return 0;
-        }
-        return report.exit_code();
-    }
-    report.exit_code()
 }

@@ -47,7 +47,7 @@ pub fn e14_model_and_detector_ablation(scale: Scale) -> Table {
     ]);
 
     let specs = ablation_specs(scale);
-    let results = SweepRunner::parallel().run(&specs);
+    let results = SweepRunner::parallel().run_fresh(&specs);
     t.row(vec![
         "arbitrary loss + ECF + maj-⋄AC + Algorithm 1".into(),
         format!(

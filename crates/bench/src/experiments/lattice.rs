@@ -39,7 +39,7 @@ pub fn e1_figure1_lattice(scale: Scale) -> Table {
     let alg2_bound = 2 * (u64::from(domain.bits()) + 1);
 
     let specs = lattice_specs(scale);
-    let results = SweepRunner::parallel().run(&specs);
+    let results = SweepRunner::parallel().run_fresh(&specs);
     for (i, spec) in specs.iter().enumerate() {
         let worst = results.worst_rounds_past(i);
         let frame = results.spec(i);

@@ -72,7 +72,7 @@ pub fn e12_loss_under_load(scale: Scale) -> Table {
 /// measured stabilization, and consensus end-to-end over the real radio —
 /// as a scenario sweep over the registry's `phy/` family. What the
 /// pre-probe version hand-rolled (a serial seed loop retaining full
-/// traces to fish out the wake-up round) is now four cached, parallel,
+/// traces to fish out the wake-up round) is now four parallel,
 /// golden-gated specs whose wake-up/latency/CD measurements are probe
 /// metric columns.
 pub fn e13_backoff_and_end_to_end(scale: Scale) -> Table {
@@ -88,7 +88,7 @@ pub fn e13_backoff_and_end_to_end(scale: Scale) -> Table {
         ],
     );
     let specs = phy_e2e_specs(scale);
-    let results = SweepRunner::parallel().run(&specs);
+    let results = SweepRunner::parallel().run_fresh(&specs);
     for (i, spec) in specs.iter().enumerate() {
         let frame = results.spec(i);
         // Like the pre-probe loop: the stabilization statistics cover
@@ -142,7 +142,7 @@ pub fn e13_backoff_and_end_to_end(scale: Scale) -> Table {
          window-doubling backoff manager: the full stack, no formal-model shortcuts. \
          r_wake is the wakeup-stabilization probe's metric (first round of the stable \
          single-active suffix); CD misses are the accuracy probe's completeness-miss count — \
-         all columns of the same cached sweep the --check gate covers.",
+         all columns of the same sweep the check gate covers.",
     );
     t
 }

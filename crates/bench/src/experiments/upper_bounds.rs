@@ -15,7 +15,7 @@ pub fn e2_alg1_constant_rounds(scale: Scale) -> Table {
         &["n", "|V|", "CST", "measured worst", "bound"],
     );
     let specs = alg1_grid_specs(scale);
-    let results = SweepRunner::parallel().run(&specs);
+    let results = SweepRunner::parallel().run_fresh(&specs);
     for (i, spec) in specs.iter().enumerate() {
         t.row(vec![
             spec.n.to_string(),
@@ -44,7 +44,7 @@ pub fn e3_alg2_log_rounds(scale: Scale) -> Table {
         ],
     );
     let specs = alg2_staircase_specs(scale);
-    let results = SweepRunner::parallel().run(&specs);
+    let results = SweepRunner::parallel().run_fresh(&specs);
     for (i, spec) in specs.iter().enumerate() {
         let domain = ValueDomain::new(spec.v_size);
         let bound = 2 * (u64::from(domain.bits()) + 1);
@@ -82,7 +82,7 @@ pub fn e4_nonanon_min_crossover(scale: Scale) -> Table {
         &["|V|", "|I|", "mode", "min{lg|V|, lg|I|}", "measured worst"],
     );
     let specs = alg3_crossover_specs(scale);
-    let results = SweepRunner::parallel().run(&specs);
+    let results = SweepRunner::parallel().run_fresh(&specs);
     for (i, spec) in specs.iter().enumerate() {
         let v_bits = spec.v_size.ilog2();
         let i_bits = match spec.algorithm {
@@ -124,7 +124,7 @@ pub fn e5_bst_nocf_bound(scale: Scale) -> Table {
         ],
     );
     let specs = bst_nocf_specs(scale);
-    let results = SweepRunner::parallel().run(&specs);
+    let results = SweepRunner::parallel().run_fresh(&specs);
     for (i, spec) in specs.iter().enumerate() {
         let bound = 8 * u64::from(ValueDomain::new(spec.v_size).bits()) + 8;
         let schedule = match spec.crash {

@@ -35,9 +35,9 @@ impl Scale {
     }
 
     /// Seeds per cell for the *dense* registry family — the
-    /// confidence-interval grid that the sharded sweep farm exists to make
-    /// tractable. Quick stays CI-sized; Full runs hundreds of seeds per
-    /// cell (the scale at which per-cell rates get real error bars).
+    /// confidence-interval grid. Quick stays CI-sized; Full runs hundreds
+    /// of seeds per cell (the scale at which per-cell rates get real error
+    /// bars).
     pub fn dense_seeds(self) -> u64 {
         match self {
             Scale::Quick => 4,

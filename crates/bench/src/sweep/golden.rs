@@ -1,12 +1,13 @@
 //! Golden sweep summaries: the experiment matrix as a CI regression gate.
 //!
-//! `run_experiments --check` re-executes the standard scenario registry
-//! (through the result cache, so a warm run is I/O-bound), summarizes the
-//! resulting [`ResultsFrame`] per spec, and compares against the committed
-//! golden file under `golden/sweeps/` — any drift (a changed worst-case
-//! bound, a safety or termination flip, a moved probe metric, or any
-//! cell-level change via the per-spec digests) exits nonzero. `--bless`
-//! regenerates the golden file after an *intentional* behavior change.
+//! `run_experiments check` re-executes the standard scenario registry,
+//! summarizes the resulting [`ResultsFrame`] per spec, and compares
+//! against the committed golden file under `golden/sweeps/` — any drift (a
+//! changed worst-case bound, a safety or termination flip, a moved probe
+//! metric, or any cell-level change via the per-spec digests) exits
+//! nonzero. `bless` regenerates the golden file after an *intentional*
+//! behavior change. [`gate`] is the policy both share: the safety scan
+//! first, and only a safe sweep is blessed or diffed.
 //!
 //! The summary is deliberately cell-exact at two depths: each spec row
 //! carries the legacy stable FNV digest over every cell's core result
@@ -15,16 +16,19 @@
 //! drift in any probe measurement, not just the four legacy fields, while
 //! the committed file stays a reviewable handful of lines per spec.
 
-use super::cache::CellKey;
 use super::frame::ResultsFrame;
 use super::json::{escape, field_opt, field_str, field_u64, opt_token};
 use super::probe::MetricId;
 use super::runner::SweepRunner;
 use super::spec::{Registry, ScenarioSpec};
 use crate::Scale;
+use std::fmt;
+use std::fs;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use wan_sim::fingerprint::StableHasher;
 
-/// Bumped when the summary schema changes; a mismatch fails `--check`
+/// Bumped when the summary schema changes; a mismatch fails `check`
 /// with a regeneration hint. v2: frame digests and probe summary fields
 /// joined the per-spec rows.
 pub const FORMAT_VERSION: u32 = 2;
@@ -50,7 +54,7 @@ fn scale_name(scale: Scale) -> &'static str {
 /// fault-injection timeline in the `churn/*` family) is constructed so
 /// that consensus safety holds; a cell whose outcome checker flags
 /// disagreement or an invalid decision is therefore always a bug, never
-/// an expected measurement, and `run_experiments --check` fails loudly
+/// an expected measurement, and `run_experiments check` fails loudly
 /// with these coordinates on stderr.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SafetyViolation {
@@ -60,52 +64,167 @@ pub struct SafetyViolation {
     pub case: u64,
     /// The cell's derived RNG seed (reproduce with a single-cell run).
     pub cell_seed: u64,
-    /// The cell's content-addressed cache key, hex-rendered — locates the
-    /// poisoned entry in `target/sweep-cache/` for eviction or inspection.
-    pub cell_key: String,
 }
 
-impl std::fmt::Display for SafetyViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Display for SafetyViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "spec `{}` case {} seed {:#018x} cell-key {}",
-            self.spec, self.case, self.cell_seed, self.cell_key
+            "spec `{}` case {} seed {:#018x}",
+            self.spec, self.case, self.cell_seed
         )
     }
 }
 
 /// Scans every cell of an executed sweep for safety violations
-/// (`safe == false`: broken agreement or validity). Cell keys are derived
-/// lazily — the canary fingerprint costs two traced reference runs per
-/// spec, so only offending specs pay it; a clean sweep scans for free.
+/// (`safe == false`: broken agreement or validity).
 pub fn scan_safety(specs: &[ScenarioSpec], results: &ResultsFrame) -> Vec<SafetyViolation> {
     let mut violations = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        let frame = results.spec(i);
-        let mut canary = None;
-        for idx in 0..frame.len() {
+        for idx in 0..results.spec(i).len() {
             let cell = results.cell_result(i, idx);
-            if cell.safe {
-                continue;
+            if !cell.safe {
+                violations.push(SafetyViolation {
+                    spec: spec.name.clone(),
+                    case: cell.case,
+                    cell_seed: cell.cell_seed,
+                });
             }
-            let canary = *canary.get_or_insert_with(|| spec.canary_fingerprint());
-            let key = CellKey::derive(
-                spec.params_fingerprint(),
-                cell.case,
-                cell.cell_seed,
-                canary,
-                spec.probes.fingerprint(),
-            );
-            violations.push(SafetyViolation {
-                spec: spec.name.clone(),
-                case: cell.case,
-                cell_seed: cell.cell_seed,
-                cell_key: key.to_hex(),
-            });
         }
     }
     violations
+}
+
+/// Why [`gate`] failed. `Display` renders the stderr report.
+#[derive(Debug)]
+pub enum GateError {
+    /// Cells broke agreement or validity; no golden file was read or
+    /// written.
+    Unsafe(Vec<SafetyViolation>),
+    /// The observed summary differs from the golden file at the path.
+    Drift(PathBuf, Vec<String>),
+    /// The golden file could not be written, read, or parsed.
+    Golden(String),
+}
+
+impl fmt::Display for GateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GateError::Unsafe(violations) => {
+                writeln!(
+                    f,
+                    "check: {} cell(s) violated consensus safety (agreement/validity):",
+                    violations.len()
+                )?;
+                for violation in violations {
+                    writeln!(f, "  {violation}")?;
+                }
+                write!(
+                    f,
+                    "(a cell is a pure function of its spec and case; \
+                     `ScenarioSpec::run_cell` replays it)"
+                )
+            }
+            GateError::Drift(path, drift) => {
+                writeln!(
+                    f,
+                    "check: {} drift(s) against {}:",
+                    drift.len(),
+                    path.display()
+                )?;
+                for line in drift {
+                    writeln!(f, "  {line}")?;
+                }
+                write!(
+                    f,
+                    "(if this change is intentional, regenerate with `bless`)"
+                )
+            }
+            GateError::Golden(msg) => f.write_str(msg),
+        }
+    }
+}
+
+/// The registry gate's policy, shared by `check` and `bless`. The safety
+/// scan comes first and unconditionally: every registry environment is
+/// constructed so consensus safety holds, so a violated cell is a bug —
+/// it fails the gate before any golden file is read, and it is never
+/// blessed into one. Only a safe sweep is then written to `golden_path`
+/// (`bless`) or diffed against it. Returns the stdout line on success.
+pub fn gate(
+    observed: &SweepSummary,
+    violations: Vec<SafetyViolation>,
+    golden_path: &Path,
+    bless: bool,
+) -> Result<String, GateError> {
+    if !violations.is_empty() {
+        return Err(GateError::Unsafe(violations));
+    }
+    let path = golden_path.display();
+    if bless {
+        atomic_write(golden_path, observed.to_json().as_bytes())
+            .map_err(|err| GateError::Golden(format!("bless: writing {path} failed: {err}")))?;
+        return Ok(format!(
+            "--bless: wrote {} spec summaries to {path}",
+            observed.specs.len()
+        ));
+    }
+    let text = fs::read_to_string(golden_path).map_err(|err| {
+        let quick = if observed.scale == scale_name(Scale::Quick) {
+            " --quick"
+        } else {
+            ""
+        };
+        GateError::Golden(format!(
+            "check: cannot read golden summary {path}: {err}\n\
+             (generate it with `run_experiments bless{quick}`)"
+        ))
+    })?;
+    let expected = SweepSummary::parse(&text)
+        .map_err(|err| GateError::Golden(format!("check: {path}: {err}")))?;
+    let drift = expected.diff(observed);
+    if !drift.is_empty() {
+        return Err(GateError::Drift(golden_path.to_path_buf(), drift));
+    }
+    Ok(format!(
+        "--check: {} specs match {path}",
+        observed.specs.len()
+    ))
+}
+
+/// Writes `bytes` to `path` atomically: the content goes to a sibling
+/// temp file (suffixed with this process id, so concurrent writers never
+/// share one), is fsynced, and is renamed over `path`; on Unix the parent
+/// directory is fsynced afterwards so the rename itself is durable. A
+/// kill at any instant leaves either the old file or the new one — never
+/// a torn mix — which is what lets `check` and `bless` be interrupted
+/// with impunity.
+pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(dir) = dir {
+        fs::create_dir_all(dir)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(format!(".tmp.{}", std::process::id()));
+    let tmp = PathBuf::from(tmp);
+    let write = (|| {
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(bytes)?;
+        file.sync_all()?;
+        fs::rename(&tmp, path)
+    })();
+    if write.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    write?;
+    #[cfg(unix)]
+    if let Some(dir) = dir {
+        // Durability of the rename, not correctness, so best-effort.
+        if let Ok(handle) = fs::File::open(dir) {
+            let _ = handle.sync_all();
+        }
+    }
+    Ok(())
 }
 
 /// One spec's row in a summary.
@@ -148,40 +267,27 @@ pub struct SweepSummary {
 }
 
 impl SweepSummary {
-    /// Runs the standard registry at `scale` through `runner` (which
-    /// consults the installed result cache, if any) and summarizes it.
-    pub fn measure(scale: Scale, runner: &SweepRunner) -> SweepSummary {
-        SweepSummary::measure_gated(scale, runner).0
-    }
-
-    /// As [`SweepSummary::measure`], additionally scanning every cell for
-    /// safety violations ([`scan_safety`]) — the pair `--check` consumes,
-    /// so the gate sees the exact frame the summary was computed from.
+    /// Runs the standard registry at `scale` through `runner`, summarizes
+    /// it, and scans every cell for safety violations ([`scan_safety`]) —
+    /// the pair [`gate`] consumes, so the gate sees the exact frame the
+    /// summary was computed from.
     pub fn measure_gated(
         scale: Scale,
         runner: &SweepRunner,
     ) -> (SweepSummary, Vec<SafetyViolation>) {
         let registry = Registry::standard(scale);
-        let results = runner.run(registry.specs());
+        let results = runner.run_fresh(registry.specs());
         (
             SweepSummary::from_results(scale, registry.specs(), &results),
             scan_safety(registry.specs(), &results),
         )
     }
 
-    /// As [`SweepSummary::measure`], but every cell runs on the engine's
-    /// *traced* path — including outcome-only specs that would normally
-    /// opt out — always freshly executed (the cache stores default-path
-    /// measurements; serving them here would defeat the point). Since
-    /// traced and untraced executions are identical, the summary must
-    /// equal the committed golden file — any difference is
-    /// trace-representation or probe-path drift.
-    pub fn measure_traced(scale: Scale, runner: &SweepRunner) -> SweepSummary {
-        SweepSummary::measure_traced_gated(scale, runner).0
-    }
-
-    /// As [`SweepSummary::measure_traced`], with the safety scan of
-    /// [`SweepSummary::measure_gated`].
+    /// As [`SweepSummary::measure_gated`], but every cell runs on the
+    /// engine's *traced* path — including outcome-only specs that would
+    /// normally opt out. Since traced and untraced executions are
+    /// identical, the summary must equal the committed golden file — any
+    /// difference is trace-representation or probe-path drift.
     pub fn measure_traced_gated(
         scale: Scale,
         runner: &SweepRunner,
@@ -284,7 +390,7 @@ impl SweepSummary {
             Some(v) if v == u64::from(FORMAT_VERSION) => {}
             Some(v) => {
                 return Err(format!(
-                    "golden summary format v{v}, this binary writes v{FORMAT_VERSION}: regenerate with --bless"
+                    "golden summary format v{v}, this binary writes v{FORMAT_VERSION}: regenerate with `run_experiments bless`"
                 ))
             }
             None => return Err("not a golden sweep summary (bad header)".to_string()),
@@ -395,7 +501,7 @@ impl SweepSummary {
 mod tests {
     use super::*;
     use crate::sweep::probe::{MetricRow, MetricValue};
-    use crate::sweep::spec::{lattice_specs, CellRow};
+    use crate::sweep::spec::{absmac_specs, lattice_specs, CellRow};
 
     fn summary() -> SweepSummary {
         let specs = &lattice_specs(Scale::Quick)[..2];
@@ -403,22 +509,18 @@ mod tests {
         SweepSummary::from_results(Scale::Quick, specs, &results)
     }
 
-    #[test]
-    fn scan_safety_reports_only_unsafe_cells_under_their_cache_keys() {
-        let specs = &lattice_specs(Scale::Quick)[..1];
-        let spec = &specs[0];
-        let rows: Vec<CellRow> = (0..3).map(|case| spec.run_cell(0, case)).collect();
-        let clean = ResultsFrame::from_rows(specs, rows.clone());
-        assert!(
-            scan_safety(specs, &clean).is_empty(),
-            "clean sweeps scan clean"
-        );
+    /// A fresh, empty directory for one test's golden files.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ccwan-gate-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
 
-        // Forge a safety flip in cell 1 only (rebuild the row — MetricRow
-        // is append-only and a duplicate `safe` entry would not column-ize).
-        let mut rows = rows;
+    /// Flips cell `idx`'s `safe` bit (rebuilding the row — MetricRow is
+    /// append-only and a duplicate `safe` entry would not column-ize).
+    fn forge_unsafe(rows: &mut [CellRow], idx: usize) {
         let mut forged = MetricRow::new();
-        for (id, value) in rows[1].metrics.iter() {
+        for (id, value) in rows[idx].metrics.iter() {
             forged.set(
                 id,
                 if id == MetricId::Safe {
@@ -428,27 +530,104 @@ mod tests {
                 },
             );
         }
-        rows[1].metrics = forged;
+        rows[idx].metrics = forged;
+    }
+
+    #[test]
+    fn scan_safety_reports_only_unsafe_cells() {
+        let specs = &lattice_specs(Scale::Quick)[..1];
+        let spec = &specs[0];
+        let mut rows: Vec<CellRow> = (0..3).map(|case| spec.run_cell(0, case)).collect();
+        let clean = ResultsFrame::from_rows(specs, rows.clone());
+        assert!(
+            scan_safety(specs, &clean).is_empty(),
+            "clean sweeps scan clean"
+        );
+
+        forge_unsafe(&mut rows, 1);
         let poisoned = ResultsFrame::from_rows(specs, rows);
         let violations = scan_safety(specs, &poisoned);
-        assert_eq!(violations.len(), 1, "{violations:#?}");
-        let v = &violations[0];
-        assert_eq!(v.spec, spec.name);
-        assert_eq!(v.case, 1);
-        assert_eq!(v.cell_seed, spec.cell_seed(1));
-        // The reported key is exactly the key the sweep cache stores the
-        // cell under, so the poisoned entry can be located directly.
-        let expected = CellKey::derive(
-            spec.params_fingerprint(),
-            1,
-            spec.cell_seed(1),
-            spec.canary_fingerprint(),
-            spec.probes.fingerprint(),
+        assert_eq!(
+            violations,
+            vec![SafetyViolation {
+                spec: spec.name.clone(),
+                case: 1,
+                cell_seed: spec.cell_seed(1),
+            }]
         );
-        assert_eq!(v.cell_key, expected.to_hex());
-        let line = v.to_string();
-        assert!(line.contains(&spec.name), "{line}");
-        assert!(line.contains("cell-key"), "{line}");
+    }
+
+    /// The sweep-wide safety gate covers the abstract-MAC family: a forged
+    /// agreement violation in an `absmac/mac-*` cell — exactly what a
+    /// buggy MAC component would produce — fails the gate with the cell's
+    /// spec/case/seed, under `check` and `bless` alike, and `bless` never
+    /// writes the golden file.
+    #[test]
+    fn gate_fails_on_an_absmac_violation_before_blessing_or_diffing() {
+        let specs: Vec<ScenarioSpec> = absmac_specs(Scale::Quick)
+            .into_iter()
+            .filter(|spec| spec.name.starts_with("absmac/mac-"))
+            .take(1)
+            .collect();
+        let spec = &specs[0];
+        let mut rows: Vec<CellRow> = (0..3).map(|case| spec.run_cell(0, case)).collect();
+        forge_unsafe(&mut rows, 2);
+        let poisoned = ResultsFrame::from_rows(&specs, rows);
+        let observed = SweepSummary::from_results(Scale::Quick, &specs, &poisoned);
+        let golden = scratch("absmac").join(golden_file_name(Scale::Quick));
+
+        for bless in [true, false] {
+            let violations = scan_safety(&specs, &poisoned);
+            let err = gate(&observed, violations, &golden, bless)
+                .expect_err("a safety violation must fail the gate");
+            assert!(
+                matches!(err, GateError::Unsafe(ref v) if v.len() == 1),
+                "{err}"
+            );
+            let report = err.to_string();
+            assert!(report.contains("violated consensus safety"), "{report}");
+            assert!(report.contains(&spec.name), "{report}");
+            assert!(report.contains("case 2"), "{report}");
+            assert!(
+                report.contains(&format!("{:#018x}", spec.cell_seed(2))),
+                "{report}"
+            );
+            assert!(
+                !golden.exists(),
+                "an unsafe sweep must never be blessed into a golden file"
+            );
+        }
+    }
+
+    #[test]
+    fn gate_blesses_checks_and_reports_drift() {
+        let observed = summary();
+        let dir = scratch("roundtrip");
+        let golden = dir.join(golden_file_name(Scale::Quick));
+
+        let missing = gate(&observed, Vec::new(), &golden, false).expect_err("no golden file yet");
+        assert!(matches!(missing, GateError::Golden(_)), "{missing}");
+        assert!(
+            missing
+                .to_string()
+                .contains("run_experiments bless --quick"),
+            "{missing}"
+        );
+
+        let blessed = gate(&observed, Vec::new(), &golden, true).expect("bless");
+        assert!(blessed.contains("wrote 2 spec summaries"), "{blessed}");
+        let checked = gate(&observed, Vec::new(), &golden, false).expect("check");
+        assert!(checked.contains("2 specs match"), "{checked}");
+
+        let mut moved = observed.clone();
+        moved.specs[1].digest ^= 1;
+        let drift = gate(&moved, Vec::new(), &golden, false).expect_err("a moved digest is drift");
+        assert!(
+            matches!(drift, GateError::Drift(_, ref d) if d.len() == 1),
+            "{drift}"
+        );
+        assert!(drift.to_string().contains("digest drifted"), "{drift}");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -505,7 +684,7 @@ mod tests {
             1,
         );
         let err = SweepSummary::parse(&future).unwrap_err();
-        assert!(err.contains("--bless"), "{err}");
+        assert!(err.contains("run_experiments bless"), "{err}");
     }
 
     #[test]
@@ -517,6 +696,6 @@ mod tests {
              {{\"name\":\"x\",\"cells\":5,\"safe\":5,\"terminated\":5,\"worst\":2,\"digest\":\"00000000000000aa\"}}\n]}}\n"
         );
         let err = SweepSummary::parse(&v1).unwrap_err();
-        assert!(err.contains("--bless"), "{err}");
+        assert!(err.contains("run_experiments bless"), "{err}");
     }
 }

@@ -1,12 +1,11 @@
-//! Minimal hand-rolled JSON helpers for the sweep cache and golden
-//! summary files.
+//! Minimal hand-rolled JSON helpers for the golden summary files.
 //!
-//! The workspace is offline (no serde), and the two on-disk formats in
-//! this subsystem are line-oriented with a fixed, self-written schema —
-//! so all that is needed is field extraction by name from a single JSON
-//! object line, plus string escaping. Parsers here are *tolerant*: any
-//! malformed input yields `None`, never a panic, which is what lets the
-//! cache loader skip corrupted lines and keep the rest.
+//! The workspace is offline (no serde), and the golden format is
+//! line-oriented with a fixed, self-written schema — so all that is
+//! needed is field extraction by name from a single JSON object line,
+//! plus string escaping. Parsers here are *tolerant*: any malformed input
+//! yields `None`, never a panic, so a damaged golden file fails the gate
+//! with a message instead of aborting it.
 
 /// Escapes a string for embedding in a JSON string literal. Only the
 /// characters our writers can actually emit need handling; anything else

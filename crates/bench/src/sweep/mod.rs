@@ -19,9 +19,9 @@
 //!   measurement over an execution (fed [`wan_sim::RoundView`]s, emitting
 //!   typed [`MetricId`]/[`MetricValue`] pairs into a reusable
 //!   [`MetricRow`]); a [`ProbeManifest`] is the data form of a spec's
-//!   probe selection (it fingerprints into the cache keys and decides
-//!   whether cells run traced). Cells run **traced by default**;
-//!   outcome-only manifests are the explicit untraced opt-out.
+//!   probe selection (it decides whether cells run traced). Cells run
+//!   **traced by default**; outcome-only manifests are the explicit
+//!   untraced opt-out.
 //! * [`frame`] — the columnar [`ResultsFrame`]: struct-of-arrays metric
 //!   columns per spec (mirroring the trace arena), with
 //!   summary/percentile accessors replacing ad-hoc aggregation in the
@@ -30,74 +30,36 @@
 //! * [`SweepRunner`] — a work-stealing fan-out over OS threads
 //!   (`std::thread::scope`; the environment is offline so rayon is not
 //!   available, and the dependency-free pool below is all the sweep
-//!   needs). Results arrive in deterministic cell order regardless of
-//!   thread count: [`SweepRunner::serial`] and [`SweepRunner::parallel`]
-//!   produce byte-identical [`ResultsFrame`]s.
-//! * [`cache`] — the persistent, content-addressed result cache. Because
-//!   a cell is a pure function of `(spec, index)`, its full metric row
-//!   can be stored (schema v2) under a fingerprint of the spec
-//!   parameters, the derived seed, a canary trace fingerprint of the
-//!   engine's reference execution (so code changes invalidate
-//!   correctly), and the probe-manifest fingerprint (so adding a probe
-//!   invalidates only the affected specs); [`SweepRunner::run`] consults
-//!   the store transparently when `run_experiments` installs one (library
-//!   callers pass a [`ScopedCache`] to [`SweepRunner::run_with`]
-//!   explicitly), making repeat invocations incremental: a warm run
-//!   executes zero cells and prints byte-identical tables.
-//! * [`shard`] — the multi-process farm layer on top of the cache:
-//!   [`CellKey::shard`] partitions a sweep's cells as a pure function of
-//!   their content, [`SweepRunner::run_shard`] executes one shard into
-//!   its own store, and [`merge_stores`] folds shard stores back together
-//!   as a checked set union (conflicts on divergent rows are refused).
-//!   The `run_experiments farm` subcommand fans shard subprocesses across
-//!   cores and assembles a final frame byte-identical to the serial
-//!   unsharded sweep.
-//! * [`supervisor`] — fault tolerance for that farm: every shard runs
-//!   under a retry/backoff state machine with a heartbeat-driven
-//!   no-progress watchdog ([`supervise`]); because shard stores are
-//!   append-synced incrementally, a killed attempt's retry is a warm run
-//!   and `farm --resume` recovers a whole-farm interruption. The
-//!   [`FaultPlan`] hook (`WAN_FARM_FAULT`) injects deterministic shard
-//!   faults so CI exercises every recovery path.
-//! * [`fsck`] — store integrity checking ([`fsck_store`] /
-//!   [`repair_store`], the `fsck [--repair]` subcommand): corrupt lines,
-//!   duplicate and divergent keys, stale cells, non-canonical form —
-//!   with a 0/1/2 exit-code contract (clean / repairable / divergent).
+//!   needs). Every sweep executes every cell, in this process; results
+//!   arrive in deterministic cell order regardless of thread count:
+//!   [`SweepRunner::serial`] and [`SweepRunner::parallel`] produce
+//!   byte-identical [`ResultsFrame`]s.
 //! * [`golden`] — registry summaries as a CI regression gate:
-//!   `run_experiments --check` compares a (cache-assisted) run of the
-//!   standard registry against the committed `golden/sweeps/*.json` and
-//!   exits nonzero on any drift, down to single-cell changes via
-//!   per-spec digests over both the core results and the full frame
-//!   columns.
+//!   `run_experiments check` compares a fresh run of the standard
+//!   registry against the committed `golden/sweeps/*.json` and exits
+//!   nonzero on any drift, down to single-cell changes via per-spec
+//!   digests over both the core results and the full frame columns. The
+//!   safety scan runs first ([`golden::gate`]): a cell that breaks
+//!   agreement or validity fails the gate by its spec/case/seed before
+//!   any golden file is read or written.
 //!
 //! The experiment functions in [`crate::experiments`] are thin table
 //! renderers over this subsystem.
 
-pub mod cache;
 pub mod frame;
-pub mod fsck;
 pub mod golden;
 mod json;
 pub mod probe;
 pub mod runner;
-pub mod shard;
 pub mod spec;
-pub mod supervisor;
 
-pub use cache::{CacheStats, CellKey, ScopedCache, SweepCache};
 pub use frame::{MetricColumn, ResultsFrame, SpecFrame};
-pub use fsck::{fsck_store, repair_store, FsckReport, HeaderState};
 pub use golden::{scan_safety, SafetyViolation, SweepSummary};
 pub use probe::{
     CellEnd, MetricId, MetricRow, MetricValue, Probe, ProbeKind, ProbeManifest, ProbeSet,
 };
-pub use runner::{MissingCell, SweepRunner};
-pub use shard::{merge_stores, MergeError, MergeStats, ShardReport, ShardSpec};
+pub use runner::SweepRunner;
 pub use spec::{
     AbsMacPlan, Algorithm, CellResult, CellRow, ChurnPlan, CrashPlan, EnvironmentPlan, Registry,
     ScenarioSpec,
-};
-pub use supervisor::{
-    heartbeat_line, parse_heartbeat, supervise, FarmConfig, FarmReport, FaultKind, FaultPlan,
-    ShardOutcome,
 };

@@ -7,7 +7,7 @@
 //! contention counts, collision-detector accuracy, crash impact. Before
 //! this module, the sweep substrate could only report the four hard-coded
 //! fields of the legacy `CellResult`, so every richer experiment
-//! hand-rolled its own loops outside the cached/gated sweep path. A
+//! hand-rolled its own loops outside the gated sweep path. A
 //! [`Probe`] turns one such measurement into a reusable component:
 //!
 //! * [`Probe::observe`] is called once per recorded round with the
@@ -21,32 +21,21 @@
 //!   reused across cells (same discipline as the engine's `RoundBuffers`).
 //!
 //! A [`ProbeManifest`] is the *data* form of a probe selection — it lives
-//! on the `ScenarioSpec`, participates in the sweep-cache cell keys via
-//! [`ProbeManifest::fingerprint`] (so adding a probe to a spec invalidates
-//! exactly that spec's cached cells), and decides whether a cell needs the
-//! traced engine path at all ([`ProbeManifest::needs_trace`] — outcome-only
+//! on the `ScenarioSpec` and decides whether a cell needs the traced
+//! engine path at all ([`ProbeManifest::needs_trace`] — outcome-only
 //! manifests are the explicit opt-out that keeps pure-throughput sweeps on
 //! the untraced fast path). [`ProbeSet::from_manifest`] instantiates the
 //! built-in probes; ad-hoc consumers (examples, one-off analyses) can
 //! [`ProbeSet::push`] custom [`Probe`] implementations alongside them.
 
 use std::fmt;
-use wan_sim::fingerprint::StableHasher;
 use wan_sim::trace::ExecutionTrace;
 use wan_sim::{ProcessId, Round, RoundView};
 
-/// Bumped whenever a built-in probe's *semantics* change (what a metric
-/// counts, not just which metrics exist). Folded into every
-/// [`ProbeManifest::fingerprint`], so the bump invalidates cached metric
-/// rows that were computed by the old probe code — the invalidation the
-/// canary lane structurally cannot provide, since probe implementations
-/// never alter the traced execution the canary hashes.
-pub const PROBE_SCHEMA_VERSION: u32 = 1;
-
 /// The typed vocabulary of metrics the built-in probes emit. Ordered
-/// (`Ord`) so metric columns and serialized rows have one canonical
-/// order; named ([`MetricId::name`]) so rows persist to the sweep cache
-/// and `--metrics` globs can select them.
+/// (`Ord`) so metric columns and rendered rows have one canonical
+/// order; named ([`MetricId::name`]) so rows render readably and
+/// `metrics` globs can select them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MetricId {
     /// The measurement reference round (declared CST under ECF, the round
@@ -130,10 +119,9 @@ pub enum MetricId {
     MacBlockedStreakMax,
     /// An ad-hoc metric minted by a custom [`Probe`] (see the README's
     /// worked example and `examples/quickstart.rs`). Sorts after every
-    /// built-in id; not in [`MetricId::ALL`] and not reconstructible by
-    /// [`MetricId::from_name`], so custom metrics flow through frames and
-    /// renders but never through the persistent sweep cache (the registry
-    /// only runs built-in manifests).
+    /// built-in id and is not in [`MetricId::ALL`]; custom metrics flow
+    /// through frames and renders (the registry only runs built-in
+    /// manifests).
     Custom(&'static str),
 }
 
@@ -168,7 +156,7 @@ impl MetricId {
         MetricId::MacBlockedStreakMax,
     ];
 
-    /// The stable snake_case name used on disk and in `--metrics` globs.
+    /// The stable snake_case name used in renders and `metrics` globs.
     pub fn name(self) -> &'static str {
         match self {
             MetricId::Reference => "reference",
@@ -199,12 +187,6 @@ impl MetricId {
             MetricId::MacBlockedStreakMax => "mac_blocked_streak_max",
             MetricId::Custom(name) => name,
         }
-    }
-
-    /// Reverses [`MetricId::name`] for the built-in vocabulary
-    /// ([`MetricId::Custom`] ids are not reconstructible — see its docs).
-    pub fn from_name(name: &str) -> Option<MetricId> {
-        MetricId::ALL.into_iter().find(|id| id.name() == name)
     }
 }
 
@@ -245,8 +227,8 @@ impl MetricValue {
         }
     }
 
-    /// The compact on-disk token (`u6`, `i-2`, `b1`, `o8`/`o-`, `s-2`/`s-`):
-    /// one tag character carrying the variant, then the payload.
+    /// The compact token (`u6`, `i-2`, `b1`, `o8`/`o-`, `s-2`/`s-`): one
+    /// tag character carrying the variant, then the payload.
     pub fn encode(self) -> String {
         match self {
             MetricValue::U64(v) => format!("u{v}"),
@@ -256,25 +238,6 @@ impl MetricValue {
             MetricValue::OptU64(None) => "o-".to_string(),
             MetricValue::OptI64(Some(v)) => format!("s{v}"),
             MetricValue::OptI64(None) => "s-".to_string(),
-        }
-    }
-
-    /// Reverses [`MetricValue::encode`]. `None` on any malformed token.
-    pub fn decode(token: &str) -> Option<MetricValue> {
-        let payload = token.get(1..)?;
-        match token.as_bytes().first()? {
-            b'u' => payload.parse().ok().map(MetricValue::U64),
-            b'i' => payload.parse().ok().map(MetricValue::I64),
-            b'b' => match payload {
-                "0" => Some(MetricValue::Bool(false)),
-                "1" => Some(MetricValue::Bool(true)),
-                _ => None,
-            },
-            b'o' if payload == "-" => Some(MetricValue::OptU64(None)),
-            b'o' => payload.parse().ok().map(|v| MetricValue::OptU64(Some(v))),
-            b's' if payload == "-" => Some(MetricValue::OptI64(None)),
-            b's' => payload.parse().ok().map(|v| MetricValue::OptI64(Some(v))),
-            _ => None,
         }
     }
 }
@@ -328,7 +291,7 @@ impl MetricRow {
     }
 
     /// Sorts by id and asserts uniqueness — the canonical form every
-    /// consumer (frame columns, cache lines, renders) relies on.
+    /// consumer (frame columns, renders) relies on.
     fn seal(&mut self) {
         self.entries.sort_unstable_by_key(|&(id, _)| id);
         debug_assert!(
@@ -337,7 +300,7 @@ impl MetricRow {
         );
     }
 
-    /// The on-disk rendering: `name=token` pairs joined by `;`
+    /// The compact rendering: `name=token` pairs joined by `;`
     /// (e.g. `reference=u6;last_decision=o8;safe=b1`).
     pub fn encode(&self) -> String {
         let mut out = String::new();
@@ -350,26 +313,6 @@ impl MetricRow {
             out.push_str(&value.encode());
         }
         out
-    }
-
-    /// Reverses [`MetricRow::encode`]. `None` on any malformed pair,
-    /// unknown metric name, or out-of-order/duplicate ids.
-    pub fn decode(text: &str) -> Option<MetricRow> {
-        let mut row = MetricRow::new();
-        if text.is_empty() {
-            return Some(row);
-        }
-        for pair in text.split(';') {
-            let (name, token) = pair.split_once('=')?;
-            let id = MetricId::from_name(name)?;
-            if let Some(&(last, _)) = row.entries.last() {
-                if last >= id {
-                    return None;
-                }
-            }
-            row.set(id, MetricValue::decode(token)?);
-        }
-        Some(row)
     }
 }
 
@@ -411,9 +354,8 @@ pub trait Probe<M: Ord> {
 }
 
 /// The built-in probe selection, as *data*: which probes a scenario runs
-/// with. Lives on `ScenarioSpec`, fingerprints into the sweep-cache cell
-/// keys, and decides the engine path (traced iff any selected probe needs
-/// per-round views).
+/// with. Lives on `ScenarioSpec` and decides the engine path (traced iff
+/// any selected probe needs per-round views).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProbeKind {
     /// The legacy `CellResult` fields: reference, last decision,
@@ -467,21 +409,6 @@ impl ProbeKind {
         ProbeKind::ProgressBound,
     ];
 
-    /// Stable name (participates in manifest fingerprints).
-    pub fn name(self) -> &'static str {
-        match self {
-            ProbeKind::Core => "core",
-            ProbeKind::DecisionLatency => "decision_latency",
-            ProbeKind::BroadcastCount => "broadcast_count",
-            ProbeKind::CdAccuracy => "cd_accuracy",
-            ProbeKind::CrashExposure => "crash_exposure",
-            ProbeKind::WakeupStabilization => "wakeup_stabilization",
-            ProbeKind::CheckpointStats => "checkpoint_stats",
-            ProbeKind::AckLatency => "ack_latency",
-            ProbeKind::ProgressBound => "progress_bound",
-        }
-    }
-
     /// Whether this probe reads per-round views (and therefore needs the
     /// traced engine path).
     pub fn needs_trace(self) -> bool {
@@ -508,8 +435,8 @@ impl ProbeKind {
 }
 
 /// A spec's probe selection. The kinds are kept sorted and deduplicated,
-/// so two manifests selecting the same probes are equal (and fingerprint
-/// equal) regardless of construction order.
+/// so two manifests selecting the same probes are equal regardless of
+/// construction order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeManifest {
     kinds: Vec<ProbeKind>,
@@ -521,10 +448,9 @@ impl ProbeManifest {
     /// only says something on specs with a scenario timeline — and the
     /// MAC-envelope probes ([`ProbeKind::AckLatency`],
     /// [`ProbeKind::ProgressBound`]) only on `AbsMac` environments — and
-    /// folding them in here would move every standard manifest's
-    /// fingerprint (and therefore every cached cell key and golden) for no
-    /// information. Timeline and abstract-MAC specs opt in via
-    /// [`ProbeManifest::of`].
+    /// folding them in here would add columns to every standard spec (and
+    /// so move every golden frame digest) for no information. Timeline and
+    /// abstract-MAC specs opt in via [`ProbeManifest::of`].
     pub fn standard() -> ProbeManifest {
         ProbeManifest {
             kinds: vec![
@@ -566,27 +492,6 @@ impl ProbeManifest {
     /// Whether any selected probe needs the traced engine path.
     pub fn needs_trace(&self) -> bool {
         self.kinds.iter().any(|k| k.needs_trace())
-    }
-
-    /// A stable fingerprint of the selection — the probe lane of the
-    /// sweep-cache cell keys: adding or removing a probe changes exactly
-    /// the keys of the specs whose manifest changed.
-    ///
-    /// [`PROBE_SCHEMA_VERSION`] is folded in, because this lane is the
-    /// *only* key input probe code can reach: the canary lane hashes the
-    /// traced execution, which probe implementations never affect, so a
-    /// changed counting rule inside a probe would otherwise keep serving
-    /// stale cached rows forever. Bump the version constant whenever a
-    /// built-in probe's semantics change.
-    pub fn fingerprint(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(u64::from(PROBE_SCHEMA_VERSION));
-        h.write_usize(self.kinds.len());
-        for kind in &self.kinds {
-            h.write_bytes(kind.name().as_bytes());
-            h.write_u64(0x3B);
-        }
-        h.finish()
     }
 }
 
@@ -1123,61 +1028,33 @@ mod tests {
     }
 
     #[test]
-    fn metric_names_roundtrip_and_are_unique() {
+    fn metric_names_are_unique() {
         let mut names: Vec<&str> = MetricId::ALL.iter().map(|id| id.name()).collect();
-        for id in MetricId::ALL {
-            assert_eq!(MetricId::from_name(id.name()), Some(id));
-        }
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), MetricId::ALL.len());
-        assert_eq!(MetricId::from_name("no_such_metric"), None);
     }
 
     #[test]
-    fn values_encode_decode() {
-        for value in [
-            MetricValue::U64(17),
-            MetricValue::I64(-4),
-            MetricValue::Bool(true),
-            MetricValue::Bool(false),
-            MetricValue::OptU64(Some(9)),
-            MetricValue::OptU64(None),
-            MetricValue::OptI64(Some(-2)),
-            MetricValue::OptI64(None),
-        ] {
-            assert_eq!(MetricValue::decode(&value.encode()), Some(value));
-        }
-        assert_eq!(MetricValue::decode(""), None);
-        assert_eq!(MetricValue::decode("x9"), None);
-        assert_eq!(MetricValue::decode("b7"), None);
-        assert_eq!(MetricValue::decode("unope"), None);
-    }
-
-    #[test]
-    fn rows_encode_decode_and_reject_malformed() {
+    fn rows_encode_in_canonical_order() {
         let mut row = MetricRow::new();
+        row.set(MetricId::DecisionLatency, MetricValue::OptI64(Some(-3)));
         row.set(MetricId::Reference, MetricValue::U64(6));
         row.set(MetricId::LastDecision, MetricValue::OptU64(None));
-        row.set(MetricId::DecisionLatency, MetricValue::OptI64(Some(-3)));
+        row.set(MetricId::Safe, MetricValue::Bool(true));
         row.seal();
-        let text = row.encode();
-        assert_eq!(MetricRow::decode(&text), Some(row.clone()));
-        assert_eq!(MetricRow::decode(""), Some(MetricRow::new()));
-        assert_eq!(MetricRow::decode("reference=zz"), None);
-        assert_eq!(MetricRow::decode("bogus=u1"), None);
-        // Out-of-order / duplicate ids are rejected (canonical form only).
-        assert_eq!(MetricRow::decode("last_decision=o-;reference=u6"), None);
-        assert_eq!(MetricRow::decode("reference=u6;reference=u7"), None);
+        assert_eq!(
+            row.encode(),
+            "reference=u6;last_decision=o-;safe=b1;decision_latency=s-3"
+        );
     }
 
     #[test]
-    fn manifest_fingerprints_move_with_the_selection() {
+    fn manifests_are_canonical_and_pick_the_engine_path() {
         let standard = ProbeManifest::standard();
         let outcome = ProbeManifest::outcome_only();
         assert!(standard.needs_trace());
         assert!(!outcome.needs_trace());
-        assert_ne!(standard.fingerprint(), outcome.fingerprint());
         // Construction order does not matter; Core is always included.
         assert_eq!(
             ProbeManifest::of(&[ProbeKind::CdAccuracy, ProbeKind::BroadcastCount]),
@@ -1285,15 +1162,14 @@ mod tests {
     #[test]
     fn standard_manifest_excludes_checkpoint_stats() {
         // The default selection must not move when timeline probes are
-        // added to the vocabulary — that would shift every standard
-        // spec's manifest fingerprint and invalidate goldens for nothing.
+        // added to the vocabulary — that would add columns to every
+        // standard spec and move every golden frame digest for nothing.
         assert!(!ProbeManifest::standard()
             .kinds()
             .contains(&ProbeKind::CheckpointStats));
         let with = ProbeManifest::of(&[ProbeKind::CheckpointStats]);
         assert!(with.kinds().contains(&ProbeKind::CheckpointStats));
         assert!(with.needs_trace());
-        assert_ne!(with.fingerprint(), ProbeManifest::standard().fingerprint());
         // Same stability argument for the MAC-envelope probes: opt-in only.
         for kind in [ProbeKind::AckLatency, ProbeKind::ProgressBound] {
             assert!(!ProbeManifest::standard().kinds().contains(&kind));

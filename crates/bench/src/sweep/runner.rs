@@ -1,12 +1,9 @@
 //! The parallel sweep runner: fans independent cells across OS threads.
 
-use super::cache::{self, CellKey, ScopedCache, SweepCache};
 use super::frame::ResultsFrame;
-use super::shard::{ShardReport, ShardSpec};
-use super::spec::{CellRow, ScenarioSpec};
-use std::fmt;
+use super::spec::ScenarioSpec;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Executes scenario sweeps, fanning `(spec, case)` cells across a fixed
@@ -55,42 +52,11 @@ impl SweepRunner {
         self.threads
     }
 
-    /// Runs every cell of every spec and returns the assembled columnar
-    /// frame. Cells run traced by default, driving each spec's probe
-    /// manifest over the recorded rounds ([`ScenarioSpec::run_cell`]);
-    /// outcome-only manifests stay on the untraced fast path.
-    ///
-    /// When a process-wide cache is installed
-    /// ([`cache::install_global`] — the compatibility shim only the
-    /// `run_experiments` binary uses; library callers pass a
-    /// [`ScopedCache`] to [`SweepRunner::run_with`] explicitly), cached
-    /// cells are answered from the store and only misses execute; results
-    /// are identical either way. With no cache installed every cell
-    /// executes, exactly as before the cache existed.
-    pub fn run(&self, specs: &[ScenarioSpec]) -> ResultsFrame {
-        match cache::global() {
-            Some(cache) => self.run_with(specs, &cache),
-            None => self.run_fresh(specs),
-        }
-    }
-
-    /// Runs a sweep through a scoped cache handle — the primary cached
-    /// form. Equivalent to [`SweepRunner::run_with_cache`] on the handle's
-    /// store, plus a flush of the fresh misses; results are byte-identical
-    /// to [`SweepRunner::run_fresh`] either way.
-    pub fn run_with(&self, specs: &[ScenarioSpec], cache: &ScopedCache) -> ResultsFrame {
-        let results = cache.with(|cache| self.run_with_cache(specs, cache));
-        if let Err(err) = cache.flush() {
-            eprintln!(
-                "sweep-cache: flush to {} failed: {err} (results unaffected)",
-                cache.path().display()
-            );
-        }
-        results
-    }
-
-    /// Runs every cell unconditionally, consulting no cache — the
-    /// reference execution path.
+    /// Runs every cell of every spec in this process and returns the
+    /// assembled columnar frame — the one sweep entry point. Cells run
+    /// traced by default, driving each spec's probe manifest over the
+    /// recorded rounds ([`ScenarioSpec::run_cell`]); outcome-only
+    /// manifests stay on the untraced fast path.
     pub fn run_fresh(&self, specs: &[ScenarioSpec]) -> ResultsFrame {
         let cells: Vec<(usize, u64)> = expand(specs);
         let rows = self.map_described(
@@ -124,223 +90,6 @@ impl SweepRunner {
         ResultsFrame::from_rows(specs, rows)
     }
 
-    /// Runs a sweep through an explicit cache: canaries first (two traced
-    /// reference cells per spec not yet memoized this process), then cached
-    /// cells are answered from the store and only the misses execute (in
-    /// parallel, like any sweep). The assembled results are byte-identical
-    /// to [`SweepRunner::run_fresh`] — `tests/sweep_cache.rs` pins that —
-    /// and misses are queued on the cache for its next
-    /// [`SweepCache::flush`].
-    pub fn run_with_cache(&self, specs: &[ScenarioSpec], cache: &mut SweepCache) -> ResultsFrame {
-        // 1. Canary fingerprints: the code-sensitivity lane of every key.
-        //    Computed once per distinct spec per process, in parallel.
-        let params = self.memoize_canaries(specs, cache);
-
-        // 2. Partition cells into hits (answered from the store) and
-        //    misses (executed in parallel). The probe-manifest fingerprint
-        //    is its own key lane: changing a spec's probes invalidates
-        //    exactly that spec's cells.
-        let cells: Vec<(usize, u64)> = expand(specs);
-        let keys = derive_keys(specs, &params, cache, &cells);
-        let mut out: Vec<Option<CellRow>> = Vec::with_capacity(cells.len());
-        let mut miss: Vec<usize> = Vec::new();
-        for (idx, &(spec_index, case)) in cells.iter().enumerate() {
-            let seed = specs[spec_index].cell_seed(case);
-            let hit = cache.lookup(keys[idx], spec_index, case, seed);
-            if hit.is_none() {
-                miss.push(idx);
-            }
-            out.push(hit);
-        }
-        cache.stats.hits += (cells.len() - miss.len()) as u64;
-        cache.stats.misses += miss.len() as u64;
-        let ran = self.map_described(
-            miss.len(),
-            |j| {
-                let (spec_index, case) = cells[miss[j]];
-                specs[spec_index].run_cell(spec_index, case)
-            },
-            |j| {
-                format!(
-                    "{} cell-key {}",
-                    describe_cell(specs, cells[miss[j]]),
-                    keys[miss[j]].to_hex()
-                )
-            },
-        );
-        for (idx, row) in miss.into_iter().zip(ran) {
-            let (spec_index, _) = cells[idx];
-            cache.record(keys[idx], &specs[spec_index].name, &row);
-            out[idx] = Some(row);
-        }
-        let rows = out
-            .into_iter()
-            .collect::<Option<Vec<_>>>()
-            .expect("every cell is a hit or an executed miss");
-        ResultsFrame::from_rows(specs, rows)
-    }
-
-    /// Memoizes the canary fingerprint of every distinct spec (a traced
-    /// reference run per spec not yet seen this process, computed in
-    /// parallel) and returns each spec's params fingerprint. Shared by the
-    /// cached and sharded entry points so both derive identical
-    /// [`CellKey`]s.
-    fn memoize_canaries(&self, specs: &[ScenarioSpec], cache: &mut SweepCache) -> Vec<u64> {
-        let params: Vec<u64> = specs.iter().map(ScenarioSpec::params_fingerprint).collect();
-        let mut need: Vec<usize> = Vec::new();
-        for (i, fp) in params.iter().enumerate() {
-            if cache.canary(*fp).is_none() && !need.iter().any(|&j| params[j] == *fp) {
-                need.push(i);
-            }
-        }
-        let computed = self.map_described(
-            need.len(),
-            |k| specs[need[k]].canary_fingerprint(),
-            |k| format!("canary of spec `{}`", specs[need[k]].name),
-        );
-        for (&i, canary) in need.iter().zip(computed) {
-            cache.set_canary(params[i], canary);
-        }
-        cache.stats.canary_runs += need.len() as u64;
-        params
-    }
-
-    /// Runs exactly the cells shard `i/m` owns under the [`CellKey`]
-    /// partition, answering repeats from `cache` and recording executed
-    /// cells into it. No frame is assembled — a shard run exists to
-    /// *populate its store*; [`super::shard::merge_stores`] folds the
-    /// shard stores together and a cached full sweep (all hits) assembles
-    /// the byte-identical [`ResultsFrame`].
-    ///
-    /// The partition is a pure function of each cell's content-addressed
-    /// key, so every shard derives the same assignment independently —
-    /// no coordinator, no shared state, and the union over `i = 0..m` is
-    /// exactly the unsharded cell set (`tests/shard_merge.rs` pins the
-    /// algebra).
-    pub fn run_shard(
-        &self,
-        specs: &[ScenarioSpec],
-        shard: ShardSpec,
-        cache: &mut SweepCache,
-    ) -> ShardReport {
-        self.run_shard_observed(specs, shard, cache, &|_, _| {})
-    }
-
-    /// [`SweepRunner::run_shard`] with **crash-safe incremental
-    /// persistence** and a progress observer — the form the supervised
-    /// farm runs. Every executed cell is recorded *and flushed* (an
-    /// fdatasynced append) the moment it completes, so a shard process
-    /// killed mid-sweep loses at most the cells still in flight: its
-    /// retry reopens the store warm and executes only what is missing.
-    ///
-    /// `observer(done, owned_misses)` is called once per persisted cell,
-    /// under the store lock — the `shard` subcommand emits its heartbeat
-    /// line from here (and the fault-injection hook fires from here, which
-    /// is also why the lock is held: a hung observer stops the store from
-    /// growing, exactly the failure mode the supervisor's watchdog
-    /// detects).
-    pub fn run_shard_observed(
-        &self,
-        specs: &[ScenarioSpec],
-        shard: ShardSpec,
-        cache: &mut SweepCache,
-        observer: &(dyn Fn(u64, u64) + Sync),
-    ) -> ShardReport {
-        let params = self.memoize_canaries(specs, cache);
-        let cells: Vec<(usize, u64)> = expand(specs);
-        let keys = derive_keys(specs, &params, cache, &cells);
-        let owned: Vec<usize> = (0..cells.len()).filter(|&i| shard.owns(keys[i])).collect();
-        let mut miss: Vec<usize> = Vec::new();
-        for &idx in &owned {
-            let (spec_index, case) = cells[idx];
-            let seed = specs[spec_index].cell_seed(case);
-            if cache.lookup(keys[idx], spec_index, case, seed).is_none() {
-                miss.push(idx);
-            }
-        }
-        let hits = (owned.len() - miss.len()) as u64;
-        cache.stats.hits += hits;
-        cache.stats.misses += miss.len() as u64;
-        let total = miss.len() as u64;
-        let done = AtomicU64::new(0);
-        {
-            let store = Mutex::new(&mut *cache);
-            self.map_described(
-                miss.len(),
-                |j| {
-                    let idx = miss[j];
-                    let (spec_index, case) = cells[idx];
-                    let row = specs[spec_index].run_cell(spec_index, case);
-                    let mut store = store.lock().unwrap_or_else(|e| e.into_inner());
-                    store.record(keys[idx], &specs[spec_index].name, &row);
-                    if let Err(err) = store.flush() {
-                        // The row stays pending (and indexed in memory):
-                        // a later flush retries it, and the shard's
-                        // results are unaffected either way.
-                        eprintln!(
-                            "sweep-cache: incremental flush to {} failed: {err}",
-                            store.path().display()
-                        );
-                    }
-                    observer(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-                },
-                |j| {
-                    format!(
-                        "{} cell-key {}",
-                        describe_cell(specs, cells[miss[j]]),
-                        keys[miss[j]].to_hex()
-                    )
-                },
-            );
-        }
-        ShardReport {
-            total_cells: cells.len() as u64,
-            owned_cells: owned.len() as u64,
-            hits,
-            executed: total,
-        }
-    }
-
-    /// Derives the content-addressed key of every cell in `specs`
-    /// (memoizing canaries in `cache`, running them if needed), in
-    /// canonical cell order. The farm's missing-work accounting and the
-    /// `fsck` staleness scan both start here.
-    pub fn registry_cell_keys(
-        &self,
-        specs: &[ScenarioSpec],
-        cache: &mut SweepCache,
-    ) -> Vec<((usize, u64), CellKey)> {
-        let params = self.memoize_canaries(specs, cache);
-        let cells: Vec<(usize, u64)> = expand(specs);
-        let keys = derive_keys(specs, &params, cache, &cells);
-        cells.into_iter().zip(keys).collect()
-    }
-
-    /// Every cell of `specs` *not* answerable from `cache` — the exact
-    /// work a permanently-failed shard left behind, which `farm
-    /// --keep-going` reports on stderr before exiting nonzero.
-    pub fn missing_cells(
-        &self,
-        specs: &[ScenarioSpec],
-        cache: &mut SweepCache,
-    ) -> Vec<MissingCell> {
-        self.registry_cell_keys(specs, cache)
-            .into_iter()
-            .filter_map(|((spec_index, case), key)| {
-                let seed = specs[spec_index].cell_seed(case);
-                cache
-                    .lookup(key, spec_index, case, seed)
-                    .is_none()
-                    .then(|| MissingCell {
-                        spec: specs[spec_index].name.clone(),
-                        case,
-                        seed,
-                        key,
-                    })
-            })
-            .collect()
-    }
-
     /// Parallel deterministic map: applies `job` to `0..count` across the
     /// worker threads and returns the results in index order. The generic
     /// escape hatch for work that is not a consensus cell (e.g. the
@@ -358,7 +107,7 @@ impl SweepRunner {
     /// [`SweepRunner::map`] with a failure label: `describe(idx)` is
     /// evaluated only when task `idx` panicked, and its rendering joins
     /// the re-raised panic message (the sweep entry points pass the spec
-    /// name, case, seed, and — on the cached path — the cell key).
+    /// name, case, and seed).
     ///
     /// A panicking task cannot poison or hang the pool: the panic is
     /// caught on the worker, the remaining workers stop claiming work,
@@ -431,33 +180,6 @@ impl SweepRunner {
     }
 }
 
-/// One registry cell absent from a store: the unit of the farm's
-/// missing-work report under `--keep-going`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MissingCell {
-    /// The owning spec's name.
-    pub spec: String,
-    /// Case index within the spec.
-    pub case: u64,
-    /// The derived RNG seed the cell would run with.
-    pub seed: u64,
-    /// The cell's content-addressed key.
-    pub key: CellKey,
-}
-
-impl fmt::Display for MissingCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "spec `{}` case {} seed {:#018x} cell-key {}",
-            self.spec,
-            self.case,
-            self.seed,
-            self.key.to_hex()
-        )
-    }
-}
-
 /// The panic-facing rendering of one `(spec, case)` cell.
 fn describe_cell(specs: &[ScenarioSpec], (spec_index, case): (usize, u64)) -> String {
     let spec = &specs[spec_index];
@@ -477,32 +199,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// Derives every cell's content-addressed key. Canaries must already be
-/// memoized in `cache` ([`SweepRunner::memoize_canaries`]).
-fn derive_keys(
-    specs: &[ScenarioSpec],
-    params: &[u64],
-    cache: &SweepCache,
-    cells: &[(usize, u64)],
-) -> Vec<CellKey> {
-    cells
-        .iter()
-        .map(|&(spec_index, case)| {
-            let spec = &specs[spec_index];
-            let canary = cache
-                .canary(params[spec_index])
-                .expect("canaries memoized before key derivation");
-            CellKey::derive(
-                params[spec_index],
-                case,
-                spec.cell_seed(case),
-                canary,
-                spec.probes.fingerprint(),
-            )
-        })
-        .collect()
 }
 
 /// Expands specs into the canonical spec-major, then case cell order.
@@ -532,8 +228,8 @@ mod tests {
     #[test]
     fn serial_and_parallel_sweeps_agree() {
         let specs = &lattice_specs(Scale::Quick)[..2];
-        let serial = SweepRunner::serial().run(specs);
-        let parallel = SweepRunner::with_threads(4).run(specs);
+        let serial = SweepRunner::serial().run_fresh(specs);
+        let parallel = SweepRunner::with_threads(4).run_fresh(specs);
         assert_eq!(serial, parallel);
         assert_eq!(serial.render(), parallel.render());
         assert_eq!(
@@ -591,7 +287,7 @@ mod tests {
     #[test]
     fn worst_rounds_past_covers_all_cells() {
         let specs = lattice_specs(Scale::Quick);
-        let results = SweepRunner::parallel().run(&specs[..1]);
+        let results = SweepRunner::parallel().run_fresh(&specs[..1]);
         // Theorem 1: within 2 rounds of CST for a maj-complete class.
         assert!(results.worst_rounds_past(0) <= 2);
     }

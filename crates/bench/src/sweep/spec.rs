@@ -11,7 +11,6 @@ use wan_cm::{BackoffCm, FairWakeUp, NoCm, PreStabilization};
 use wan_mac::{mac_components, MacConfig, MacDelayPolicy};
 use wan_phy::{phy_components, PhyConfig};
 use wan_sim::crash::{NoCrashes, ScheduledCrashes, TimelineCrashes};
-use wan_sim::fingerprint::{absorb_debug, StableHasher};
 use wan_sim::loss::{Ecf, RandomLoss, TimelineLoss};
 use wan_sim::{
     CompiledSchedule, Components, CrashAdversary, ProcessId, Round, ScenarioEvent,
@@ -113,8 +112,7 @@ pub struct ChurnPlan {
 
 /// Parameters of the [`EnvironmentPlan::AbsMac`] environment: the two
 /// Newport envelopes plus the delay policy spending the slack between
-/// them. Scalar-only and `Copy`, like every environment plan, so it
-/// fingerprints stably into cell keys via its `Debug` rendering.
+/// them. Scalar-only and `Copy`, like every environment plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbsMacPlan {
     /// Ack-latency envelope: a broadcast clears no later than its
@@ -155,9 +153,8 @@ pub struct ScenarioSpec {
     /// changes, as plain data ([`ScenarioTimeline`]). Compiled once per
     /// cell into a [`CompiledSchedule`] the engine applies between steps.
     /// Empty for every static spec — and an empty timeline is structurally
-    /// absent: it is skipped by [`ScenarioSpec::params_fingerprint`] and
-    /// compiles to no schedule, so pre-timeline specs keep their
-    /// fingerprints, cached cells, goldens, and bit-identical executions.
+    /// absent: it compiles to no schedule, so pre-timeline specs keep
+    /// their goldens and bit-identical executions.
     pub timeline: ScenarioTimeline,
     /// Number of processes.
     pub n: usize,
@@ -174,9 +171,7 @@ pub struct ScenarioSpec {
     /// engine path: cells run *traced by default* and drive the manifest's
     /// probes over the recorded rounds; a manifest whose probes are all
     /// outcome-level ([`ProbeManifest::outcome_only`]) is the explicit
-    /// opt-out that keeps pure-throughput sweeps untraced. Fingerprints
-    /// into the cell keys as its own lane, so changing a spec's probes
-    /// invalidates exactly that spec's cached cells.
+    /// opt-out that keeps pure-throughput sweeps untraced.
     pub probes: ProbeManifest,
 }
 
@@ -413,7 +408,7 @@ impl ScenarioSpec {
     /// even for outcome-only manifests. Traced and untraced executions are
     /// identical by construction, so the returned metrics must equal
     /// [`ScenarioSpec::run_cell`]'s — the contract `tests/determinism.rs`
-    /// and the CI `--check --traced` gate pin down.
+    /// and the CI `check --traced` gate pin down.
     pub fn run_cell_traced(&self, spec_index: usize, case: u64) -> CellRow {
         self.execute(spec_index, case, true)
     }
@@ -445,10 +440,10 @@ impl ScenarioSpec {
     /// cell's seed, components, and initial values, instantiates the
     /// spec'd algorithm's processes, and hands everything to `visitor`.
     /// Every cell-shaped entry point — [`ScenarioSpec::run_cell`],
-    /// [`ScenarioSpec::trace_fingerprint`], the cache canary — goes
-    /// through here, so a cell and the canary that keys it cannot be
-    /// configured differently by construction. Also returns the cell's
-    /// measurement reference round.
+    /// [`ScenarioSpec::trace_fingerprint`],
+    /// [`ScenarioSpec::trace_reference_fingerprints`] — goes through here,
+    /// so they cannot configure a cell differently by construction. Also
+    /// returns the cell's measurement reference round.
     fn with_cell<V: CellVisitor>(&self, case: u64, visitor: V) -> (V::Out, u64) {
         let seed = self.cell_seed(case);
         let (components, reference) = self.components(seed);
@@ -493,74 +488,6 @@ impl ScenarioSpec {
             ),
         };
         (out, reference)
-    }
-
-    /// A stable fingerprint of every parameter that determines what a cell
-    /// of this spec *does*: name, algorithm, detector class, environment
-    /// plan, crash schedule, `n`, `|V|`, the fixed value profile, and the
-    /// round cap.
-    ///
-    /// Deliberately **excludes** `seeds` (the cell count): cell `k` is a
-    /// pure function of `(spec, k)` regardless of how many siblings it
-    /// has, so scaling a spec from `Quick` to `Full` reuses the cached
-    /// prefix instead of invalidating it.
-    ///
-    /// The scenario timeline is absorbed **only when non-empty**: an empty
-    /// timeline is structurally absent (it compiles to no schedule and
-    /// changes nothing about the execution), so every pre-timeline spec
-    /// keeps the fingerprint — and the cached cells and goldens — it had
-    /// before the field existed.
-    pub fn params_fingerprint(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_usize(self.name.len());
-        h.write_bytes(self.name.as_bytes());
-        absorb_debug(&mut h, &self.algorithm);
-        absorb_debug(&mut h, &self.class);
-        absorb_debug(&mut h, &self.env);
-        absorb_debug(&mut h, &self.crash);
-        h.write_usize(self.n);
-        h.write_u64(self.v_size);
-        absorb_debug(&mut h, &self.fixed_values);
-        h.write_u64(self.cap);
-        if !self.timeline.is_empty() {
-            h.write_u64(0x7113_0CA1); // timeline-lane tag
-            h.write_usize(self.timeline.entries().len());
-            for &(round, event) in self.timeline.entries() {
-                h.write_u64(round.0);
-                absorb_debug(&mut h, &event);
-            }
-        }
-        h.finish()
-    }
-
-    /// The code-sensitivity lane of this spec's cache keys: a stable hash
-    /// of full traced reference executions of cells 0 and 1 (outcome plus
-    /// every round record, via [`wan_sim::ExecutionTrace::fingerprint`]).
-    ///
-    /// Re-run once per spec per process, *not* read from the cache: a
-    /// change to engine, component, or algorithm code that alters either
-    /// reference execution changes this value, which changes every cell
-    /// key of the spec and invalidates its cached results. Two canary
-    /// cells (distinct seeds, and distinct per-cell initial values when
-    /// they are derived) cost two traced runs against the `seeds` untraced
-    /// cells they can save. Note the honest limit: this is a *sentinel*,
-    /// not a proof — a code change whose behavioral effect shows up in
-    /// neither reference cell keeps the old keys. `--no-cache` forces
-    /// fresh execution; bumping the cache `FORMAT_VERSION` retires every
-    /// stored entry.
-    pub fn canary_fingerprint(&self) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(self.canary_cell(0));
-        h.write_u64(self.canary_cell(1));
-        h.finish()
-    }
-
-    /// One canary cell: a traced reference execution of `case`, hashed.
-    /// Defined for any `case` (a cell is a pure function of `(spec,
-    /// case)` whether or not `case < seeds`), so the canary never depends
-    /// on the cell count and `Quick` → `Full` scale-ups keep their keys.
-    fn canary_cell(&self, case: u64) -> u64 {
-        self.with_cell(case, CanaryOf).0
     }
 
     /// Executes cell `case` with full trace recording and returns a debug
@@ -686,23 +613,6 @@ impl CellVisitor for FingerprintPairOf {
     }
 }
 
-/// [`ScenarioSpec::canary_fingerprint`].
-struct CanaryOf;
-
-impl CellVisitor for CanaryOf {
-    type Out = u64;
-    fn visit<A: ConsensusAutomaton>(
-        self,
-        procs: Vec<A>,
-        components: Components,
-        schedule: Option<CompiledSchedule>,
-        cap: u64,
-        _reference: u64,
-    ) -> Self::Out {
-        canary_of(procs, components, schedule, cap)
-    }
-}
-
 /// Distinct UIDs for the Section 7.3 protocol, derived from the cell seed,
 /// linear-probing around collisions in small id spaces.
 fn unique_assignments(values: &[Value], ids: IdSpace, seed: u64) -> Vec<(Uid, Value)> {
@@ -730,24 +640,6 @@ fn trace_of<A: ConsensusAutomaton>(
     let outcome = run.run_to_completion(Round(cap));
     let (_, trace) = run.into_parts();
     format!("{outcome:?}\n{trace:?}")
-}
-
-/// The canary digest of one traced reference execution: the judged outcome
-/// plus the trace content fingerprint, streamed — no trace-sized string is
-/// built.
-fn canary_of<A: ConsensusAutomaton>(
-    procs: Vec<A>,
-    components: Components,
-    schedule: Option<CompiledSchedule>,
-    cap: u64,
-) -> u64 {
-    let mut run = ConsensusRun::new(procs, components).with_schedule(schedule);
-    let outcome = run.run_to_completion(Round(cap));
-    let (_, trace) = run.into_parts();
-    let mut h = StableHasher::new();
-    absorb_debug(&mut h, &outcome);
-    h.write_u64(trace.fingerprint());
-    h.finish()
 }
 
 /// The named catalogue of standard scenario families.
@@ -1121,9 +1013,8 @@ pub fn churn_specs(scale: Scale) -> Vec<ScenarioSpec> {
     specs
 }
 
-/// E-dense: the confidence-interval grid the sharded sweep farm exists to
-/// make tractable — n × loss × crash × CD-class, with
-/// [`Scale::dense_seeds`] seeds per cell (hundreds at full scale, so
+/// E-dense: the confidence-interval grid — n × loss × crash × CD-class,
+/// with [`Scale::dense_seeds`] seeds per cell (hundreds at full scale, so
 /// per-cell rates carry real error bars instead of 25-sample noise).
 ///
 /// The grid crosses the two workhorse algorithm/class pairings (Algorithm
@@ -1131,9 +1022,7 @@ pub fn churn_specs(scale: Scale) -> Vec<ScenarioSpec> {
 /// severity, and an early single-process crash (round 4, inside the chaos
 /// prefix — the regime where a crash interacts with loss and detector
 /// noise). At `Scale::Full` this family alone is 3200 cells — roughly the
-/// whole rest of the registry combined — which is exactly the sharded
-/// farm's job; serially it dominates the sweep, farmed it splits evenly
-/// because the `CellKey` partition is per-cell, not per-spec.
+/// whole rest of the registry combined.
 pub fn dense_specs(scale: Scale) -> Vec<ScenarioSpec> {
     let mut specs = Vec::new();
     for n in [4usize, 8] {
@@ -1536,29 +1425,5 @@ mod tests {
             panic!("mac arms carry the deferral count");
         };
         assert!(deferrals > 0, "the adversarial policy actually defers");
-    }
-
-    #[test]
-    fn timeline_is_a_fingerprint_lane_only_when_present() {
-        let specs = churn_specs(Scale::Quick);
-        let churn = specs
-            .iter()
-            .find(|s| !s.timeline.is_empty())
-            .expect("the grid has timelines");
-        let mut cleared = churn.clone();
-        cleared.timeline = ScenarioTimeline::new();
-        assert_ne!(
-            churn.params_fingerprint(),
-            cleared.params_fingerprint(),
-            "a non-empty timeline is part of the cell identity"
-        );
-        let mut shifted = churn.clone();
-        shifted.timeline =
-            ScenarioTimeline::new().at_round(Round(7), ScenarioEvent::CrashBurst { count: 1 });
-        assert_ne!(
-            churn.params_fingerprint(),
-            shifted.params_fingerprint(),
-            "different schedules, different fingerprints"
-        );
     }
 }

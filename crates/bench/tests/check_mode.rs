@@ -1,24 +1,17 @@
-//! End-to-end contract of the `run_experiments` binary's cache, golden,
-//! and farm modes, driven as a subprocess the way CI drives it:
+//! End-to-end contract of the `run_experiments` binary, driven as a
+//! subprocess the way CI drives it:
 //!
-//! * a warm second invocation executes zero scenario cells and prints
-//!   byte-identical tables,
-//! * `check` passes against a freshly `bless`ed golden summary and
-//!   exits nonzero once the golden file is perturbed,
-//! * `metrics` prints the same bytes from three separate processes —
-//!   cold (executing), warm (cache-served), and `--no-cache` (fresh) —
-//!   which is the cross-process half of the probe-purity contract: a
-//!   probe's output is a function of `(spec, case)` alone,
-//! * the legacy flag-style spellings (`--check`, `--metrics <glob>`, …)
-//!   keep working as deprecated aliases of the subcommands,
-//! * `farm --shards 2 --check` — shard subprocesses, merge, golden gate
-//!   replayed from the merged store — prints check stdout byte-identical
-//!   to the serial unsharded gate.
+//! * `check` passes against a freshly `bless`ed golden summary and exits
+//!   nonzero once the golden file is perturbed,
+//! * `metrics` prints the same bytes with one worker thread and with four
+//!   — the cross-process half of the probe-purity contract: a probe's
+//!   output is a function of `(spec, case)` alone,
+//! * the command grammar: `help` lists exactly the five commands, a bare
+//!   invocation means `run`, the removed flag-style spellings (`--check`,
+//!   …) are usage errors, and `--no-cache` is an accepted no-op.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
-use wan_bench::sweep::cache::CachedCell;
-use wan_bench::sweep::{MetricId, MetricRow, MetricValue, SweepCache};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ccwan-check-mode-{tag}-{}", std::process::id()));
@@ -27,98 +20,61 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs the binary with isolated cache/golden/summary locations.
-fn run_experiments(workdir: &Path, args: &[&str]) -> Output {
+/// Runs the binary in `workdir` with an isolated golden directory and the
+/// extra environment `env`.
+fn run_with_env(workdir: &Path, env: &[(&str, &str)], args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_run_experiments"))
         .args(args)
         .current_dir(workdir)
-        .env("CCWAN_SWEEP_CACHE_DIR", workdir.join("sweep-cache"))
         .env("CCWAN_GOLDEN_DIR", workdir.join("golden"))
+        .envs(env.iter().copied())
         .output()
         .expect("spawn run_experiments")
 }
 
-#[test]
-fn warm_invocation_executes_zero_cells_with_identical_stdout() {
-    let dir = scratch("warm");
-    let cold = run_experiments(&dir, &["--quick", "--only", "e1"]);
-    assert!(cold.status.success(), "{cold:?}");
-    let warm = run_experiments(&dir, &["--quick", "--only", "e1"]);
-    assert!(warm.status.success(), "{warm:?}");
-    assert_eq!(
-        cold.stdout, warm.stdout,
-        "cold and warm stdout must be byte-identical"
-    );
-    let warm_err = String::from_utf8_lossy(&warm.stderr);
-    assert!(
-        warm_err.contains("0 misses (0 cells executed)"),
-        "warm run must report full incrementality on stderr: {warm_err}"
-    );
-    let cold_err = String::from_utf8_lossy(&cold.stderr);
-    assert!(
-        cold_err.contains("0 hits") && cold_err.contains("cells executed"),
-        "cold run must report its misses on stderr: {cold_err}"
-    );
+fn run_experiments(workdir: &Path, args: &[&str]) -> Output {
+    run_with_env(workdir, &[], args)
 }
 
 #[test]
-fn metrics_tables_are_byte_identical_across_processes() {
+fn metrics_tables_are_byte_identical_across_thread_counts() {
     let dir = scratch("metrics");
-    // Cold: executes every cell and populates the cache.
-    let cold = run_experiments(&dir, &["--quick", "--metrics", "decision_latency"]);
-    assert!(cold.status.success(), "{cold:?}");
-    // Warm: a separate process, served from the store.
-    let warm = run_experiments(&dir, &["--quick", "--metrics", "decision_latency"]);
-    assert!(warm.status.success(), "{warm:?}");
-    assert!(
-        String::from_utf8_lossy(&warm.stderr).contains("0 misses (0 cells executed)"),
-        "warm metrics run must execute zero cells"
-    );
-    // Fresh: a third process, cache bypassed entirely.
-    let fresh = run_experiments(
-        &dir,
-        &["--quick", "--metrics", "decision_latency", "--no-cache"],
-    );
-    assert!(fresh.status.success(), "{fresh:?}");
+    let args = ["metrics", "decision_latency", "--quick"];
+    let serial = run_with_env(&dir, &[("CCWAN_SWEEP_THREADS", "1")], &args);
+    assert!(serial.status.success(), "{serial:?}");
+    let parallel = run_with_env(&dir, &[("CCWAN_SWEEP_THREADS", "4")], &args);
+    assert!(parallel.status.success(), "{parallel:?}");
     assert_eq!(
-        cold.stdout, warm.stdout,
-        "cold and warm --metrics stdout must be byte-identical"
+        serial.stdout, parallel.stdout,
+        "probe output must be a pure function of (spec, case) at any thread count"
     );
-    assert_eq!(
-        cold.stdout, fresh.stdout,
-        "probe output must be a pure function of (spec, case) across processes"
-    );
-    let table = String::from_utf8_lossy(&cold.stdout);
+    let table = String::from_utf8_lossy(&serial.stdout);
     assert!(table.contains("decision_latency"), "{table}");
 
     // A glob that matches nothing is a usage error naming the metrics.
-    let none = run_experiments(&dir, &["--quick", "--metrics", "zz_*"]);
+    let none = run_experiments(&dir, &["metrics", "zz_*", "--quick"]);
     assert!(!none.status.success());
     assert!(String::from_utf8_lossy(&none.stderr).contains("known metrics"));
-
-    // --help documents the flag.
-    let help = run_experiments(&dir, &["--help"]);
-    assert!(help.status.success());
-    assert!(String::from_utf8_lossy(&help.stdout).contains("--metrics <glob>"));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn check_gates_on_golden_drift() {
     let dir = scratch("check");
 
-    // No golden summary yet: --check must fail with a bless hint.
-    let missing = run_experiments(&dir, &["--quick", "--check"]);
+    // No golden summary yet: `check` must fail with a bless hint.
+    let missing = run_experiments(&dir, &["check", "--quick"]);
     assert!(!missing.status.success(), "{missing:?}");
     assert!(String::from_utf8_lossy(&missing.stderr).contains("run_experiments bless"));
 
     // Bless, then check: clean pass.
-    let bless = run_experiments(&dir, &["--quick", "--check", "--bless"]);
+    let bless = run_experiments(&dir, &["bless", "--quick"]);
     assert!(bless.status.success(), "{bless:?}");
-    let pass = run_experiments(&dir, &["--quick", "--check"]);
+    let pass = run_experiments(&dir, &["check", "--quick"]);
     assert!(pass.status.success(), "{pass:?}");
     assert!(String::from_utf8_lossy(&pass.stdout).contains("specs match"));
 
-    // Perturb one digest in the golden file: --check must exit nonzero
+    // Perturb one digest in the golden file: `check` must exit nonzero
     // and name the drifted spec.
     let golden = dir.join("golden").join("registry_quick.json");
     let text = std::fs::read_to_string(&golden).expect("read golden");
@@ -128,522 +84,82 @@ fn check_gates_on_golden_drift() {
     let perturbed = String::from_utf8(bytes).expect("still utf-8");
     assert_ne!(text, perturbed, "perturbation must change the file");
     std::fs::write(&golden, perturbed).expect("write perturbed golden");
-    let drift = run_experiments(&dir, &["--quick", "--check"]);
+    let drift = run_experiments(&dir, &["check", "--quick"]);
     assert!(
         !drift.status.success(),
-        "--check must exit nonzero on drift: {drift:?}"
+        "check must exit nonzero on drift: {drift:?}"
     );
     let err = String::from_utf8_lossy(&drift.stderr);
     assert!(err.contains("digest drifted"), "{err}");
 
-    // `--no-cache` must not change the verdict (fresh execution agrees).
+    // `--no-cache` is an accepted no-op: the same verdict and stdout,
+    // plus one stderr line saying so.
     std::fs::write(&golden, text).expect("restore golden");
-    let fresh = run_experiments(&dir, &["--quick", "--check", "--no-cache"]);
-    assert!(fresh.status.success(), "{fresh:?}");
-}
-
-/// The sweep-wide safety gate covers the abstract-MAC family: a scripted
-/// agreement violation in an `absmac/*` cell — its stored row's `safe`
-/// bit flipped, exactly what a buggy MAC component would have produced —
-/// fails `check` nonzero with the cell's full coordinates (spec, case,
-/// seed, cache key) on stderr, and is never blessed over.
-#[test]
-fn check_gates_on_absmac_safety_violation() {
-    let dir = scratch("absmac-safety");
-
-    // Bless a clean golden (populating the store) and confirm a clean pass.
-    let bless = run_experiments(&dir, &["bless", "--quick"]);
-    assert!(bless.status.success(), "{bless:?}");
-    let pass = run_experiments(&dir, &["check", "--quick"]);
-    assert!(pass.status.success(), "{pass:?}");
-
-    // Script the violation into one MAC cell's stored row.
-    let mut store = SweepCache::open(dir.join("sweep-cache"));
-    let (key, cell) = store
-        .entries()
-        .find(|(_, cell)| cell.spec_name.starts_with("absmac/mac-"))
-        .map(|(key, cell)| (key, cell.clone()))
-        .expect("the blessed store holds absmac cells");
-    let mut forged = MetricRow::new();
-    for (id, value) in cell.metrics.iter() {
-        forged.set(
-            id,
-            if id == MetricId::Safe {
-                MetricValue::Bool(false)
-            } else {
-                value
-            },
-        );
-    }
-    store.record_cached(
-        key,
-        CachedCell {
-            metrics: forged,
-            ..cell.clone()
-        },
+    let no_cache = run_experiments(&dir, &["check", "--quick", "--no-cache"]);
+    assert!(no_cache.status.success(), "{no_cache:?}");
+    assert_eq!(pass.stdout, no_cache.stdout);
+    let note = String::from_utf8_lossy(&no_cache.stderr);
+    assert_eq!(
+        note.lines()
+            .filter(|line| line.contains("no effect"))
+            .count(),
+        1,
+        "{note}"
     );
-    store.write_canonical().expect("rewrite the poisoned store");
-    drop(store);
-
-    // The gate trips before any golden comparison and names the cell.
-    let gated = run_experiments(&dir, &["check", "--quick"]);
-    assert!(
-        !gated.status.success(),
-        "a safety violation must fail check: {gated:?}"
-    );
-    let err = String::from_utf8_lossy(&gated.stderr);
-    assert!(err.contains("violated consensus safety"), "{err}");
-    assert!(err.contains(&cell.spec_name), "{err}");
-    assert!(err.contains(&format!("case {}", cell.case)), "{err}");
-    assert!(err.contains(&format!("{:#018x}", cell.cell_seed)), "{err}");
-    assert!(err.contains(&key.to_hex()), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn subcommands_and_legacy_flags_print_the_same_bytes() {
+fn command_grammar() {
     let dir = scratch("grammar");
 
-    // The subcommand spelling is primary: silent on the deprecation front.
-    let bless = run_experiments(&dir, &["bless", "--quick"]);
-    assert!(bless.status.success(), "{bless:?}");
-    assert!(
-        !String::from_utf8_lossy(&bless.stderr).contains("deprecated"),
-        "subcommand spellings must not warn"
-    );
-
-    let check = run_experiments(&dir, &["check", "--quick"]);
-    assert!(check.status.success(), "{check:?}");
-
-    // The legacy flag spelling still works, prints identical stdout, and
-    // names its subcommand replacement on stderr.
-    let legacy = run_experiments(&dir, &["--quick", "--check"]);
-    assert!(legacy.status.success(), "{legacy:?}");
-    assert_eq!(
-        check.stdout, legacy.stdout,
-        "`check` and `--check` are the same mode"
-    );
-    let note = String::from_utf8_lossy(&legacy.stderr);
-    assert!(
-        note.contains("deprecated") && note.contains("run_experiments check"),
-        "legacy flags must point at the subcommand grammar: {note}"
-    );
-
-    // Same for metrics.
-    let sub = run_experiments(&dir, &["metrics", "decision_latency", "--quick"]);
-    assert!(sub.status.success(), "{sub:?}");
-    let flag = run_experiments(&dir, &["--quick", "--metrics", "decision_latency"]);
-    assert!(flag.status.success(), "{flag:?}");
-    assert_eq!(sub.stdout, flag.stdout);
-
-    // Mode-mixing stays a usage error under both grammars.
-    let mixed = run_experiments(&dir, &["--quick", "--check", "--only", "e1"]);
-    assert!(!mixed.status.success());
-    let mixed_sub = run_experiments(&dir, &["check", "--quick", "--only", "e1"]);
-    assert!(!mixed_sub.status.success());
-
-    // --help documents the command grammar.
-    let help = run_experiments(&dir, &["--help"]);
-    assert!(help.status.success());
+    // `help` lists exactly the five commands.
+    let help = run_experiments(&dir, &["help"]);
+    assert!(help.status.success(), "{help:?}");
     let text = String::from_utf8_lossy(&help.stdout);
-    for word in [
-        "run",
-        "check",
-        "bless",
-        "metrics",
-        "throughput",
-        "shard",
-        "merge",
-        "farm",
-        "fsck",
+    let commands: Vec<&str> = text
+        .lines()
+        .skip_while(|line| *line != "commands:")
+        .skip(1)
+        .take_while(|line| !line.is_empty())
+        .filter(|line| !line.starts_with("   "))
+        .filter_map(|line| line.split_whitespace().next())
+        .collect();
+    assert_eq!(
+        commands,
+        ["run", "check", "bless", "metrics", "throughput"],
+        "{text}"
+    );
+
+    // The removed flag-style spellings are usage errors (exit 2) that
+    // point at their command, and write nothing.
+    for legacy in [
+        &["--quick", "--check"][..],
+        &["--quick", "--bless"],
+        &["--quick", "--metrics", "decision_latency"],
+        &["--quick", "--throughput"],
     ] {
-        assert!(text.contains(word), "--help must document `{word}`: {text}");
+        let out = run_experiments(&dir, legacy);
+        assert_eq!(out.status.code(), Some(2), "{legacy:?}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("was removed"),
+            "{legacy:?}: {out:?}"
+        );
     }
-}
-
-/// The acceptance criterion of the sharded farm, end to end at the binary
-/// level: `farm --shards 2 --check` (shard subprocesses → checked merge →
-/// golden gate replayed from the merged store) prints check stdout
-/// byte-identical to the serial unsharded gate, and the farm's gate pass
-/// is served entirely from the merged store.
-#[test]
-fn farm_check_is_byte_identical_to_the_serial_gate() {
-    let dir = scratch("farm");
-    let bless = run_experiments(&dir, &["bless", "--quick"]);
-    assert!(bless.status.success(), "{bless:?}");
-
-    let serial = run_experiments(&dir, &["check", "--quick", "--no-cache"]);
-    assert!(serial.status.success(), "{serial:?}");
-    let serial_summary = dir.join("target/sweep-summaries/registry_quick.json");
-    let serial_bytes = std::fs::read(&serial_summary).expect("serial observed summary");
-
-    let farm_dir = scratch("farm-stores");
-    let farm = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-        .args(["farm", "--shards", "2", "--check", "--quick"])
-        .current_dir(&dir)
-        .env("CCWAN_SWEEP_CACHE_DIR", &farm_dir)
-        .env("CCWAN_GOLDEN_DIR", dir.join("golden"))
-        .output()
-        .expect("spawn farm");
-    assert!(farm.status.success(), "{farm:?}");
-    assert_eq!(
-        serial.stdout, farm.stdout,
-        "farmed check stdout must be byte-identical to the serial gate"
-    );
-    assert_eq!(
-        serial_bytes,
-        std::fs::read(&serial_summary).expect("farm observed summary"),
-        "farmed observed summary must be byte-identical to the serial gate"
-    );
-
-    let err = String::from_utf8_lossy(&farm.stderr);
     assert!(
-        err.contains("farm: merged"),
-        "farm must report its merge: {err}"
-    );
-    assert!(
-        err.contains("0 misses (0 cells executed)"),
-        "the farmed gate must replay entirely from the merged store: {err}"
-    );
-    // Both shards reported progress through the relay.
-    assert!(
-        err.contains("farm[0/2]:") && err.contains("farm[1/2]:"),
-        "{err}"
+        !dir.join("golden").exists(),
+        "a rejected --bless writes nothing"
     );
 
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&farm_dir);
-}
+    // A bare invocation means `run`.
+    let bare = run_experiments(&dir, &["--quick", "--only", "e1"]);
+    assert!(bare.status.success(), "{bare:?}");
+    let run = run_experiments(&dir, &["run", "--quick", "--only", "e1"]);
+    assert!(run.status.success(), "{run:?}");
+    assert_eq!(bare.stdout, run.stdout, "a bare invocation is `run`");
 
-/// Blesses a quick golden in `dir` and returns the serial (fresh,
-/// unsharded) `check` stdout the recovery tests compare against.
-fn bless_and_serial_check(dir: &Path) -> Vec<u8> {
-    let bless = run_experiments(dir, &["bless", "--quick"]);
-    assert!(bless.status.success(), "{bless:?}");
-    let serial = run_experiments(dir, &["check", "--quick", "--no-cache"]);
-    assert!(serial.status.success(), "{serial:?}");
-    serial.stdout
-}
-
-/// Runs `farm` with a `WAN_FARM_FAULT` plan and the supervision knobs
-/// the recovery tests want (tight backoff and hang timeout).
-fn run_faulty_farm(dir: &Path, farm_dir: &Path, fault: &str, extra: &[&str]) -> Output {
-    let mut args = vec!["farm", "--shards", "2", "--check", "--quick"];
-    args.extend_from_slice(extra);
-    Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-        .args(&args)
-        .current_dir(dir)
-        .env("CCWAN_SWEEP_CACHE_DIR", farm_dir)
-        .env("CCWAN_GOLDEN_DIR", dir.join("golden"))
-        .env("WAN_FARM_FAULT", fault)
-        .output()
-        .expect("spawn farm")
-}
-
-/// The retry stderr evidence every recovery test asserts: the supervisor
-/// announced a retry, and the retried attempt was *warm* (its relayed
-/// shard report shows cells served from the surviving store).
-fn assert_warm_retry(stderr: &str) {
-    assert!(
-        stderr.contains("farm: shard 1/2 retrying in"),
-        "the supervisor must announce the retry: {stderr}"
-    );
-    let last_report = stderr
-        .lines()
-        .rfind(|l| l.starts_with("farm[1/2]: shard 1/2:") && l.contains("executed"))
-        .unwrap_or_else(|| panic!("no relayed shard report: {stderr}"));
-    assert!(
-        !last_report.contains(" 0 served from the store"),
-        "the retry must be warm — the killed attempt's flushed cells are served: {last_report}"
-    );
-}
-
-/// Recovery matrix, case 1: a shard that **panics** halfway through its
-/// owned cells is retried (warm) and the farm's gate stdout stays
-/// byte-identical to the serial unsharded gate.
-#[test]
-fn farm_recovers_from_injected_shard_panic() {
-    let dir = scratch("chaos-panic");
-    let serial = bless_and_serial_check(&dir);
-    let farm_dir = scratch("chaos-panic-stores");
-    let farm = run_faulty_farm(&dir, &farm_dir, "shard=1:kind=panic:times=1", &[]);
-    assert!(farm.status.success(), "{farm:?}");
-    assert_eq!(
-        serial, farm.stdout,
-        "recovered farm stdout must be byte-identical to the serial gate"
-    );
-    let err = String::from_utf8_lossy(&farm.stderr);
-    assert!(err.contains("exited with"), "{err}");
-    assert_warm_retry(&err);
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&farm_dir);
-}
-
-/// Recovery matrix, case 2: a shard that **hangs** (store stops growing)
-/// is killed by the no-progress watchdog, retried warm, and the gate
-/// stdout stays byte-identical to the serial gate.
-#[test]
-fn farm_recovers_from_injected_hang() {
-    let dir = scratch("chaos-hang");
-    let serial = bless_and_serial_check(&dir);
-    let farm_dir = scratch("chaos-hang-stores");
-    let farm = run_faulty_farm(
-        &dir,
-        &farm_dir,
-        "shard=1:kind=hang:times=1",
-        &["--hang-timeout-ms", "1500"],
-    );
-    assert!(farm.status.success(), "{farm:?}");
-    assert_eq!(
-        serial, farm.stdout,
-        "recovered farm stdout must be byte-identical to the serial gate"
-    );
-    let err = String::from_utf8_lossy(&farm.stderr);
-    assert!(
-        err.contains("hung: no store growth"),
-        "the watchdog must report the kill: {err}"
-    );
-    assert_warm_retry(&err);
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&farm_dir);
-}
-
-/// Recovery matrix, case 3: a shard that dies leaving a **torn store
-/// tail** is retried; the corruption-tolerant loader skips the fragment,
-/// the append path never grafts onto it, and the gate stdout stays
-/// byte-identical to the serial gate.
-#[test]
-fn farm_recovers_from_torn_store() {
-    let dir = scratch("chaos-torn");
-    let serial = bless_and_serial_check(&dir);
-    let farm_dir = scratch("chaos-torn-stores");
-    let farm = run_faulty_farm(&dir, &farm_dir, "shard=1:kind=torn-store:times=1", &[]);
-    assert!(farm.status.success(), "{farm:?}");
-    assert_eq!(
-        serial, farm.stdout,
-        "recovered farm stdout must be byte-identical to the serial gate"
-    );
-    let err = String::from_utf8_lossy(&farm.stderr);
-    assert_warm_retry(&err);
-    assert!(
-        err.contains("1 corrupt skipped"),
-        "the merge must have skipped exactly the torn fragment: {err}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&farm_dir);
-}
-
-/// Graceful degradation: with `--keep-going` a permanently-failed shard
-/// doesn't abort the others — the merge proceeds, the farm lists the
-/// exact missing cells with their content-addressed keys, and exits 3
-/// (distinct from failure=1 and usage=2). A `--resume` re-run without
-/// the fault then executes only those missing cells and recovers the
-/// byte-identical gate.
-#[test]
-fn farm_keep_going_reports_missing_cells_and_resume_recovers() {
-    let dir = scratch("keep-going");
-    let serial = bless_and_serial_check(&dir);
-    let farm_dir = scratch("keep-going-stores");
-    // The fault fires on every attempt and retries are off: shard 1
-    // fails permanently with only its pre-fault cells persisted.
-    let farm = run_faulty_farm(
-        &dir,
-        &farm_dir,
-        "shard=1:kind=panic:times=99",
-        &["--max-retries", "0", "--keep-going"],
-    );
-    assert_eq!(
-        farm.status.code(),
-        Some(3),
-        "incomplete keep-going farm must exit 3: {farm:?}"
-    );
-    let err = String::from_utf8_lossy(&farm.stderr);
-    assert!(err.contains("failed permanently"), "{err}");
-    assert!(
-        err.contains("farm: merged"),
-        "--keep-going must still merge the surviving stores: {err}"
-    );
-    assert!(
-        err.contains("merged store is missing") && err.contains("farm: missing"),
-        "the exact missing cells must be reported: {err}"
-    );
-    assert!(
-        err.contains("cell-key"),
-        "missing cells are named by content-addressed key: {err}"
-    );
-
-    // Resume without the fault: only the missing cells execute, and the
-    // gate lands byte-identical to the serial run.
-    let resumed = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-        .args(["farm", "--shards", "2", "--check", "--quick", "--resume"])
-        .current_dir(&dir)
-        .env("CCWAN_SWEEP_CACHE_DIR", &farm_dir)
-        .env("CCWAN_GOLDEN_DIR", dir.join("golden"))
-        .output()
-        .expect("spawn resumed farm");
-    assert!(resumed.status.success(), "{resumed:?}");
-    assert_eq!(
-        serial, resumed.stdout,
-        "resumed farm stdout must be byte-identical to the serial gate"
-    );
-    let err = String::from_utf8_lossy(&resumed.stderr);
-    // Shard 0 completed in the first farm; resuming executes none of it.
-    let shard0 = err
-        .lines()
-        .rfind(|l| l.starts_with("farm[0/2]: shard 0/2:") && l.contains("executed"))
-        .unwrap_or_else(|| panic!("no shard 0 report: {err}"));
-    assert!(
-        shard0.contains(" 0 executed,"),
-        "a resumed completed shard must execute nothing: {shard0}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&farm_dir);
-}
-
-/// Whole-farm interruption recovery: after a standalone shard run (as an
-/// interrupted farm leaves behind), `farm --resume` keeps the per-shard
-/// stores and executes only the missing cells.
-#[test]
-fn farm_resume_executes_only_missing_cells() {
-    let dir = scratch("resume");
-    let serial = bless_and_serial_check(&dir);
-    let farm_dir = scratch("resume-stores");
-
-    // "Interrupted farm": shard 0 completed, shard 1 never ran.
-    let shard0 = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-        .args(["shard", "0/2", "--quick"])
-        .current_dir(&dir)
-        .env("CCWAN_SWEEP_CACHE_DIR", farm_dir.join("shard-0"))
-        .output()
-        .expect("spawn shard");
-    assert!(shard0.status.success(), "{shard0:?}");
-
-    let resumed = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-        .args(["farm", "--shards", "2", "--check", "--quick", "--resume"])
-        .current_dir(&dir)
-        .env("CCWAN_SWEEP_CACHE_DIR", &farm_dir)
-        .env("CCWAN_GOLDEN_DIR", dir.join("golden"))
-        .output()
-        .expect("spawn resumed farm");
-    assert!(resumed.status.success(), "{resumed:?}");
-    assert_eq!(serial, resumed.stdout);
-    let err = String::from_utf8_lossy(&resumed.stderr);
-    let report0 = err
-        .lines()
-        .rfind(|l| l.starts_with("farm[0/2]: shard 0/2:") && l.contains("executed"))
-        .unwrap_or_else(|| panic!("no shard 0 report: {err}"));
-    assert!(
-        report0.contains(" 0 executed,"),
-        "resume must serve shard 0 entirely from its kept store: {report0}"
-    );
-    let report1 = err
-        .lines()
-        .rfind(|l| l.starts_with("farm[1/2]: shard 1/2:") && l.contains("executed"))
-        .unwrap_or_else(|| panic!("no shard 1 report: {err}"));
-    assert!(
-        !report1.contains(" 0 executed,"),
-        "shard 1 had no store and must execute its cells: {report1}"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&farm_dir);
-}
-
-/// The `fsck` exit-code contract, end to end as a subprocess: 0 clean,
-/// 1 repairable (duplicates, corruption, non-canonical form — and
-/// `--repair` restores 0 with canonical bytes), 2 divergent keys (repair
-/// refused, file untouched).
-#[test]
-fn fsck_exit_code_contract() {
-    use wan_bench::sweep::cache::FILE_NAME;
-    use wan_bench::sweep::{CellRow, MetricId, MetricRow, MetricValue, SweepCache};
-
-    let dir = scratch("fsck");
-    let store_dir = dir.join("store");
-    // Build a real store: one shard's worth of the quick registry.
-    let shard = Command::new(env!("CARGO_BIN_EXE_run_experiments"))
-        .args(["shard", "0/4", "--quick"])
-        .current_dir(&dir)
-        .env("CCWAN_SWEEP_CACHE_DIR", &store_dir)
-        .output()
-        .expect("spawn shard");
-    assert!(shard.status.success(), "{shard:?}");
-
-    let fsck = |args: &[&str]| -> Output {
-        let mut all = vec!["fsck"];
-        all.push(store_dir.to_str().expect("utf-8 path"));
-        all.extend_from_slice(args);
-        all.push("--quick");
-        run_experiments(&dir, &all)
-    };
-
-    // Appended arrival order plus a duplicated line: repairable → 1.
-    let path = store_dir.join(FILE_NAME);
-    let text = std::fs::read_to_string(&path).expect("read store");
-    let dup = text.lines().nth(1).expect("a data line").to_string();
-    std::fs::write(&path, format!("{text}{dup}\n")).expect("append duplicate");
-    let dirty = fsck(&[]);
-    assert_eq!(dirty.status.code(), Some(1), "{dirty:?}");
-    assert!(String::from_utf8_lossy(&dirty.stderr).contains("1 duplicate"));
-
-    // --repair rewrites the canonical deduplicated bytes → 0, and a
-    // re-check is clean → 0.
-    let repair = fsck(&["--repair"]);
-    assert_eq!(repair.status.code(), Some(0), "{repair:?}");
-    let clean = fsck(&[]);
-    assert_eq!(clean.status.code(), Some(0), "{clean:?}");
-    let repaired = std::fs::read_to_string(&path).expect("read repaired store");
-    let reloaded = SweepCache::open(&store_dir);
-    assert_eq!(
-        repaired,
-        reloaded.canonical_text(),
-        "repair must leave exactly the canonical bytes"
-    );
-    assert_eq!(reloaded.stats.skipped_lines, 0);
-
-    // Corruption: flip a byte mid-file → 1; repair drops the line → 0.
-    let mut bytes = std::fs::read(&path).expect("read");
-    let mid = bytes.len() / 2;
-    bytes[mid] = bytes[mid].wrapping_add(1);
-    std::fs::write(&path, &bytes).expect("corrupt store");
-    let corrupt = fsck(&[]);
-    assert_eq!(corrupt.status.code(), Some(1), "{corrupt:?}");
-    assert!(String::from_utf8_lossy(&corrupt.stderr).contains("1 corrupt"));
-    assert_eq!(fsck(&["--repair"]).status.code(), Some(0));
-    assert_eq!(fsck(&[]).status.code(), Some(0));
-
-    // Divergence: a second, different row under a real key → 2, and
-    // --repair refuses without touching the file.
-    let store = SweepCache::open(&store_dir);
-    let (key, _) = store.entries().next().expect("a stored cell");
-    let donor_dir = dir.join("donor");
-    let mut donor = SweepCache::open(&donor_dir);
-    let mut metrics = MetricRow::new();
-    metrics.set(MetricId::Reference, MetricValue::U64(424242));
-    donor.record(
-        key,
-        "divergent",
-        &CellRow {
-            spec_index: 0,
-            case: 999,
-            cell_seed: 7,
-            metrics,
-        },
-    );
-    donor.flush().expect("flush donor");
-    let donor_text = std::fs::read_to_string(donor_dir.join(FILE_NAME)).expect("read donor store");
-    let conflict = donor_text.lines().nth(1).expect("donor data line");
-    let text = std::fs::read_to_string(&path).expect("read store");
-    std::fs::write(&path, format!("{text}{conflict}\n")).expect("splice conflict");
-
-    let divergent = fsck(&[]);
-    assert_eq!(divergent.status.code(), Some(2), "{divergent:?}");
-    assert!(String::from_utf8_lossy(&divergent.stderr).contains("divergent key"));
-    let before = std::fs::read(&path).expect("read");
-    let refused = fsck(&["--repair"]);
-    assert_eq!(refused.status.code(), Some(2), "{refused:?}");
-    assert_eq!(
-        before,
-        std::fs::read(&path).expect("read"),
-        "a refused repair must not touch the store"
-    );
+    // Mode-mixing stays a usage error.
+    let mixed = run_experiments(&dir, &["check", "--quick", "--only", "e1"]);
+    assert_eq!(mixed.status.code(), Some(2), "{mixed:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }

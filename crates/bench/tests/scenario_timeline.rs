@@ -4,13 +4,9 @@
 //!   dense per-round schedule every time, for arbitrary (proptest-drawn)
 //!   event sets, and the compiled schedule agrees with the declarative
 //!   entry list round for round.
-//! * **Timelines are a fingerprint lane.** A non-empty timeline feeds
-//!   [`ScenarioSpec::params_fingerprint`] deterministically (pinned to a
-//!   literal value so an accidental hash change cannot slip through as
-//!   "all cells re-ran and re-cached"), while an *empty* timeline is
-//!   structurally absent: the fingerprint, the cell rows, and the engine
-//!   execution are bit-identical to the pre-timeline static path, so no
-//!   existing golden file or cache entry moves.
+//! * **An empty timeline is structurally absent.** The cell rows and the
+//!   engine execution are bit-identical to the pre-timeline static path,
+//!   so no existing golden file moves.
 //! * **Churn sweeps are order-independent.** Serial and parallel runs of
 //!   the `churn/*` family produce byte-identical [`ResultsFrame`]s — the
 //!   same determinism contract every static family already obeys, now
@@ -19,7 +15,7 @@
 
 use proptest::prelude::*;
 use wan_bench::sweep::spec::churn_specs;
-use wan_bench::sweep::{scan_safety, Registry, ScenarioSpec};
+use wan_bench::sweep::{scan_safety, ScenarioSpec};
 use wan_bench::{Scale, SweepRunner};
 use wan_sim::{Round, ScenarioEvent, ScenarioTimeline};
 
@@ -70,24 +66,9 @@ proptest! {
             prop_assert_eq!(at, declared, "round {}", round);
         }
     }
-
-    /// The timeline lane of the params fingerprint is a pure function of
-    /// the entry list: same entries, same fingerprint; any dropped entry
-    /// moves it.
-    #[test]
-    fn fingerprint_is_stable_and_entry_sensitive(
-        entries in proptest::collection::vec((1u64..200, arb_event()), 1..8),
-    ) {
-        let base = spec_with(ScenarioTimeline::new());
-        let spec = spec_with(timeline_of(&entries));
-        prop_assert_eq!(spec.params_fingerprint(), spec_with(timeline_of(&entries)).params_fingerprint());
-        prop_assert_ne!(spec.params_fingerprint(), base.params_fingerprint());
-        let shorter = spec_with(timeline_of(&entries[..entries.len() - 1]));
-        prop_assert_ne!(spec.params_fingerprint(), shorter.params_fingerprint());
-    }
 }
 
-/// A fixed churn spec re-timelined, for fingerprint tests.
+/// A fixed churn spec re-timelined.
 fn spec_with(timeline: ScenarioTimeline) -> ScenarioSpec {
     let mut spec = churn_specs(Scale::Quick)
         .into_iter()
@@ -97,57 +78,21 @@ fn spec_with(timeline: ScenarioTimeline) -> ScenarioSpec {
     spec
 }
 
-/// The timeline lane is pinned to a literal: if the absorption order or
-/// the event `Debug` forms change, every churn cache key and golden row
-/// silently moves — this test makes that loud instead.
-#[test]
-fn timeline_fingerprint_is_pinned() {
-    let spec = spec_with(
-        ScenarioTimeline::new()
-            .at_round(Round(6), ScenarioEvent::CrashBurst { count: 2 })
-            .at_round(Round(6), ScenarioEvent::SetLossRate { p: 0.3 })
-            .at_round(Round(12), ScenarioEvent::CdSwitch { slot: 1 }),
-    );
-    assert_eq!(
-        spec.params_fingerprint(),
-        0xb8be_e41c_9128_8a1a,
-        "the timeline fingerprint lane moved: churn cache keys and golden \
-         rows all change — if intentional, re-pin this literal and re-bless"
-    );
-}
-
-/// An empty timeline is structurally absent: the spec fingerprints, runs,
-/// and caches exactly as it did before the timeline field existed.
+/// An empty timeline is structurally absent: the spec runs exactly as it
+/// did before the timeline field existed.
 #[test]
 fn empty_timeline_is_bit_identical_to_the_static_path() {
     let baseline = spec_with(ScenarioTimeline::new());
     // Round-trip through a non-empty timeline and back.
     let mut cleared = spec_with(ScenarioTimeline::new().at_round(Round(3), ScenarioEvent::Heal));
     cleared.timeline = ScenarioTimeline::new();
-    assert_eq!(baseline.params_fingerprint(), cleared.params_fingerprint());
     assert_eq!(baseline.run_cell(0, 0), cleared.run_cell(0, 0));
     assert_eq!(baseline.run_cell(0, 1), cleared.run_cell(0, 1));
-    // And the whole standard registry's fingerprints are what the static
-    // path computed: every non-churn spec has an empty timeline, so the
-    // lane must be skipped for all of them (this is what keeps existing
-    // golden files and cached cells valid without a re-bless).
-    for spec in Registry::standard(Scale::Quick).specs() {
-        if spec.timeline.is_empty() {
-            let mut stripped = spec.clone();
-            stripped.timeline = ScenarioTimeline::new();
-            assert_eq!(
-                spec.params_fingerprint(),
-                stripped.params_fingerprint(),
-                "{}",
-                spec.name
-            );
-        }
-    }
 }
 
 /// Serial and parallel churn sweeps produce byte-identical frames, and
 /// every injected-fault cell stays safe (the same invariant the sweep-wide
-/// gate enforces in `--check`).
+/// gate enforces in `check`).
 #[test]
 fn churn_sweeps_are_order_independent_and_safe() {
     let specs = churn_specs(Scale::Quick);

@@ -60,8 +60,7 @@ use wan_sim::{
 
 /// How the MAC layer spends the slack its envelopes allow.
 ///
-/// `Copy` + scalar-only so it can ride inside a spec's environment plan and
-/// fingerprint stably (its `Debug` rendering is absorbed into cell keys).
+/// `Copy` + scalar-only so it can ride inside a spec's environment plan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MacDelayPolicy {
     /// No slack taken: every broadcast clears (is delivered and

@@ -232,7 +232,7 @@ impl RadioChannel {
     ///
     /// # Summation-order invariant
     ///
-    /// Golden summaries, sweep-cache canary fingerprints, and the
+    /// Golden summaries, the trace fingerprint pins, and the
     /// serial-vs-parallel byte-identity tests all hash the delivered
     /// bits this function produces, and those bits come from `f64`
     /// comparisons against non-associative floating-point sums. The

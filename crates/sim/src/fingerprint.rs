@@ -1,18 +1,16 @@
-//! Stable content fingerprints for cell-level result caching.
+//! Stable content fingerprints.
 //!
-//! The scenario-sweep cache (in `wan-bench`) addresses stored results by
-//! the *content* of the cell that produced them: the spec parameters, the
-//! derived seed, and — so that engine/algorithm code changes invalidate
-//! stale entries — a fingerprint of a reference execution trace. That last
-//! piece lives here, next to [`crate::ExecutionTrace`], because it must
-//! observe every field a trace records.
+//! Golden summaries (in `wan-bench`) digest sweep results with
+//! [`StableHasher`], and the test suite pins replayed executions by
+//! [`crate::ExecutionTrace::fingerprint`]. The hasher lives here, next to
+//! [`crate::ExecutionTrace`], because the trace fingerprint must observe
+//! every field a trace records.
 //!
 //! The hash is FNV-1a (64-bit): dependency-free, byte-order independent,
 //! and — unlike [`std::hash::DefaultHasher`] — **stable across processes,
-//! platforms, and std releases**, which is what makes it safe to persist
-//! in on-disk cache keys. It is *not* collision-resistant against an
-//! adversary; cache keys mix several independent lanes to keep accidental
-//! collisions negligible.
+//! platforms, and std releases**, which is what makes it safe to commit in
+//! golden files and test pins. It is *not* collision-resistant against an
+//! adversary.
 
 use std::fmt::{self, Write};
 

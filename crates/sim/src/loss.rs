@@ -596,8 +596,8 @@ mod tests {
 
     #[test]
     fn partition_debug_hides_scratch() {
-        // Canary-adjacent: the rendered adversary must stay the seed-era
-        // derive output (scratch buffers are representation, not identity).
+        // The rendered adversary must stay the seed-era derive output
+        // (scratch buffers are representation, not identity).
         let adv = PartitionLoss::two_groups(3, 1, IntraGroupRule::Full).healing_from(Round(4));
         assert_eq!(
             format!("{adv:?}"),

@@ -6,8 +6,8 @@
 //! environment *shifts under* the algorithm — crash bursts, staggered
 //! wake-up waves, loss-rate swaps, partition splits and heals, collision
 //! detector degradation, contention-regime changes. Events are plain `Copy`
-//! data (no closures), so a timeline fingerprints into experiment cache keys
-//! like every other spec field and replays bit-identically.
+//! data (no closures), so a timeline is declared, compared, and replayed
+//! bit-identically like every other spec field.
 //!
 //! A timeline is *compiled* ([`ScenarioTimeline::compile`]) into a dense
 //! per-round [`CompiledSchedule`] the engine consults at the top of every

@@ -21,7 +21,7 @@
 //! [`reference::ReferenceTrace`] test oracle). A `RoundView` debug-renders
 //! byte-identically to the equivalent `RoundRecord`, so trace debug
 //! strings and [`ExecutionTrace::fingerprint`] values are unchanged
-//! across the representation switch — the sweep-cache canaries and the
+//! across the representation switch — the golden summaries and the
 //! replay-determinism pins in the test suite carry over untouched.
 
 use crate::advice::{CdAdvice, CmAdvice};
@@ -430,10 +430,10 @@ impl<M: Ord> ExecutionTrace<M> {
     /// columnar refactor: two traces fingerprint equal iff their full
     /// debug renderings are byte-identical, which is exactly the
     /// replay-determinism contract the test suite pins, in 8 persistable
-    /// bytes. The sweep result cache uses it as the code-sensitivity lane
-    /// of its cell keys: any change to engine, component, or algorithm
-    /// behavior that alters what a reference cell *does* changes this
-    /// value and invalidates the cached results.
+    /// bytes. `tests/trace_representation.rs` pins it for two cells of
+    /// every scenario family, so any change to engine, component, or
+    /// algorithm behavior that alters what a reference cell *does* fails
+    /// those pins.
     pub fn fingerprint(&self) -> u64
     where
         M: fmt::Debug,
@@ -672,7 +672,8 @@ impl<'a, M: Ord> RoundView<'a, M> {
 /// Byte-identical to the derived `Debug` of the equivalent [`RoundRecord`]
 /// — the format contract that keeps trace debug strings and fingerprints
 /// stable across the columnar representation (pinned by the
-/// `views_render_like_records` tests and the sweep-cache canaries).
+/// `views_render_like_records` tests and the per-family fingerprint
+/// pins).
 impl<M: Ord + fmt::Debug> fmt::Debug for RoundView<'_, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         struct Sent<'a, M: Ord>(RoundView<'a, M>);
@@ -743,8 +744,8 @@ pub mod reference {
     //! It exists purely as a **test oracle**: property tests push the same
     //! rounds into a [`ReferenceTrace`] and an arena-backed
     //! [`ExecutionTrace`] and assert that debug renderings and
-    //! fingerprints agree, which is the contract that keeps sweep-cache
-    //! canaries and replay pins stable. Nothing on a hot path should use
+    //! fingerprints agree, which is the contract that keeps the replay
+    //! pins stable. Nothing on a hot path should use
     //! this type.
 
     use super::*;

@@ -4,7 +4,6 @@
 //! built on — without them, parallel experiment tables would be
 //! unreproducible.
 
-use ccwan::bench::sweep::cache::SweepCache;
 use ccwan::bench::sweep::spec::{alg2_staircase_specs, bst_nocf_specs, lattice_specs};
 use ccwan::bench::Scale;
 use ccwan::bench::{Registry, SweepRunner};
@@ -120,8 +119,8 @@ fn cells_are_independently_seeded() {
 #[test]
 fn serial_and_parallel_lattice_sweeps_are_identical() {
     let specs = lattice_specs(Scale::Quick);
-    let serial = SweepRunner::serial().run(&specs);
-    let parallel = SweepRunner::with_threads(4).run(&specs);
+    let serial = SweepRunner::serial().run_fresh(&specs);
+    let parallel = SweepRunner::with_threads(4).run_fresh(&specs);
     assert_eq!(serial, parallel, "parallel sweep diverged from serial");
     assert_eq!(serial.render(), parallel.render());
     // And the derived per-spec statistics agree.
@@ -135,32 +134,6 @@ fn serial_and_parallel_lattice_sweeps_are_identical() {
     }
 }
 
-/// Result-cache hits are byte-identical to fresh execution: the cache is
-/// a *transport* for the determinism contract, across every environment
-/// family and regardless of which run populated the store.
-#[test]
-fn cached_sweeps_are_byte_identical_to_fresh_ones() {
-    let mut specs = alg2_staircase_specs(Scale::Quick);
-    specs.truncate(2);
-    specs.extend(bst_nocf_specs(Scale::Quick).into_iter().take(2));
-    specs.extend(lattice_specs(Scale::Quick).into_iter().take(2));
-    let dir = std::env::temp_dir().join(format!("ccwan-determinism-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let fresh = SweepRunner::serial().run_fresh(&specs);
-    let mut cache = SweepCache::open(&dir);
-    let cold = SweepRunner::with_threads(4).run_with_cache(&specs, &mut cache);
-    let warm = SweepRunner::with_threads(2).run_with_cache(&specs, &mut cache);
-    assert_eq!(cold, fresh, "cold cached sweep diverged from fresh");
-    assert_eq!(warm, fresh, "warm cached sweep diverged from fresh");
-    assert_eq!(warm.render(), fresh.render());
-    assert_eq!(
-        cache.stats.misses,
-        specs.iter().map(|s| s.seeds).sum::<u64>(),
-        "second pass must be all hits"
-    );
-}
-
 /// The same holds across environment families (ECF staircase + NOCF with
 /// scheduled crashes) and thread counts.
 #[test]
@@ -168,9 +141,9 @@ fn parallel_sweeps_agree_across_families_and_thread_counts() {
     let mut specs = alg2_staircase_specs(Scale::Quick);
     specs.truncate(3);
     specs.extend(bst_nocf_specs(Scale::Quick).into_iter().take(2));
-    let reference = SweepRunner::serial().run(&specs);
+    let reference = SweepRunner::serial().run_fresh(&specs);
     for threads in [2, 4, 8] {
-        let parallel = SweepRunner::with_threads(threads).run(&specs);
+        let parallel = SweepRunner::with_threads(threads).run_fresh(&specs);
         assert_eq!(
             reference, parallel,
             "{threads}-thread sweep diverged from serial"

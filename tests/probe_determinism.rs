@@ -7,9 +7,9 @@
 //! 2. A probe's output is a pure function of `(spec, case)`: re-running a
 //!    cell, in any order, through any entry point, yields the identical
 //!    metric row. (The cross-*process* half of this contract is pinned by
-//!    `crates/bench/tests/check_mode.rs`, which compares `--metrics`
-//!    stdout bytes across separate `run_experiments` invocations — cold,
-//!    warm, and `--no-cache`.)
+//!    `crates/bench/tests/check_mode.rs`, which compares `metrics`
+//!    stdout bytes across separate `run_experiments` invocations at one
+//!    and at four worker threads.)
 
 use ccwan::bench::sweep::{MetricId, ProbeManifest, Registry};
 use ccwan::bench::{Scale, SweepRunner};

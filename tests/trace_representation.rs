@@ -9,9 +9,9 @@
 //! 2. Live traced cells of **all six scenario families** fingerprint
 //!    identically under both representations
 //!    (`ScenarioSpec::trace_reference_fingerprints`).
-//! 3. Hard-coded canary fingerprints captured from the *pre-refactor*
-//!    (retained-record) implementation: if these drift, cached sweep
-//!    results would be invalidated and the replay-determinism contract
+//! 3. Hard-coded fingerprints of each family's cells 0 and 1, matching
+//!    the executions of the *pre-refactor* (retained-record)
+//!    implementation: if these drift, the replay-determinism contract is
 //!    broken — regenerating them is a semantic change, not a refresh.
 
 use ccwan::bench::sweep::Registry;
@@ -22,16 +22,41 @@ use ccwan::sim::{
 };
 use proptest::prelude::*;
 
-/// One spec per scenario family, with its canary fingerprint and the FNV
-/// hash of its cell-0 traced debug rendering, both captured from the
-/// retained-record implementation before the columnar refactor landed.
-const FAMILY_PINS: [(&str, u64, u64); 6] = [
-    ("lattice/maj-AC", 0x932cbcf912a31b7a, 0xb729569ed1dcb5c0),
-    ("alg1/n4-v16", 0xc79a5c6ccd325a1b, 0x9cf4b8552e64273e),
-    ("alg2/v16", 0xe207f00c6e4820bb, 0xd599ecc9824c5b96),
-    ("alg3/v8-i8", 0xe663278ca798d71a, 0x74cb3a09fd303b25),
-    ("bst/v16-leafcrash", 0x70d77714649512f5, 0x0e35b191e8d20271),
-    ("ablation/alg2-zero", 0x71dfd0af7b6b7e41, 0x42980c26785f1ab9),
+/// One spec per scenario family, with the arena trace fingerprints of its
+/// cells 0 and 1 (`trace_reference_fingerprints(case).0`) and the FNV hash
+/// of its cell-0 traced debug rendering, all matching the retained-record
+/// implementation from before the columnar refactor landed.
+const FAMILY_PINS: [(&str, [u64; 2], u64); 6] = [
+    (
+        "lattice/maj-AC",
+        [0x395e7b13f896830a, 0x5c05c7a0977e1f77],
+        0xb729569ed1dcb5c0,
+    ),
+    (
+        "alg1/n4-v16",
+        [0x602c70c24814c762, 0xed003fafd3403e79],
+        0x9cf4b8552e64273e,
+    ),
+    (
+        "alg2/v16",
+        [0xede3066d458bc8af, 0xaca05606faebd68b],
+        0xd599ecc9824c5b96,
+    ),
+    (
+        "alg3/v8-i8",
+        [0x24f8da76d3fe0deb, 0x60da3229d603ff74],
+        0x74cb3a09fd303b25,
+    ),
+    (
+        "bst/v16-leafcrash",
+        [0xc19e29b1ae49145c, 0xc19e29b1ae49145c],
+        0x0e35b191e8d20271,
+    ),
+    (
+        "ablation/alg2-zero",
+        [0x0f3d1b233e57bdb8, 0x36aba95ad74db140],
+        0x42980c26785f1ab9,
+    ),
 ];
 
 #[test]
@@ -52,14 +77,15 @@ fn all_six_families_fingerprint_like_the_reference_builder() {
 #[test]
 fn family_fingerprints_match_pre_refactor_values() {
     let registry = Registry::standard(Scale::Quick);
-    for (name, canary, trace_hash) in FAMILY_PINS {
+    for (name, arena, trace_hash) in FAMILY_PINS {
         let spec = registry.get(name).expect("pinned spec in registry");
-        assert_eq!(
-            spec.canary_fingerprint(),
-            canary,
-            "{name}: canary fingerprint drifted from the pre-refactor pin \
-             (this invalidates every cached sweep result of the spec)"
-        );
+        for (case, pin) in (0u64..).zip(arena) {
+            assert_eq!(
+                spec.trace_reference_fingerprints(case).0,
+                pin,
+                "{name} case {case}: trace fingerprint drifted from the pre-refactor pin"
+            );
+        }
         assert_eq!(
             StableHasher::hash_str(&spec.trace_fingerprint(0)),
             trace_hash,
