@@ -44,9 +44,12 @@ impl<A: ConsensusAutomaton> AlphaExecution<A> {
             loss: Box::new(TotalCollisionLoss),
             crash: Box::new(NoCrashes),
         };
+        let mut trace = ExecutionTrace::new(procs.len());
         let mut sim = Simulation::new(procs, components);
-        sim.run(k);
-        let (processes, trace) = sim.into_parts();
+        for _ in 0..k {
+            sim.advance(&mut trace);
+        }
+        let processes = sim.into_processes();
         AlphaExecution { processes, trace }
     }
 

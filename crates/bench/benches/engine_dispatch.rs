@@ -1,73 +1,71 @@
-//! `engine_dispatch`: static vs. boxed engine dispatch on the per-round
-//! hot path — 1000-round runs through both forms of the same component
-//! stack.
+//! `engine_dispatch`: the round engine on its one code path,
+//! `Engine::advance`, under each kind of round observer — `()` (keep
+//! nothing), the sweep's standard `ProbeSet` (measure live) and
+//! `ExecutionTrace` (record everything).
 //!
-//! Two stacks are measured:
+//! Two synthetic stacks drive a `Beacon` automaton whose per-round work is
+//! a few adds, so the engine dominates the profile:
 //!
 //! * `storm` — trivial components (`AlwaysNull`/`AllActive`/`NoLoss`/
-//!   `NoCrashes`), where per-component work is nil and the dispatch
-//!   mechanism itself dominates: the upper bound on what static dispatch
-//!   can buy.
+//!   `NoCrashes`): every process broadcasts every round;
 //! * `ecf` — a realistic experiment stack (in-class detector, fair
-//!   wake-up, ECF-wrapped random loss), where component work dilutes the
-//!   dispatch win: the realistic figure.
+//!   wake-up, ECF-wrapped random loss).
 //!
-//! Each stack runs at two system sizes: `n = 4` (dispatch-dominated — the
-//! per-round payload is a handful of small allocations, so the virtual
-//! calls and lost inlining of the boxed path are a visible fraction) and
-//! `n = 50` (payload-dominated — 50 broadcasters mean thousands of
-//! multiset insertions per round, so *any* dispatch mechanism is noise;
-//! reported faithfully all the same).
-//!
-//! The headline speedup figure uses *interleaved paired sampling*: static
-//! and boxed samples alternate back-to-back and the reported speedup is
-//! the median of per-pair ratios. On a shared machine, sequential
-//! benchmarking puts minutes between the two variants' samples and
-//! scheduling noise swamps a few-percent dispatch effect; pairing cancels
-//! the drift.
+//! The bench reports the observers' per-run overhead against `()`
+//! (interleaved paired sampling: the two variants alternate back to back
+//! and the reported ratio is the median of per-pair ratios, which cancels
+//! the drift of a shared machine) and the unobserved engine's
+//! rounds/sec and messages/sec.
 //!
 //! The process also runs under a **counting global allocator** and reports
-//! steady-state allocations/round and bytes/round for traced vs. untraced
-//! runs of both stacks, plus allocations/call of the SINR radio's
-//! `resolve_into`. Three allocation gates make the bench exit nonzero
-//! (which is what the CI bench-smoke step gates on):
+//! steady-state allocations/round and bytes/round of every lane, plus
+//! allocations/call of the SINR radio's `resolve_into`. The lanes add the
+//! churn and abstract-MAC stacks and the real Algorithm 1 and Algorithm 2
+//! automata on the registry's boxed ECF stack. The allocation gates make
+//! the bench exit nonzero (which is what the CI bench-smoke step gates
+//! on):
 //!
-//! * the untraced hot path must be exactly zero-allocation after warm-up;
-//! * the *traced* path must stay O(1) amortized — arena growth only,
-//!   gated at < 1 allocation/round in the steady-state window;
+//! * a round under the `none` or `probes` observer must be exactly
+//!   zero-allocation after warm-up;
+//! * a round under the `trace` observer must stay O(1) amortized — arena
+//!   growth only, gated at < 1 allocation/round in the steady-state
+//!   window;
 //! * `RadioChannel::resolve_into` into a reused `PhyRound` must be
 //!   exactly zero-allocation after warm-up.
 //!
-//! Besides the stdout report, the bench writes machine-readable results to
-//! `BENCH_engine.json` at the workspace root. Run with:
+//! Besides the stdout report, the bench writes machine-readable results,
+//! with the host they were measured on, to `BENCH_engine.json` at the
+//! workspace root. Run with:
 //!
 //! ```text
 //! cargo bench -p wan-bench --bench engine_dispatch          # full
 //! CCWAN_BENCH_QUICK=1 cargo bench -p wan-bench --bench engine_dispatch
 //! ```
 
-use criterion::{black_box, Criterion};
+use ccwan_core::{alg1, alg2, ConsensusAutomaton, ConsensusRun, Value, ValueDomain};
+use criterion::black_box;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use wan_bench::sweep::{CellEnd, MetricRow, ProbeManifest, ProbeSet};
+use wan_bench::experiments::helpers::EnvPlan;
+use wan_bench::sweep::{ProbeManifest, ProbeSet};
 use wan_cd::{CdClass, CheckedDetector, ClassDetector, Degrading, FreedomPolicy};
 use wan_cm::FairWakeUp;
 use wan_mac::{mac_components, MacConfig, MacDelayPolicy};
 use wan_phy::{PhyConfig, PhyRound, RadioChannel};
 use wan_sim::crash::{NoCrashes, TimelineCrashes};
 use wan_sim::loss::{Ecf, NoLoss, RandomLoss, TimelineLoss};
-use wan_sim::ProcessId;
 use wan_sim::{
-    AllActive, AlwaysNull, Automaton, CmAdvice, Components, Engine, Round, RoundInput,
-    ScenarioEvent, ScenarioTimeline, Simulation, StaggeredJoin, TraceDetail,
+    AllActive, AlwaysNull, Automaton, CmAdvice, CollisionDetector, ContentionManager,
+    CrashAdversary, Engine, ExecutionTrace, LossAdversary, ProcessId, Round, RoundInput,
+    RoundObserver, ScenarioEvent, ScenarioTimeline, StaggeredJoin,
 };
 
 const ROUNDS: u64 = 1000;
 
 /// A pass-through allocator that counts allocation events and bytes, so the
-/// zero-allocation claim of the round engine's untraced hot path is
-/// machine-checkable rather than asserted by inspection. Deallocations are
+/// zero-allocation claim of the round engine is machine-checkable rather
+/// than asserted by inspection. Deallocations are
 /// not counted: the claim is about allocator *pressure* per round.
 struct CountingAllocator;
 
@@ -153,98 +151,94 @@ fn ecf_parts(seed: u64) -> (ClassDetector, FairWakeUp, Ecf<RandomLoss>, NoCrashe
     )
 }
 
+/// The `storm` stack: every process broadcasts every round.
+fn storm(n: usize) -> Engine<Beacon, AlwaysNull, AllActive, NoLoss, NoCrashes> {
+    Engine::from_parts(beacons(n), AlwaysNull, AllActive, NoLoss, NoCrashes)
+}
+
+/// The `ecf` stack, statically dispatched.
+fn ecf(n: usize) -> Engine<Beacon, ClassDetector, FairWakeUp, Ecf<RandomLoss>, NoCrashes> {
+    let (cd, cm, loss, crash) = ecf_parts(7);
+    Engine::from_parts(beacons(n), cd, cm, loss, crash)
+}
+
 fn checksum(procs: &[Beacon]) -> u64 {
     procs.iter().fold(0u64, |a, p| a.wrapping_add(p.checksum))
 }
 
-fn run_static_storm<const N: usize>() -> u64 {
-    let mut engine = Engine::from_parts(beacons(N), AlwaysNull, AllActive, NoLoss, NoCrashes)
-        .with_detail(TraceDetail::Counts);
-    engine.run_untraced(ROUNDS);
+/// A round observer the bench can build afresh for `n` processes.
+trait Observer: RoundObserver<u64> {
+    /// The lane label.
+    const NAME: &'static str;
+    fn fresh(n: usize) -> Self;
+}
+
+impl Observer for () {
+    const NAME: &'static str = "none";
+    fn fresh(_n: usize) -> Self {}
+}
+
+impl Observer for ProbeSet<u64> {
+    const NAME: &'static str = "probes";
+    fn fresh(_n: usize) -> Self {
+        ProbeSet::from_manifest(&ProbeManifest::standard())
+    }
+}
+
+impl Observer for ExecutionTrace<u64> {
+    const NAME: &'static str = "trace";
+    fn fresh(n: usize) -> Self {
+        ExecutionTrace::new(n)
+    }
+}
+
+/// One `ROUNDS`-round run of `engine` under a fresh `O`; returns the
+/// processes' checksum.
+fn run_under<O: Observer, CD, CM, L, C>(mut engine: Engine<Beacon, CD, CM, L, C>) -> u64
+where
+    CD: CollisionDetector,
+    CM: ContentionManager,
+    L: LossAdversary,
+    C: CrashAdversary,
+{
+    let mut observer = O::fresh(engine.n());
+    for _ in 0..ROUNDS {
+        engine.advance(&mut observer);
+    }
+    black_box(&observer);
     checksum(engine.processes())
 }
 
-fn run_boxed_storm<const N: usize>() -> u64 {
-    // `black_box` keeps the component types opaque, as they are in real
-    // registry-driven sweeps — otherwise LTO devirtualizes the boxed path
-    // and the comparison measures nothing.
-    let mut engine = Simulation::new(
-        beacons(N),
-        black_box(Components {
-            detector: Box::new(AlwaysNull),
-            manager: Box::new(AllActive),
-            loss: Box::new(NoLoss),
-            crash: Box::new(NoCrashes),
-        }),
-    )
-    .with_detail(TraceDetail::Counts);
-    engine.run_untraced(ROUNDS);
-    checksum(engine.processes())
+fn run_storm<const N: usize, O: Observer>() -> u64 {
+    run_under::<O, _, _, _, _>(storm(N))
 }
 
-fn run_static_ecf<const N: usize>() -> u64 {
-    let (cd, cm, loss, crash) = ecf_parts(7);
-    let mut engine =
-        Engine::from_parts(beacons(N), cd, cm, loss, crash).with_detail(TraceDetail::Counts);
-    engine.run_untraced(ROUNDS);
-    checksum(engine.processes())
+fn run_ecf<const N: usize, O: Observer>() -> u64 {
+    run_under::<O, _, _, _, _>(ecf(N))
 }
 
-fn run_boxed_ecf<const N: usize>() -> u64 {
-    let (cd, cm, loss, crash) = ecf_parts(7);
-    let mut engine = Simulation::new(
-        beacons(N),
-        black_box(Components {
-            detector: Box::new(cd),
-            manager: Box::new(cm),
-            loss: Box::new(loss),
-            crash: Box::new(crash),
-        }),
-    )
-    .with_detail(TraceDetail::Counts);
-    engine.run_untraced(ROUNDS);
-    checksum(engine.processes())
-}
-
-fn run_static_ecf_traced<const N: usize>() -> u64 {
-    let (cd, cm, loss, crash) = ecf_parts(7);
-    let mut engine =
-        Engine::from_parts(beacons(N), cd, cm, loss, crash).with_detail(TraceDetail::Counts);
-    engine.run(ROUNDS);
-    checksum(engine.processes())
-}
-
-fn run_static_storm_traced<const N: usize>() -> u64 {
-    let mut engine = Engine::from_parts(beacons(N), AlwaysNull, AllActive, NoLoss, NoCrashes)
-        .with_detail(TraceDetail::Counts);
-    engine.run(ROUNDS);
-    checksum(engine.processes())
-}
-
-/// Broadcasts in one `ROUNDS`-round run of the storm stack (for the
+/// Broadcasts in one `ROUNDS`-round run of `engine` (for the
 /// messages/sec figure): counted off a recorded trace, not assumed.
-fn broadcasts_storm<const N: usize>() -> u64 {
-    let mut engine = Engine::from_parts(beacons(N), AlwaysNull, AllActive, NoLoss, NoCrashes)
-        .with_detail(TraceDetail::Counts);
-    engine.run(ROUNDS);
-    engine
-        .trace()
-        .rounds()
-        .map(|v| v.senders().len() as u64)
-        .sum()
+fn broadcasts<CD, CM, L, C>(mut engine: Engine<Beacon, CD, CM, L, C>) -> u64
+where
+    CD: CollisionDetector,
+    CM: ContentionManager,
+    L: LossAdversary,
+    C: CrashAdversary,
+{
+    let mut trace = ExecutionTrace::new(engine.n());
+    for _ in 0..ROUNDS {
+        engine.advance(&mut trace);
+    }
+    trace.rounds().map(|v| v.sent_count() as u64).sum()
 }
 
-/// Broadcasts in one `ROUNDS`-round run of the ECF stack.
+fn broadcasts_storm<const N: usize>() -> u64 {
+    broadcasts(storm(N))
+}
+
 fn broadcasts_ecf<const N: usize>() -> u64 {
-    let (cd, cm, loss, crash) = ecf_parts(7);
-    let mut engine =
-        Engine::from_parts(beacons(N), cd, cm, loss, crash).with_detail(TraceDetail::Counts);
-    engine.run(ROUNDS);
-    engine
-        .trace()
-        .rounds()
-        .map(|v| v.senders().len() as u64)
-        .sum()
+    broadcasts(ecf(N))
 }
 
 /// Nanoseconds per run, over `iters` back-to-back runs under one timer.
@@ -256,26 +250,26 @@ fn time_ns(f: fn() -> u64, iters: u64) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Interleaved paired comparison: alternates static/boxed samples and
-/// returns (median speedup, static median ns, boxed median ns).
-fn paired_speedup(static_f: fn() -> u64, boxed_f: fn() -> u64) -> (f64, f64, f64) {
+/// Interleaved paired comparison: alternates `base`/`other` samples and
+/// returns (median `other`/`base` ratio, base median ns, other median ns).
+fn paired_ratio(base: fn() -> u64, other: fn() -> u64) -> (f64, f64, f64) {
     let quick = std::env::var_os("CCWAN_BENCH_QUICK").is_some();
     let pairs = if quick { 7 } else { 21 };
     // Calibrate so one sample costs ~60 ms.
-    let once = time_ns(static_f, 1);
+    let once = time_ns(base, 1);
     let iters = ((60_000_000.0 / once) as u64).max(1);
-    // Warm both paths.
-    time_ns(static_f, iters);
-    time_ns(boxed_f, iters);
+    // Warm both variants.
+    time_ns(base, iters);
+    time_ns(other, iters);
     let mut ratios = Vec::with_capacity(pairs);
-    let mut static_ns = Vec::with_capacity(pairs);
-    let mut boxed_ns = Vec::with_capacity(pairs);
+    let mut base_ns = Vec::with_capacity(pairs);
+    let mut other_ns = Vec::with_capacity(pairs);
     for _ in 0..pairs {
-        let s = time_ns(static_f, iters);
-        let b = time_ns(boxed_f, iters);
-        ratios.push(b / s);
-        static_ns.push(s);
-        boxed_ns.push(b);
+        let b = time_ns(base, iters);
+        let o = time_ns(other, iters);
+        ratios.push(o / b);
+        base_ns.push(b);
+        other_ns.push(o);
     }
     let median = |xs: &mut Vec<f64>| {
         xs.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
@@ -283,125 +277,186 @@ fn paired_speedup(static_f: fn() -> u64, boxed_f: fn() -> u64) -> (f64, f64, f64
     };
     (
         median(&mut ratios),
-        median(&mut static_ns),
-        median(&mut boxed_ns),
+        median(&mut base_ns),
+        median(&mut other_ns),
     )
 }
 
+/// The measured machine: CPU model and available cores.
+fn host() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split(':').nth(1))
+                .map(|model| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown CPU".to_string());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{cpu}, {cores} cores available")
+}
+
+/// One allocation lane: `advance(rounds)` executes that many further
+/// rounds under the lane's observer.
+struct Lane {
+    stack: &'static str,
+    processes: usize,
+    dispatch: &'static str,
+    observer: &'static str,
+    advance: Box<dyn FnMut(u64)>,
+}
+
+/// A lane driving `engine` under a fresh `O`.
+fn lane<O: Observer + 'static, CD, CM, L, C>(
+    stack: &'static str,
+    dispatch: &'static str,
+    mut engine: Engine<Beacon, CD, CM, L, C>,
+) -> Lane
+where
+    CD: CollisionDetector + 'static,
+    CM: ContentionManager + 'static,
+    L: LossAdversary + 'static,
+    C: CrashAdversary + 'static,
+{
+    let processes = engine.n();
+    let mut observer = O::fresh(processes);
+    Lane {
+        stack,
+        processes,
+        dispatch,
+        observer: O::NAME,
+        advance: Box::new(move |rounds| {
+            for _ in 0..rounds {
+                engine.advance(&mut observer);
+            }
+            black_box(&observer);
+        }),
+    }
+}
+
+/// A real consensus automaton at n = 50 on the registry's boxed ECF stack
+/// (`EnvPlan::components`), driven through `ConsensusRun::step` with the
+/// standard probe set as the observer, exactly as a sweep cell runs.
+/// Stabilization comes only at round 100 000, so every measured round is
+/// pre-stabilization (loss 0.6, detector noise 0.3) and no process may
+/// decide inside the window: a halted automaton would stop doing the work
+/// the lane gates.
+fn consensus_lane<A>(
+    stack: &'static str,
+    class: CdClass,
+    procs: fn(ValueDomain, &[Value]) -> Vec<A>,
+) -> Lane
+where
+    A: ConsensusAutomaton + 'static,
+    A::Msg: 'static,
+{
+    const N: usize = 50;
+    let plan = EnvPlan {
+        r_cf: 100_000,
+        r_acc: 100_000,
+        r_wake: 100_000,
+        loss: 0.6,
+        noise: 0.3,
+    };
+    let values: Vec<Value> = (0..N as u64).map(|i| Value(i % 16)).collect();
+    let mut run = ConsensusRun::new(
+        procs(ValueDomain::new(16), &values),
+        plan.components(class, 7),
+    )
+    .with_observer(ProbeSet::from_manifest(&ProbeManifest::standard()));
+    Lane {
+        stack,
+        processes: N,
+        dispatch: "boxed",
+        observer: "probes",
+        advance: Box::new(move |rounds| {
+            for _ in 0..rounds {
+                run.step();
+            }
+            assert!(
+                run.sim().processes().iter().all(|p| p.decision().is_none()),
+                "{stack}: a process decided inside the measured window"
+            );
+        }),
+    }
+}
+
 fn main() {
-    let mut c = Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(400));
-
-    // Sanity: both dispatch paths execute the identical system.
-    assert_eq!(run_static_storm::<4>(), run_boxed_storm::<4>());
-    assert_eq!(run_static_ecf::<50>(), run_boxed_ecf::<50>());
-
-    // Per-variant figures (sequential, criterion-style), at n = 50.
-    let mut group = c.benchmark_group("engine_dispatch");
-    group.bench_function("storm/static/n50", |b| {
-        b.iter(|| black_box(run_static_storm::<50>()))
-    });
-    group.bench_function("storm/boxed/n50", |b| {
-        b.iter(|| black_box(run_boxed_storm::<50>()))
-    });
-    group.bench_function("ecf/static/n50", |b| {
-        b.iter(|| black_box(run_static_ecf::<50>()))
-    });
-    group.bench_function("ecf/boxed/n50", |b| {
-        b.iter(|| black_box(run_boxed_ecf::<50>()))
-    });
-    group.finish();
-
-    // Headline speedups (interleaved paired sampling), both system sizes.
-    type Cell = (&'static str, usize, fn() -> u64, fn() -> u64);
-    let cells: [Cell; 4] = [
-        ("storm", 4, run_static_storm::<4>, run_boxed_storm::<4>),
-        ("ecf", 4, run_static_ecf::<4>, run_boxed_ecf::<4>),
-        ("storm", 50, run_static_storm::<50>, run_boxed_storm::<50>),
-        ("ecf", 50, run_static_ecf::<50>, run_boxed_ecf::<50>),
-    ];
-
+    let quick = std::env::var_os("CCWAN_BENCH_QUICK").is_some();
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"engine_dispatch\",");
+    let _ = writeln!(json, "  \"host\": \"{}\",", host());
     let _ = writeln!(json, "  \"rounds_per_run\": {ROUNDS},");
     let _ = writeln!(
         json,
-        "  \"method\": \"interleaved paired sampling; speedup = median of per-pair boxed/static ratios\","
+        "  \"method\": \"interleaved paired sampling; ratio = median of per-pair observed/unobserved run times\","
     );
-    let _ = writeln!(json, "  \"scenarios\": [");
-    let count = cells.len();
-    for (i, (stack, n, static_f, boxed_f)) in cells.into_iter().enumerate() {
-        let (speedup, static_ns, boxed_ns) = paired_speedup(static_f, boxed_f);
-        println!(
-            "paired {stack:<6} n={n:<3} static {static_ns:>14.1} ns/run  boxed {boxed_ns:>14.1} \
-             ns/run  speedup {speedup:.3}x"
-        );
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"stack\": \"{stack}\",");
-        let _ = writeln!(json, "      \"processes\": {n},");
-        let _ = writeln!(json, "      \"static_ns_per_run\": {static_ns:.1},");
-        let _ = writeln!(json, "      \"boxed_ns_per_run\": {boxed_ns:.1},");
-        let _ = writeln!(
-            json,
-            "      \"static_ns_per_round\": {:.2},",
-            static_ns / ROUNDS as f64
-        );
-        let _ = writeln!(
-            json,
-            "      \"boxed_ns_per_round\": {:.2},",
-            boxed_ns / ROUNDS as f64
-        );
-        let _ = writeln!(json, "      \"speedup_static_over_boxed\": {speedup:.3}");
-        let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
-    }
-    let _ = writeln!(json, "  ],");
 
-    // The engine's sweep fast path: running untraced vs. recording a
-    // counts-detail trace. This is the robust engine win of the generic
-    // refactor — per-round record assembly gone entirely.
-    type TraceCell = (&'static str, usize, fn() -> u64, fn() -> u64);
-    let trace_cells: [TraceCell; 2] = [
+    // What each observer adds to a run of the same engine, against the
+    // no-op `()`.
+    type OverheadCell = (&'static str, usize, &'static str, fn() -> u64, fn() -> u64);
+    let overhead_cells: [OverheadCell; 4] = [
         (
             "storm",
             4,
-            run_static_storm::<4>,
-            run_static_storm_traced::<4>,
+            "probes",
+            run_storm::<4, ()>,
+            run_storm::<4, ProbeSet<u64>>,
         ),
-        ("ecf", 50, run_static_ecf::<50>, run_static_ecf_traced::<50>),
+        (
+            "storm",
+            4,
+            "trace",
+            run_storm::<4, ()>,
+            run_storm::<4, ExecutionTrace<u64>>,
+        ),
+        (
+            "ecf",
+            50,
+            "probes",
+            run_ecf::<50, ()>,
+            run_ecf::<50, ProbeSet<u64>>,
+        ),
+        (
+            "ecf",
+            50,
+            "trace",
+            run_ecf::<50, ()>,
+            run_ecf::<50, ExecutionTrace<u64>>,
+        ),
     ];
-    let _ = writeln!(json, "  \"trace_overhead\": [");
-    let count = trace_cells.len();
-    for (i, (stack, n, untraced_f, traced_f)) in trace_cells.into_iter().enumerate() {
-        let (speedup, untraced_ns, traced_ns) = paired_speedup(untraced_f, traced_f);
+    let _ = writeln!(json, "  \"observer_overhead\": [");
+    let count = overhead_cells.len();
+    for (i, (stack, n, observer, none_f, observed_f)) in overhead_cells.into_iter().enumerate() {
+        assert_eq!(none_f(), observed_f(), "the observer changed the execution");
+        let (ratio, none_ns, observed_ns) = paired_ratio(none_f, observed_f);
         println!(
-            "paired {stack:<6} n={n:<3} untraced {untraced_ns:>12.1} ns/run  traced \
-             {traced_ns:>14.1} ns/run  speedup {speedup:.3}x"
+            "paired {stack:<6} n={n:<3} none {none_ns:>14.1} ns/run  {observer:<6} \
+             {observed_ns:>14.1} ns/run  ratio {ratio:.3}x"
         );
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"stack\": \"{stack}\",");
         let _ = writeln!(json, "      \"processes\": {n},");
-        let _ = writeln!(json, "      \"untraced_ns_per_run\": {untraced_ns:.1},");
-        let _ = writeln!(json, "      \"traced_ns_per_run\": {traced_ns:.1},");
-        let _ = writeln!(json, "      \"speedup_untraced_over_traced\": {speedup:.3}");
+        let _ = writeln!(json, "      \"observer\": \"{observer}\",");
+        let _ = writeln!(json, "      \"none_ns_per_run\": {none_ns:.1},");
+        let _ = writeln!(json, "      \"observed_ns_per_run\": {observed_ns:.1},");
+        let _ = writeln!(json, "      \"ratio_observed_over_none\": {ratio:.3}");
         let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
     }
     let _ = writeln!(json, "  ],");
 
-    // Throughput of the untraced static engine — the figure sweep scaling
-    // actually buys rounds with: simulated rounds/sec and delivered-side
-    // messages (broadcasts)/sec per stack. Message counts come off one
-    // recorded trace of the identical run, not an assumption about the
-    // contention manager.
+    // Throughput of the unobserved engine: simulated rounds/sec and
+    // broadcasts/sec per stack. Message counts come off one recorded
+    // trace of the identical run, not an assumption about the contention
+    // manager.
     type ThroughputCell = (&'static str, usize, fn() -> u64, fn() -> u64);
     let throughput_cells: [ThroughputCell; 4] = [
-        ("storm", 4, run_static_storm::<4>, broadcasts_storm::<4>),
-        ("ecf", 4, run_static_ecf::<4>, broadcasts_ecf::<4>),
-        ("storm", 50, run_static_storm::<50>, broadcasts_storm::<50>),
-        ("ecf", 50, run_static_ecf::<50>, broadcasts_ecf::<50>),
+        ("storm", 4, run_storm::<4, ()>, broadcasts_storm::<4>),
+        ("ecf", 4, run_ecf::<4, ()>, broadcasts_ecf::<4>),
+        ("storm", 50, run_storm::<50, ()>, broadcasts_storm::<50>),
+        ("ecf", 50, run_ecf::<50, ()>, broadcasts_ecf::<50>),
     ];
-    let quick = std::env::var_os("CCWAN_BENCH_QUICK").is_some();
     let _ = writeln!(json, "  \"throughput\": [");
     let count = throughput_cells.len();
     for (i, (stack, n, run_f, broadcasts_f)) in throughput_cells.into_iter().enumerate() {
@@ -432,169 +487,127 @@ fn main() {
     let _ = writeln!(json, "  ],");
 
     // Steady-state allocator pressure per round, via the counting global
-    // allocator: the zero-allocation property of the untraced hot path
-    // (asserted below — this is the CI gate), with the traced cost
-    // alongside for the contrast.
-    type AllocRun = Box<dyn FnMut(u64)>;
-    let alloc_cells: Vec<(&'static str, usize, &'static str, &'static str, AllocRun)> = vec![
-        ("storm", 4, "static", "untraced", {
-            let mut e = Engine::from_parts(beacons(4), AlwaysNull, AllActive, NoLoss, NoCrashes)
-                .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        ("storm", 50, "static", "untraced", {
-            let mut e = Engine::from_parts(beacons(50), AlwaysNull, AllActive, NoLoss, NoCrashes)
-                .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        ("ecf", 4, "static", "untraced", {
-            let (cd, cm, loss, crash) = ecf_parts(7);
-            let mut e = Engine::from_parts(beacons(4), cd, cm, loss, crash)
-                .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        ("ecf", 50, "static", "untraced", {
-            let (cd, cm, loss, crash) = ecf_parts(7);
-            let mut e = Engine::from_parts(beacons(50), cd, cm, loss, crash)
-                .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        ("storm", 50, "boxed", "untraced", {
-            let mut e = Simulation::new(
-                beacons(50),
-                black_box(Components {
-                    detector: Box::new(AlwaysNull),
-                    manager: Box::new(AllActive),
-                    loss: Box::new(NoLoss),
-                    crash: Box::new(NoCrashes),
-                }),
-            )
-            .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        ("ecf", 50, "boxed", "untraced", {
-            let (cd, cm, loss, crash) = ecf_parts(7);
-            let mut e = Simulation::new(
-                beacons(50),
-                black_box(Components {
-                    detector: Box::new(cd),
-                    manager: Box::new(cm),
-                    loss: Box::new(loss),
-                    crash: Box::new(crash),
-                }),
-            )
-            .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        // The full churn stack with a compiled scenario schedule
-        // installed: the per-round timeline hook, the timeline-aware
-        // components, *and* mid-window event application (`SetLossRate` /
-        // `CdSwitch` fire inside the measured steady state, after the
-        // crash burst and wake wave land during warm-up) must all stay on
-        // the zero-allocation untraced path.
-        ("churn", 50, "static", "untraced", {
-            let timeline = ScenarioTimeline::new()
-                .at_round(Round(4), ScenarioEvent::WakeWave { count: 25 })
-                .at_round(Round(10), ScenarioEvent::CrashBurst { count: 1 })
-                .at_round(Round(12), ScenarioEvent::SetLossRate { p: 0.6 })
-                .at_round(Round(12), ScenarioEvent::CdSwitch { slot: 1 })
-                .at_round(Round(450), ScenarioEvent::CdSwitch { slot: 0 })
-                .at_round(Round(600), ScenarioEvent::SetLossRate { p: 0.3 });
-            let detector = Degrading::new(vec![
-                ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 7)
-                    .accurate_from(Round(8)),
-                ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, 8)
-                    .accurate_from(Round(8)),
-            ]);
-            let manager = StaggeredJoin::new(FairWakeUp::immediate(), 25);
-            let loss = Ecf::new(TimelineLoss::new(0.3, 7), Round(8));
-            let mut e = Engine::from_parts(
-                beacons(50),
-                detector,
-                manager,
-                loss,
-                TimelineCrashes::over(NoCrashes),
-            )
-            .with_detail(TraceDetail::Counts)
-            .with_schedule(timeline.compile());
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        // The abstract MAC stack exactly as the `absmac/mac-…` sweep arms
-        // assemble it (acknowledged-broadcast channel resolving every
-        // round, its bookkeeping detector under the strict in-class wrap,
-        // no contention manager): the pending/attempt tracking and the
-        // per-round three-pass resolve must reuse their buffers — the
-        // untraced MAC round is gated at exactly zero allocations.
-        ("absmac", 50, "static", "untraced", {
-            let (channel, detector) = mac_components(MacConfig {
-                f_ack: 6,
-                f_prog: 2,
-                policy: MacDelayPolicy::Random { defer: 0.3 },
-                seed: 7,
-            });
-            let mut e = Engine::from_parts(
-                beacons(50),
-                CheckedDetector::new(detector, CdClass::ZERO_EV_AC),
-                AllActive,
-                channel,
-                TimelineCrashes::over(NoCrashes),
-            )
-            .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run_untraced(r))
-        }),
-        ("storm", 4, "static", "traced", {
-            let mut e = Engine::from_parts(beacons(4), AlwaysNull, AllActive, NoLoss, NoCrashes)
-                .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run(r))
-        }),
-        ("storm", 50, "static", "traced", {
-            let mut e = Engine::from_parts(beacons(50), AlwaysNull, AllActive, NoLoss, NoCrashes)
-                .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run(r))
-        }),
-        ("ecf", 50, "static", "traced", {
-            let (cd, cm, loss, crash) = ecf_parts(7);
-            let mut e = Engine::from_parts(beacons(50), cd, cm, loss, crash)
-                .with_detail(TraceDetail::Counts);
-            Box::new(move |r| e.run(r))
-        }),
-        ("ecf", 50, "static", "traced-full", {
-            let (cd, cm, loss, crash) = ecf_parts(7);
-            let mut e =
-                Engine::from_parts(beacons(50), cd, cm, loss, crash).with_detail(TraceDetail::Full);
-            Box::new(move |r| e.run(r))
-        }),
+    // allocator, labelled by observer: `none` and `probes` must be exactly
+    // zero, `trace` arena growth only (the CI gates, asserted below).
+    let boxed_ecf = |n: usize| {
+        let (cd, cm, loss, crash) = ecf_parts(7);
+        // `black_box` keeps the component types opaque, as they are in
+        // registry-driven sweeps.
+        Engine::new(
+            beacons(n),
+            black_box(wan_sim::Components {
+                detector: Box::new(cd),
+                manager: Box::new(cm),
+                loss: Box::new(loss),
+                crash: Box::new(crash),
+            }),
+        )
+    };
+    // The full churn stack with a compiled scenario schedule installed:
+    // the per-round timeline hook, the timeline-aware components, *and*
+    // mid-window event application (`SetLossRate` / `CdSwitch` fire
+    // inside the measured steady state, after the crash burst and wake
+    // wave land during warm-up) must all stay allocation-free.
+    let churn = || {
+        let timeline = ScenarioTimeline::new()
+            .at_round(Round(4), ScenarioEvent::WakeWave { count: 25 })
+            .at_round(Round(10), ScenarioEvent::CrashBurst { count: 1 })
+            .at_round(Round(12), ScenarioEvent::SetLossRate { p: 0.6 })
+            .at_round(Round(12), ScenarioEvent::CdSwitch { slot: 1 })
+            .at_round(Round(450), ScenarioEvent::CdSwitch { slot: 0 })
+            .at_round(Round(600), ScenarioEvent::SetLossRate { p: 0.3 });
+        let detector = Degrading::new(vec![
+            ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 7).accurate_from(Round(8)),
+            ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, 8)
+                .accurate_from(Round(8)),
+        ]);
+        let manager = StaggeredJoin::new(FairWakeUp::immediate(), 25);
+        let loss = Ecf::new(TimelineLoss::new(0.3, 7), Round(8));
+        Engine::from_parts(
+            beacons(50),
+            detector,
+            manager,
+            loss,
+            TimelineCrashes::over(NoCrashes),
+        )
+        .with_schedule(timeline.compile())
+    };
+    // The abstract MAC stack as the `absmac/mac-…` sweep arms assemble it
+    // (acknowledged-broadcast channel resolving every round, its
+    // bookkeeping detector under the in-class wrap): the pending/attempt
+    // tracking and the per-round three-pass resolve must reuse their
+    // buffers.
+    let absmac = || {
+        let (channel, detector) = mac_components(MacConfig {
+            f_ack: 6,
+            f_prog: 2,
+            policy: MacDelayPolicy::Random { defer: 0.3 },
+            seed: 7,
+        });
+        Engine::from_parts(
+            beacons(50),
+            CheckedDetector::new(detector, CdClass::ZERO_EV_AC),
+            AllActive,
+            channel,
+            TimelineCrashes::over(NoCrashes),
+        )
+    };
+    let lanes: Vec<Lane> = vec![
+        lane::<(), _, _, _, _>("storm", "static", storm(4)),
+        lane::<(), _, _, _, _>("storm", "static", storm(50)),
+        lane::<(), _, _, _, _>("ecf", "static", ecf(4)),
+        lane::<(), _, _, _, _>("ecf", "static", ecf(50)),
+        lane::<(), _, _, _, _>("ecf", "boxed", boxed_ecf(50)),
+        lane::<(), _, _, _, _>("churn", "static", churn()),
+        lane::<(), _, _, _, _>("absmac", "static", absmac()),
+        lane::<ProbeSet<u64>, _, _, _, _>("storm", "static", storm(4)),
+        lane::<ProbeSet<u64>, _, _, _, _>("ecf", "static", ecf(50)),
+        lane::<ProbeSet<u64>, _, _, _, _>("ecf", "boxed", boxed_ecf(50)),
+        lane::<ProbeSet<u64>, _, _, _, _>("churn", "static", churn()),
+        lane::<ProbeSet<u64>, _, _, _, _>("absmac", "static", absmac()),
+        consensus_lane("alg1", CdClass::MAJ_EV_AC, alg1::processes),
+        consensus_lane("alg2", CdClass::ZERO_EV_AC, alg2::processes),
+        lane::<ExecutionTrace<u64>, _, _, _, _>("storm", "static", storm(4)),
+        lane::<ExecutionTrace<u64>, _, _, _, _>("storm", "static", storm(50)),
+        lane::<ExecutionTrace<u64>, _, _, _, _>("ecf", "static", ecf(50)),
     ];
 
     let _ = writeln!(json, "  \"allocation\": [");
-    let count = alloc_cells.len();
+    let count = lanes.len();
     let mut alloc_violations: Vec<String> = Vec::new();
-    for (i, (stack, n, dispatch, mode, run)) in alloc_cells.into_iter().enumerate() {
-        let (allocs, bytes) = steady_state_allocs(run);
+    for (i, lane) in lanes.into_iter().enumerate() {
+        let Lane {
+            stack,
+            processes: n,
+            dispatch,
+            observer,
+            advance,
+        } = lane;
+        let (allocs, bytes) = steady_state_allocs(advance);
         println!(
-            "allocs {stack:<6} n={n:<3} {dispatch:<6} {mode:<8} {allocs:>10.3} allocs/round  \
+            "allocs {stack:<6} n={n:<3} {dispatch:<6} {observer:<6} {allocs:>10.3} allocs/round  \
              {bytes:>12.1} bytes/round"
         );
-        if mode == "untraced" && allocs != 0.0 {
-            alloc_violations.push(format!(
-                "untraced {stack}/{dispatch}/n{n}: {allocs} allocs/round ({bytes} bytes/round)"
-            ));
-        }
-        // The traced arena may grow (amortized doubling), so the gate is
+        // The trace arena may grow (amortized doubling), so its gate is
         // O(1) amortized rather than exactly zero: averaged over the
-        // steady-state window, appending a round must cost less than one
+        // steady-state window, recording a round must cost less than one
         // allocation.
-        if mode.starts_with("traced") && allocs >= 1.0 {
+        let gated = if observer == "trace" {
+            allocs >= 1.0
+        } else {
+            allocs != 0.0
+        };
+        if gated {
             alloc_violations.push(format!(
-                "traced {stack}/{dispatch}/n{n} ({mode}): {allocs} allocs/round — \
-                 trace appends are no longer arena-growth-only"
+                "{stack}/{dispatch}/n{n} under {observer}: {allocs} allocs/round \
+                 ({bytes} bytes/round)"
             ));
         }
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"stack\": \"{stack}\",");
         let _ = writeln!(json, "      \"processes\": {n},");
         let _ = writeln!(json, "      \"dispatch\": \"{dispatch}\",");
-        let _ = writeln!(json, "      \"mode\": \"{mode}\",");
+        let _ = writeln!(json, "      \"observer\": \"{observer}\",");
         let _ = writeln!(json, "      \"allocs_per_round\": {allocs:.3},");
         let _ = writeln!(json, "      \"bytes_per_round\": {bytes:.1}");
         let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
@@ -650,81 +663,6 @@ fn main() {
         let _ = writeln!(json, "      \"ns_per_call\": {ns_per_call:.1}");
         let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
     }
-    let _ = writeln!(json, "  ],");
-
-    // The probe path: the full built-in probe set observing recorded
-    // rounds (the traced-by-default sweep's per-round analysis cost). The
-    // set and the metric row are reused across cells, exactly as the
-    // sweep reuses them, so steady-state observation — including the
-    // per-cell reset/finish — must be *exactly* zero-allocation.
-    let _ = writeln!(json, "  \"probe_path\": [");
-    let probe_cells: [(&str, usize); 2] = [("storm", 4), ("ecf", 50)];
-    let count = probe_cells.len();
-    for (i, (stack, n)) in probe_cells.into_iter().enumerate() {
-        let components = match stack {
-            "storm" => Components {
-                detector: Box::new(AlwaysNull),
-                manager: Box::new(AllActive),
-                loss: Box::new(NoLoss),
-                crash: Box::new(NoCrashes),
-            },
-            _ => {
-                let (cd, cm, loss, crash) = ecf_parts(7);
-                Components {
-                    detector: Box::new(cd),
-                    manager: Box::new(cm),
-                    loss: Box::new(loss),
-                    crash: Box::new(crash),
-                }
-            }
-        };
-        let trace = {
-            let mut e = Simulation::new(beacons(n), components).with_detail(TraceDetail::Counts);
-            e.run(ROUNDS);
-            e.into_parts().1
-        };
-        let mut probes: ProbeSet<u64> = ProbeSet::from_manifest(&ProbeManifest::standard());
-        let mut row = MetricRow::new();
-        let end = CellEnd {
-            reference: 8,
-            last_decision: Some(ROUNDS),
-            terminated: true,
-            safe: true,
-            rounds_executed: ROUNDS,
-        };
-        let mut observe_rounds = |count: u64| {
-            let mut remaining = count;
-            while remaining > 0 {
-                probes.reset();
-                for view in trace.rounds() {
-                    if remaining == 0 {
-                        break;
-                    }
-                    probes.observe(&view);
-                    remaining -= 1;
-                }
-                probes.finish(&end, &mut row);
-                black_box(row.len());
-            }
-        };
-        let (allocs, bytes) = steady_state_allocs(&mut observe_rounds);
-        println!(
-            "probes {stack:<6} n={n:<3} full set        {allocs:>10.3} allocs/round  \
-             {bytes:>12.1} bytes/round"
-        );
-        if allocs != 0.0 {
-            alloc_violations.push(format!(
-                "probe path {stack}/n{n}: {allocs} allocs/round — \
-                 steady-state probe observation must not allocate"
-            ));
-        }
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"stack\": \"{stack}\",");
-        let _ = writeln!(json, "      \"processes\": {n},");
-        let _ = writeln!(json, "      \"allocs_per_round\": {allocs:.3},");
-        let _ = writeln!(json, "      \"bytes_per_round\": {bytes:.1}");
-        let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
-    }
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
 
@@ -732,10 +670,10 @@ fn main() {
     std::fs::write(out, &json).expect("write BENCH_engine.json");
     println!("\nwrote {out}:\n{json}");
 
-    // The CI gates: the untraced hot path and phy resolve must be
-    // allocation-free in steady state, and the traced path O(1) amortized
-    // (arena growth only). (Checked after the JSON is written so a
-    // regression still leaves the numbers on disk.)
+    // The CI gates: rounds under `none` and `probes` and phy resolve must
+    // be allocation-free in steady state, and rounds under `trace` O(1)
+    // amortized (arena growth only). (Checked after the JSON is written so
+    // a regression still leaves the numbers on disk.)
     assert!(
         alloc_violations.is_empty(),
         "allocation gates failed:\n  {}",

@@ -30,7 +30,7 @@ fn bench_algorithms(c: &mut Criterion) {
                     alg1::processes(domain, &values),
                     ecf_components(CdClass::MAJ_EV_AC, 7),
                 )
-                .with_counts_only();
+                .with_observer(());
                 run.run_to_completion(Round(100))
             })
         });
@@ -40,7 +40,7 @@ fn bench_algorithms(c: &mut Criterion) {
                     alg2::processes(domain, &values),
                     ecf_components(CdClass::ZERO_EV_AC, 7),
                 )
-                .with_counts_only();
+                .with_observer(());
                 run.run_to_completion(Round(200))
             })
         });
@@ -59,7 +59,7 @@ fn bench_algorithms(c: &mut Criterion) {
                         crash: Box::new(NoCrashes),
                     },
                 )
-                .with_counts_only();
+                .with_observer(());
                 run.run_to_completion(Round(400))
             })
         });

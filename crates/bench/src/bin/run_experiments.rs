@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! run_experiments [run]          [--quick] [--only eN]
-//! run_experiments check          [--quick] [--traced]
+//! run_experiments check          [--quick]
 //! run_experiments bless          [--quick]
 //! run_experiments metrics <glob> [--quick]
 //! run_experiments throughput     [--quick]
@@ -26,12 +26,6 @@
 //!   blessed. `bless` rewrites the golden file after an intentional
 //!   behavior change. Either way the observed summary is also written
 //!   under `target/sweep-summaries/` for CI artifact upload.
-//! * `check --traced` forces every registry cell onto the engine's
-//!   *traced* path — including specs whose outcome-only probe manifest
-//!   normally opts out — and diffs the per-spec summaries against the
-//!   same golden files. Traced and untraced executions are identical by
-//!   construction, so any drift here is a trace-representation or
-//!   probe-path regression.
 //! * `metrics <glob>` runs the standard registry sweep and prints a
 //!   per-spec summary table of every probe metric whose name matches the
 //!   glob (`*` and `?` wildcards, e.g. `cd_*` or `*_rounds`). Ordering is
@@ -90,7 +84,6 @@ commands:
 options:
   --quick        CI-sized sweeps instead of paper-sized
   --only eN      (run) a single experiment (e1..e16)
-  --traced       (check) force every cell onto the traced path
   --no-cache     (run/check/bless/metrics) accepted for compatibility;
                  has no effect, every sweep runs fresh
   --help, help   this text
@@ -102,7 +95,7 @@ environment:
 /// What `main` dispatches on once the command line is understood.
 enum Command {
     Run { only: Option<String> },
-    Check { traced: bool },
+    Check,
     Bless,
     Metrics { glob: String },
     Throughput,
@@ -130,8 +123,8 @@ fn main() {
     let scale = if quick { Scale::Quick } else { Scale::Full };
     let code = match command {
         Command::Run { only } => run_suite(scale, only.as_deref()),
-        Command::Check { traced } => run_check(scale, false, traced),
-        Command::Bless => run_check(scale, true, false),
+        Command::Check => run_check(scale, false),
+        Command::Bless => run_check(scale, true),
         Command::Metrics { glob } => run_metrics(scale, &glob),
         Command::Throughput => run_throughput(scale),
     };
@@ -148,7 +141,6 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
     };
     let mut quick = false;
     let mut no_cache = false;
-    let mut traced = false;
     let mut only: Option<String> = None;
     let mut positional: Vec<&str> = Vec::new();
     let mut i = 0;
@@ -156,7 +148,6 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
         match rest[i].as_str() {
             "--quick" => quick = true,
             "--no-cache" => no_cache = true,
-            "--traced" => traced = true,
             "--only" => {
                 i += 1;
                 only = Some(
@@ -181,9 +172,6 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
     if only.is_some() && word != "run" {
         return Err(reject("--only"));
     }
-    if traced && word != "check" {
-        return Err(reject("--traced"));
-    }
     if no_cache && word == "throughput" {
         return Err(reject("--no-cache"));
     }
@@ -199,7 +187,7 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
             }
             Command::Run { only }
         }
-        ("check", []) => Command::Check { traced },
+        ("check", []) => Command::Check,
         ("bless", []) => Command::Bless,
         ("throughput", []) => Command::Throughput,
         ("metrics", [glob]) => Command::Metrics {
@@ -364,17 +352,11 @@ fn run_throughput(scale: Scale) -> i32 {
     0
 }
 
-/// `check` / `bless`: summarize a fresh run of the standard registry — or,
-/// with `traced`, a fully-traced one — record the observed summary for
-/// artifact upload, then apply [`golden::gate`] (safety scan first, then
-/// bless or compare).
-fn run_check(scale: Scale, bless: bool, traced: bool) -> i32 {
-    let runner = SweepRunner::parallel();
-    let (observed, violations) = if traced {
-        SweepSummary::measure_traced_gated(scale, &runner)
-    } else {
-        SweepSummary::measure_gated(scale, &runner)
-    };
+/// `check` / `bless`: summarize a fresh run of the standard registry,
+/// record the observed summary for artifact upload, then apply
+/// [`golden::gate`] (safety scan first, then bless or compare).
+fn run_check(scale: Scale, bless: bool) -> i32 {
+    let (observed, violations) = SweepSummary::measure_gated(scale, &SweepRunner::parallel());
     let file_name = golden::golden_file_name(scale);
     let observed_path = Path::new("target/sweep-summaries").join(file_name);
     if let Err(err) = golden::atomic_write(&observed_path, observed.to_json().as_bytes()) {

@@ -108,7 +108,9 @@ pub fn e16_counting_separation(_scale: Scale) -> Table {
                     crash: Box::new(NoCrashes),
                 },
             );
-            sim.run(k * n as u64 + 3);
+            for _ in 0..k * n as u64 + 3 {
+                sim.advance(&mut ());
+            }
             let counts: Vec<Option<u64>> = sim.processes().iter().map(|p| p.count()).collect();
             let correct = counts.iter().all(|&c| c == Some(n as u64));
             t.row(vec![
@@ -137,7 +139,9 @@ pub fn e16_counting_separation(_scale: Scale) -> Table {
                 crash: Box::new(NoCrashes),
             },
         );
-        sim.run(60);
+        for _ in 0..60 {
+            sim.advance(&mut ());
+        }
         let counts: Vec<Option<u64>> = sim.processes().iter().map(|p| p.count()).collect();
         t.row(vec![
             n.to_string(),

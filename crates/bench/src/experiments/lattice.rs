@@ -12,10 +12,10 @@ use wan_sim::{Components, Round};
 
 /// One row per Figure 1 class plus `NoCD` and `NoACC`: which algorithm
 /// solves consensus with it (if any), the paper's round bound, the
-/// measured worst-case rounds past CST across seeds, and the probe-metric
-/// columns the sweep records for free now that cells run traced by
-/// default — mean broadcasts per cell (the Newport abstract-MAC-layer
-/// broadcast complexity) and the detector's accuracy-violation count.
+/// measured worst-case rounds past CST across seeds, and two probe-metric
+/// columns the cells' probes measure as the rounds run — mean broadcasts
+/// per cell (the Newport abstract-MAC-layer broadcast complexity) and the
+/// detector's accuracy-violation count.
 ///
 /// The per-class measurements run as one parallel scenario sweep (one
 /// spec per class, [`crate::sweep::spec::lattice_specs`]); the extra

@@ -283,23 +283,6 @@ impl SweepSummary {
         )
     }
 
-    /// As [`SweepSummary::measure_gated`], but every cell runs on the
-    /// engine's *traced* path — including outcome-only specs that would
-    /// normally opt out. Since traced and untraced executions are
-    /// identical, the summary must equal the committed golden file — any
-    /// difference is trace-representation or probe-path drift.
-    pub fn measure_traced_gated(
-        scale: Scale,
-        runner: &SweepRunner,
-    ) -> (SweepSummary, Vec<SafetyViolation>) {
-        let registry = Registry::standard(scale);
-        let results = runner.run_fresh_traced(registry.specs());
-        (
-            SweepSummary::from_results(scale, registry.specs(), &results),
-            scan_safety(registry.specs(), &results),
-        )
-    }
-
     /// Summarizes an already-assembled results frame.
     pub fn from_results(
         scale: Scale,

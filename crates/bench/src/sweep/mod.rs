@@ -19,9 +19,9 @@
 //!   measurement over an execution (fed [`wan_sim::RoundView`]s, emitting
 //!   typed [`MetricId`]/[`MetricValue`] pairs into a reusable
 //!   [`MetricRow`]); a [`ProbeManifest`] is the data form of a spec's
-//!   probe selection (it decides whether cells run traced). Cells run
-//!   **traced by default**; outcome-only manifests are the explicit
-//!   untraced opt-out.
+//!   probe selection. A cell's [`ProbeSet`] is its run's
+//!   [`wan_sim::RoundObserver`]: the probes watch each round as the
+//!   engine executes it, and no cell records a trace.
 //! * [`frame`] — the columnar [`ResultsFrame`]: struct-of-arrays metric
 //!   columns per spec (mirroring the trace arena), with
 //!   summary/percentile accessors replacing ad-hoc aggregation in the

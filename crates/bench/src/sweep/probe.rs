@@ -10,27 +10,28 @@
 //! hand-rolled its own loops outside the gated sweep path. A
 //! [`Probe`] turns one such measurement into a reusable component:
 //!
-//! * [`Probe::observe`] is called once per recorded round with the
-//!   borrowed [`RoundView`] — the same accessor every trace consumer
-//!   reads — and must not allocate (the `engine_dispatch` bench gates the
-//!   whole probe path at 0 allocs/round in steady state);
+//! * [`Probe::observe`] is called once per round, as the engine executes
+//!   it, with the borrowed [`RoundView`] — the same accessor every trace
+//!   consumer reads — and must not allocate (the `engine_dispatch` bench
+//!   gates the engine with the probe set as its observer at exactly 0
+//!   allocs/round in steady state);
 //! * [`Probe::finish`] folds the accumulated state, plus the end-of-cell
 //!   context ([`CellEnd`]: judged outcome and the measurement reference
 //!   round), into typed metrics on a reusable [`MetricRow`];
 //! * [`Probe::reset`] clears the scratch so one probe instance can be
 //!   reused across cells (same discipline as the engine's `RoundBuffers`).
 //!
-//! A [`ProbeManifest`] is the *data* form of a probe selection — it lives
-//! on the `ScenarioSpec` and decides whether a cell needs the traced
-//! engine path at all ([`ProbeManifest::needs_trace`] — outcome-only
-//! manifests are the explicit opt-out that keeps pure-throughput sweeps on
-//! the untraced fast path). [`ProbeSet::from_manifest`] instantiates the
+//! A [`ProbeManifest`] is the *data* form of a probe selection; it lives
+//! on the `ScenarioSpec`. [`ProbeSet::from_manifest`] instantiates the
 //! built-in probes; ad-hoc consumers (examples, one-off analyses) can
-//! [`ProbeSet::push`] custom [`Probe`] implementations alongside them.
+//! [`ProbeSet::push`] custom [`Probe`] implementations alongside them. A
+//! [`ProbeSet`] is a [`RoundObserver`]: a sweep cell hands it to the run,
+//! so the probes watch the live rounds and no trace is recorded. Feeding
+//! a recorded [`wan_sim::ExecutionTrace`]'s views to a fresh set gives the
+//! same row.
 
 use std::fmt;
-use wan_sim::trace::ExecutionTrace;
-use wan_sim::{ProcessId, Round, RoundView};
+use wan_sim::{ProcessId, Round, RoundObserver, RoundView};
 
 /// The typed vocabulary of metrics the built-in probes emit. Ordered
 /// (`Ord`) so metric columns and rendered rows have one canonical
@@ -56,8 +57,8 @@ pub enum MetricId {
     /// Rounds the engine executed (equals the cap for non-terminating
     /// cells).
     RoundsExecuted,
-    /// Rounds the probe set observed (the recorded trace length; absent
-    /// column on untraced cells).
+    /// Rounds the probe set observed (absent column on outcome-only
+    /// manifests, whose probes read no round).
     RoundsObserved,
     /// Total broadcasts across all observed rounds.
     BroadcastsTotal,
@@ -338,14 +339,15 @@ pub struct CellEnd {
 /// only message-independent columns (advice, counts, senders, liveness)
 /// and therefore implement `Probe<M>` for every `M`.
 ///
-/// The contract that keeps traced-by-default sweeps affordable:
-/// [`Probe::observe`] must not allocate — accumulate into plain counters
-/// or fixed scratch reset by [`Probe::reset`]. The `engine_dispatch` bench
-/// measures the built-in set and CI gates it at 0 allocs/round.
+/// The contract that keeps probed sweeps affordable: [`Probe::observe`]
+/// must not allocate — accumulate into plain counters or fixed scratch
+/// reset by [`Probe::reset`]. The `engine_dispatch` bench measures the
+/// built-in set as the engine's observer and CI gates it at 0
+/// allocs/round.
 pub trait Probe<M: Ord> {
     /// Clears accumulated state so the probe can observe a new cell.
     fn reset(&mut self);
-    /// Observes one recorded round.
+    /// Observes one round.
     fn observe(&mut self, view: &RoundView<'_, M>);
     /// Folds the accumulated state and the end-of-cell context into
     /// metrics. Called exactly once per cell, after every round was
@@ -354,8 +356,7 @@ pub trait Probe<M: Ord> {
 }
 
 /// The built-in probe selection, as *data*: which probes a scenario runs
-/// with. Lives on `ScenarioSpec` and decides the engine path (traced iff
-/// any selected probe needs per-round views).
+/// with. Lives on `ScenarioSpec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProbeKind {
     /// The legacy `CellResult` fields: reference, last decision,
@@ -409,8 +410,9 @@ impl ProbeKind {
         ProbeKind::ProgressBound,
     ];
 
-    /// Whether this probe reads per-round views (and therefore needs the
-    /// traced engine path).
+    /// Whether this probe reads per-round views. Outcome-level probes
+    /// ([`ProbeKind::Core`], [`ProbeKind::DecisionLatency`]) read only the
+    /// end-of-cell [`CellEnd`].
     pub fn needs_trace(self) -> bool {
         !matches!(self, ProbeKind::Core | ProbeKind::DecisionLatency)
     }
@@ -443,7 +445,7 @@ pub struct ProbeManifest {
 }
 
 impl ProbeManifest {
-    /// The default traced-by-default selection. Deliberately the *original*
+    /// The default selection. Deliberately the *original*
     /// six probes, not [`ProbeKind::ALL`]: [`ProbeKind::CheckpointStats`]
     /// only says something on specs with a scenario timeline — and the
     /// MAC-envelope probes ([`ProbeKind::AckLatency`],
@@ -464,10 +466,9 @@ impl ProbeManifest {
         }
     }
 
-    /// The explicit untraced opt-out for pure-throughput sweeps: only the
-    /// outcome-level probes ([`ProbeKind::Core`],
-    /// [`ProbeKind::DecisionLatency`]), so cells stay on the engine's
-    /// zero-allocation untraced fast path.
+    /// The selection for pure-throughput sweeps: only the outcome-level
+    /// probes ([`ProbeKind::Core`], [`ProbeKind::DecisionLatency`]), which
+    /// read no round.
     pub fn outcome_only() -> ProbeManifest {
         ProbeManifest {
             kinds: vec![ProbeKind::Core, ProbeKind::DecisionLatency],
@@ -489,7 +490,8 @@ impl ProbeManifest {
         &self.kinds
     }
 
-    /// Whether any selected probe needs the traced engine path.
+    /// Whether any selected probe reads per-round views
+    /// ([`ProbeKind::needs_trace`]).
     pub fn needs_trace(&self) -> bool {
         self.kinds.iter().any(|k| k.needs_trace())
     }
@@ -503,8 +505,8 @@ impl Default for ProbeManifest {
 
 /// A composed set of probes driven over one cell's execution. Build it
 /// once ([`ProbeSet::from_manifest`], plus [`ProbeSet::push`] for custom
-/// probes), then per cell: [`ProbeSet::reset`] → [`ProbeSet::observe`]
-/// each round (or [`ProbeSet::observe_trace`] over a recorded trace) →
+/// probes), then per cell: [`ProbeSet::reset`] → [`RoundObserver::observe`]
+/// each round (as the run's observer, or over a recorded trace's views) →
 /// [`ProbeSet::finish`]. Steady-state observation performs zero
 /// allocations; the boxes are the build-time cost.
 pub struct ProbeSet<M: Ord> {
@@ -559,20 +561,6 @@ impl<M: Ord> ProbeSet<M> {
         }
     }
 
-    /// Feeds one round view to every probe.
-    pub fn observe(&mut self, view: &RoundView<'_, M>) {
-        for probe in &mut self.probes {
-            probe.observe(view);
-        }
-    }
-
-    /// Drives the whole recorded trace through [`ProbeSet::observe`].
-    pub fn observe_trace(&mut self, trace: &ExecutionTrace<M>) {
-        for view in trace.rounds() {
-            self.observe(&view);
-        }
-    }
-
     /// Clears `out`, collects every probe's metrics into it, and seals it
     /// into canonical (ascending-id) order.
     pub fn finish(&mut self, end: &CellEnd, out: &mut MetricRow) {
@@ -581,6 +569,15 @@ impl<M: Ord> ProbeSet<M> {
             probe.finish(end, out);
         }
         out.seal();
+    }
+}
+
+/// The sweep's observer: feeds every round view to every probe.
+impl<M: Ord> RoundObserver<M> for ProbeSet<M> {
+    fn observe(&mut self, view: &RoundView<'_, M>) {
+        for probe in &mut self.probes {
+            probe.observe(view);
+        }
     }
 }
 
@@ -997,7 +994,14 @@ impl<M: Ord> Probe<M> for ProgressBoundProbe {
 mod tests {
     use super::*;
     use wan_sim::trace::RoundRecord;
-    use wan_sim::{CdAdvice, CmAdvice, ProcessId};
+    use wan_sim::{CdAdvice, CmAdvice, ExecutionTrace, ProcessId};
+
+    /// Feeds every recorded round to `probes`.
+    fn replay(probes: &mut ProbeSet<u8>, trace: &ExecutionTrace<u8>) {
+        for view in trace.rounds() {
+            probes.observe(&view);
+        }
+    }
 
     fn record(round: u64, sent: Vec<Option<u8>>, active: usize) -> RoundRecord<u8> {
         let n = sent.len();
@@ -1050,7 +1054,7 @@ mod tests {
     }
 
     #[test]
-    fn manifests_are_canonical_and_pick_the_engine_path() {
+    fn manifests_are_canonical_and_know_which_probes_read_rounds() {
         let standard = ProbeManifest::standard();
         let outcome = ProbeManifest::outcome_only();
         assert!(standard.needs_trace());
@@ -1075,7 +1079,7 @@ mod tests {
         let mut probes: ProbeSet<u8> = ProbeSet::from_manifest(&ProbeManifest::standard());
         let mut row = MetricRow::new();
         probes.reset();
-        probes.observe_trace(&trace);
+        replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
 
         assert_eq!(row.get(MetricId::Reference), Some(MetricValue::U64(6)));
@@ -1140,7 +1144,7 @@ mod tests {
             ProbeSet::from_manifest(&ProbeManifest::of(&[ProbeKind::CdAccuracy]));
         let mut row = MetricRow::new();
         probes.reset();
-        probes.observe_trace(&trace);
+        replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(
             row.get(MetricId::CdFalsePositives),
@@ -1200,7 +1204,7 @@ mod tests {
         ]));
         let mut row = MetricRow::new();
         probes.reset();
-        probes.observe_trace(&trace);
+        replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(
             row.get(MetricId::AckAttemptsMax),
@@ -1245,7 +1249,7 @@ mod tests {
         ]));
         let mut row = MetricRow::new();
         probes.reset();
-        probes.observe_trace(&trace);
+        replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(
             row.get(MetricId::AckDeferralsTotal),
@@ -1278,7 +1282,7 @@ mod tests {
             rounds_executed: 3,
         };
         probes.reset();
-        probes.observe_trace(&trace);
+        replay(&mut probes, &trace);
         probes.finish(&end, &mut row);
         // Checkpoint 5 is past the executed horizon: only round 2 counts.
         assert_eq!(
@@ -1325,7 +1329,7 @@ mod tests {
             ProbeSet::from_manifest(&ProbeManifest::of(&[ProbeKind::CrashExposure]));
         let mut row = MetricRow::new();
         probes.reset();
-        probes.observe_trace(&trace);
+        replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(row.get(MetricId::CrashCount), Some(MetricValue::U64(1)));
         assert_eq!(

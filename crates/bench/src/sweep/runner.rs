@@ -53,10 +53,8 @@ impl SweepRunner {
     }
 
     /// Runs every cell of every spec in this process and returns the
-    /// assembled columnar frame — the one sweep entry point. Cells run
-    /// traced by default, driving each spec's probe manifest over the
-    /// recorded rounds ([`ScenarioSpec::run_cell`]); outcome-only
-    /// manifests stay on the untraced fast path.
+    /// assembled columnar frame — the one sweep entry point. Each cell's
+    /// probes watch its rounds live ([`ScenarioSpec::run_cell`]).
     pub fn run_fresh(&self, specs: &[ScenarioSpec]) -> ResultsFrame {
         let cells: Vec<(usize, u64)> = expand(specs);
         let rows = self.map_described(
@@ -64,26 +62,6 @@ impl SweepRunner {
             |idx| {
                 let (spec_index, case) = cells[idx];
                 specs[spec_index].run_cell(spec_index, case)
-            },
-            |idx| describe_cell(specs, cells[idx]),
-        );
-        ResultsFrame::from_rows(specs, rows)
-    }
-
-    /// As [`SweepRunner::run_fresh`], but forcing the *traced* engine path
-    /// for every cell — including specs whose outcome-only manifest would
-    /// normally opt out ([`ScenarioSpec::run_cell_traced`]). Traced and
-    /// untraced executions are identical by construction, so the frame
-    /// must equal the default one — the CI traced-registry gate runs this
-    /// against the committed golden summaries, catching traced/untraced
-    /// divergence the default path can no longer see.
-    pub fn run_fresh_traced(&self, specs: &[ScenarioSpec]) -> ResultsFrame {
-        let cells: Vec<(usize, u64)> = expand(specs);
-        let rows = self.map_described(
-            cells.len(),
-            |idx| {
-                let (spec_index, case) = cells[idx];
-                specs[spec_index].run_cell_traced(spec_index, case)
             },
             |idx| describe_cell(specs, cells[idx]),
         );

@@ -4,7 +4,8 @@ use super::probe::{CellEnd, MetricId, MetricRow, MetricValue, ProbeManifest, Pro
 use crate::experiments::helpers::EnvPlan;
 use crate::Scale;
 use ccwan_core::{
-    alg1, alg2, alg3, alg4, ConsensusAutomaton, ConsensusRun, Cst, IdSpace, Uid, Value, ValueDomain,
+    alg1, alg2, alg3, alg4, ConsensusAutomaton, ConsensusOutcome, ConsensusRun, Cst, IdSpace, Uid,
+    Value, ValueDomain,
 };
 use wan_cd::{CdClass, CheckedDetector, ClassDetector, Degrading, FreedomPolicy};
 use wan_cm::{BackoffCm, FairWakeUp, NoCm, PreStabilization};
@@ -167,11 +168,9 @@ pub struct ScenarioSpec {
     pub seeds: u64,
     /// Round cap per run.
     pub cap: u64,
-    /// Which probes observe each cell ([`ProbeManifest`]). Decides the
-    /// engine path: cells run *traced by default* and drive the manifest's
-    /// probes over the recorded rounds; a manifest whose probes are all
-    /// outcome-level ([`ProbeManifest::outcome_only`]) is the explicit
-    /// opt-out that keeps pure-throughput sweeps untraced.
+    /// Which probes observe each cell ([`ProbeManifest`]). The cell's
+    /// probe set is the run's observer: it watches every round live, and
+    /// no trace is recorded.
     pub probes: ProbeManifest,
 }
 
@@ -394,37 +393,16 @@ impl ScenarioSpec {
         }
     }
 
-    /// Executes cell `case` and returns its probe measurements. Cells run
-    /// **traced by default** — the engine records a counts-detail trace
-    /// and the spec's [`ProbeManifest`] is driven over the recorded
-    /// rounds — unless the manifest is outcome-only
-    /// ([`ProbeManifest::needs_trace`] is `false`), in which case the
-    /// cell stays on the engine's zero-allocation untraced fast path.
+    /// Executes cell `case` and returns its probe measurements: the
+    /// spec's [`ProbeManifest`] is instantiated as a [`ProbeSet`] and
+    /// handed to the run as its observer, so the probes watch each round
+    /// as it executes and the cell records no trace.
     pub fn run_cell(&self, spec_index: usize, case: u64) -> CellRow {
-        self.execute(spec_index, case, self.probes.needs_trace())
-    }
-
-    /// As [`ScenarioSpec::run_cell`], but forcing the traced engine path
-    /// even for outcome-only manifests. Traced and untraced executions are
-    /// identical by construction, so the returned metrics must equal
-    /// [`ScenarioSpec::run_cell`]'s — the contract `tests/determinism.rs`
-    /// and the CI `check --traced` gate pin down.
-    pub fn run_cell_traced(&self, spec_index: usize, case: u64) -> CellRow {
-        self.execute(spec_index, case, true)
-    }
-
-    fn execute(&self, spec_index: usize, case: u64, traced: bool) -> CellRow {
-        assert!(
-            traced || !self.probes.needs_trace(),
-            "{}: a manifest with trace-reading probes cannot run untraced",
-            self.name
-        );
         let checkpoints = self.timeline.event_rounds();
         let (metrics, _) = self.with_cell(
             case,
             RunProbed {
                 manifest: &self.probes,
-                traced,
                 checkpoints: &checkpoints,
             },
         );
@@ -498,7 +476,7 @@ impl ScenarioSpec {
         self.with_cell(case, TraceOf).0
     }
 
-    /// Executes cell `case` traced and returns the pair
+    /// Executes cell `case` under the trace recorder and returns the pair
     /// `(arena fingerprint, retained-reference fingerprint)`: the columnar
     /// [`wan_sim::ExecutionTrace::fingerprint`] of the recorded trace, and
     /// the fingerprint of the same rounds rebuilt into the
@@ -525,16 +503,20 @@ trait CellVisitor {
     ) -> Self::Out;
 }
 
-/// [`ScenarioSpec::run_cell`] / [`ScenarioSpec::run_cell_traced`]: runs
-/// the cell (traced with counts detail, or on the untraced fast path),
-/// drives the manifest's probes over the recorded rounds, and folds the
-/// outcome into a sealed [`MetricRow`].
+/// [`ScenarioSpec::run_cell`]: runs the cell with the manifest's probes
+/// as its observer and folds the outcome into a sealed [`MetricRow`].
 struct RunProbed<'a> {
     manifest: &'a ProbeManifest,
-    traced: bool,
     /// The spec's timeline event rounds — the sample points of
     /// [`super::probe::ProbeKind::CheckpointStats`].
     checkpoints: &'a [u64],
+}
+
+impl RunProbed<'_> {
+    /// A fresh probe set for one cell.
+    fn probes<M: Ord>(&self) -> ProbeSet<M> {
+        ProbeSet::from_manifest_at(self.manifest, self.checkpoints)
+    }
 }
 
 impl CellVisitor for RunProbed<'_> {
@@ -548,31 +530,29 @@ impl CellVisitor for RunProbed<'_> {
         reference: u64,
     ) -> Self::Out {
         let mut run = ConsensusRun::new(procs, components)
-            .with_counts_only()
-            .with_schedule(schedule);
-        let outcome = if self.traced {
-            run.run_to_completion(Round(cap))
-        } else {
-            run.run_to_completion_untraced(Round(cap))
-        };
-        let end = CellEnd {
-            reference,
-            last_decision: outcome.last_decision().map(|r| r.0),
-            terminated: outcome.terminated,
-            safe: outcome.is_safe(),
-            rounds_executed: outcome.rounds_executed.0,
-        };
-        let mut probes: ProbeSet<A::Msg> =
-            ProbeSet::from_manifest_at(self.manifest, self.checkpoints);
-        let mut row = MetricRow::new();
-        probes.reset();
-        if self.traced {
-            let (_, trace) = run.into_parts();
-            probes.observe_trace(&trace);
-        }
-        probes.finish(&end, &mut row);
-        row
+            .with_schedule(schedule)
+            .with_observer(self.probes());
+        let outcome = run.run_to_completion(Round(cap));
+        finish_row(run.into_observer(), &outcome, reference)
     }
+}
+
+/// Folds a cell's observed probes and judged outcome into its sealed row.
+fn finish_row<M: Ord>(
+    mut probes: ProbeSet<M>,
+    outcome: &ConsensusOutcome,
+    reference: u64,
+) -> MetricRow {
+    let end = CellEnd {
+        reference,
+        last_decision: outcome.last_decision().map(|r| r.0),
+        terminated: outcome.terminated,
+        safe: outcome.is_safe(),
+        rounds_executed: outcome.rounds_executed.0,
+    };
+    let mut row = MetricRow::new();
+    probes.finish(&end, &mut row);
+    row
 }
 
 /// [`ScenarioSpec::trace_fingerprint`].
@@ -607,9 +587,8 @@ impl CellVisitor for FingerprintPairOf {
     ) -> Self::Out {
         let mut run = ConsensusRun::new(procs, components).with_schedule(schedule);
         run.run_to_completion(Round(cap));
-        let (_, trace) = run.into_parts();
-        let rebuilt = wan_sim::trace::reference::ReferenceTrace::from_trace(&trace);
-        (trace.fingerprint(), rebuilt.fingerprint())
+        let rebuilt = wan_sim::trace::reference::ReferenceTrace::from_trace(run.trace());
+        (run.trace().fingerprint(), rebuilt.fingerprint())
     }
 }
 
@@ -638,8 +617,7 @@ fn trace_of<A: ConsensusAutomaton>(
 ) -> String {
     let mut run = ConsensusRun::new(procs, components).with_schedule(schedule);
     let outcome = run.run_to_completion(Round(cap));
-    let (_, trace) = run.into_parts();
-    format!("{outcome:?}\n{trace:?}")
+    format!("{outcome:?}\n{:?}", run.trace())
 }
 
 /// The named catalogue of standard scenario families.
@@ -739,9 +717,8 @@ pub fn alg1_grid_specs(scale: Scale) -> Vec<ScenarioSpec> {
                 fixed_values: None,
                 seeds: scale.seeds(),
                 cap: 600,
-                // The explicit untraced opt-out: the constant-round grid is a
-                // pure-throughput family, so it stays on the engine's
-                // zero-allocation untraced fast path (outcome metrics only).
+                // The constant-round grid is a pure-throughput family:
+                // outcome metrics only.
                 probes: ProbeManifest::outcome_only(),
             });
         }
@@ -1058,9 +1035,9 @@ pub fn dense_specs(scale: Scale) -> Vec<ScenarioSpec> {
                         fixed_values: None,
                         seeds: scale.dense_seeds(),
                         cap: 600,
-                        // Pure grid throughput: outcome metrics only, so the
-                        // dense family stays on the untraced fast path (its
-                        // cost is its cell count, not its per-cell work).
+                        // Pure grid throughput: outcome metrics only (the
+                        // family's cost is its cell count, not its per-cell
+                        // work).
                         probes: ProbeManifest::outcome_only(),
                     });
                 }
@@ -1194,6 +1171,7 @@ pub fn absmac_specs(scale: Scale) -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wan_sim::RoundObserver;
 
     #[test]
     fn registry_names_unique_and_resolvable() {
@@ -1229,24 +1207,129 @@ mod tests {
         let result = one.to_cell_result();
         assert!(result.safe);
         assert!(result.terminated);
-        // A traced-by-default cell carries round-derived metrics.
+        // A standard-manifest cell carries round-derived metrics.
         assert!(one.metrics.get(MetricId::BroadcastsTotal).is_some());
     }
 
-    #[test]
-    fn outcome_only_cells_run_untraced_and_match_the_traced_path() {
-        let mut spec = lattice_specs(Scale::Quick).swap_remove(0);
-        spec.probes = ProbeManifest::outcome_only();
-        let untraced = spec.run_cell(0, 1);
-        let traced = spec.run_cell_traced(0, 1);
+    /// The first quick-scale spec of every registry family.
+    fn one_spec_per_family() -> Vec<ScenarioSpec> {
+        let mut families: Vec<&str> = Vec::new();
+        let registry = Registry::standard(Scale::Quick);
+        let specs: Vec<ScenarioSpec> = registry
+            .specs()
+            .iter()
+            .filter(|spec| {
+                let family = spec.name.split('/').next().expect("family prefix");
+                let first = !families.contains(&family);
+                if first {
+                    families.push(family);
+                }
+                first
+            })
+            .cloned()
+            .collect();
         assert_eq!(
-            untraced, traced,
-            "untraced fast path diverged from traced reference"
+            specs
+                .iter()
+                .map(|s| s.name.split('/').next().unwrap())
+                .collect::<Vec<_>>(),
+            [
+                "lattice", "alg1", "alg2", "alg3", "bst", "phy", "ablation", "churn", "dense",
+                "absmac"
+            ]
         );
-        assert!(
-            untraced.metrics.get(MetricId::BroadcastsTotal).is_none(),
-            "outcome-only manifests emit no round-derived metrics"
-        );
+        specs
+    }
+
+    /// Which observer a test run hands the cell.
+    #[derive(Clone, Copy)]
+    enum Watch {
+        Nothing,
+        Probes,
+        Recorder,
+    }
+
+    /// Runs a cell under one observer and returns its outcome plus, for the
+    /// probe set and the trace recorder, its metric row — the recorder's
+    /// by feeding the recorded views to a fresh probe set afterwards.
+    struct Watched<'a> {
+        watch: Watch,
+        probed: RunProbed<'a>,
+    }
+
+    impl CellVisitor for Watched<'_> {
+        type Out = (ConsensusOutcome, Option<MetricRow>);
+        fn visit<A: ConsensusAutomaton>(
+            self,
+            procs: Vec<A>,
+            components: Components,
+            schedule: Option<CompiledSchedule>,
+            cap: u64,
+            reference: u64,
+        ) -> Self::Out {
+            let mut run = ConsensusRun::new(procs, components).with_schedule(schedule);
+            let cap = Round(cap);
+            match self.watch {
+                Watch::Nothing => (run.with_observer(()).run_to_completion(cap), None),
+                Watch::Probes => {
+                    let mut run = run.with_observer(self.probed.probes());
+                    let outcome = run.run_to_completion(cap);
+                    let row = finish_row(run.into_observer(), &outcome, reference);
+                    (outcome, Some(row))
+                }
+                Watch::Recorder => {
+                    let outcome = run.run_to_completion(cap);
+                    let mut probes = self.probed.probes();
+                    for view in run.trace().rounds() {
+                        probes.observe(&view);
+                    }
+                    let row = finish_row(probes, &outcome, reference);
+                    (outcome, Some(row))
+                }
+            }
+        }
+    }
+
+    fn watched(
+        spec: &ScenarioSpec,
+        case: u64,
+        watch: Watch,
+    ) -> (ConsensusOutcome, Option<MetricRow>) {
+        let checkpoints = spec.timeline.event_rounds();
+        let probed = RunProbed {
+            manifest: &spec.probes,
+            checkpoints: &checkpoints,
+        };
+        spec.with_cell(case, Watched { watch, probed }).0
+    }
+
+    #[test]
+    fn every_observer_sees_the_same_execution() {
+        for spec in one_spec_per_family() {
+            let (unwatched, _) = watched(&spec, 1, Watch::Nothing);
+            for watch in [Watch::Probes, Watch::Recorder] {
+                assert_eq!(
+                    watched(&spec, 1, watch).0,
+                    unwatched,
+                    "{}: the observer changed the execution",
+                    spec.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn live_probe_rows_equal_rows_replayed_from_the_recorded_trace() {
+        for spec in one_spec_per_family() {
+            let live = spec.run_cell(0, 1).metrics;
+            let (_, replayed) = watched(&spec, 1, Watch::Recorder);
+            assert_eq!(
+                Some(live),
+                replayed,
+                "{}: live probes and replayed probes disagree",
+                spec.name
+            );
+        }
     }
 
     #[test]

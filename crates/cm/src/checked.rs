@@ -73,8 +73,10 @@ mod tests {
                 crash: Box::new(NoCrashes),
             },
         );
-        sim.run(rounds);
-        let (_, trace) = sim.into_parts();
+        let mut trace = ExecutionTrace::new(4);
+        for _ in 0..rounds {
+            sim.advance(&mut trace);
+        }
         trace
     }
 

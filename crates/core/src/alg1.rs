@@ -18,8 +18,7 @@
 //! `CST + 2` and tolerates any number of crash failures.
 
 use crate::consensus::ConsensusAutomaton;
-use crate::value::{Value, ValueDomain};
-use std::collections::BTreeSet;
+use crate::value::{Value, ValueDomain, ValueSpread};
 use wan_sim::{Automaton, CdAdvice, CmAdvice, RoundInput};
 
 /// Messages of Algorithm 1.
@@ -57,8 +56,9 @@ pub struct MajEcfConsensus {
     domain: ValueDomain,
     initial: Value,
     estimate: Value,
-    /// `SET(messages)` of the last proposal round (line 8).
-    last_proposal_values: BTreeSet<Value>,
+    /// `SET(messages)` of the last proposal round (line 8), as its
+    /// minimum and whether it held more than one value.
+    last_proposal_values: ValueSpread,
     /// Collision advice of the last proposal round (line 9).
     last_proposal_cd: CdAdvice,
     decided: Option<Value>,
@@ -78,7 +78,7 @@ impl MajEcfConsensus {
             domain,
             initial,
             estimate: initial,
-            last_proposal_values: BTreeSet::new(),
+            last_proposal_values: ValueSpread::default(),
             last_proposal_cd: CdAdvice::Null,
             decided: None,
             halted: false,
@@ -112,7 +112,7 @@ impl Automaton for MajEcfConsensus {
             Phase::Proposal => cm.is_active().then_some(Alg1Msg::Estimate(self.estimate)),
             // Line 14-15: veto on collision or value disagreement.
             Phase::Veto => (self.last_proposal_cd.is_collision()
-                || self.last_proposal_values.len() > 1)
+                || self.last_proposal_values.several)
                 .then_some(Alg1Msg::Veto),
         }
     }
@@ -125,17 +125,13 @@ impl Automaton for MajEcfConsensus {
         }
         match phase {
             Phase::Proposal => {
-                let values: BTreeSet<Value> = input
-                    .received
-                    .support()
-                    .filter_map(|m| match m {
-                        Alg1Msg::Estimate(v) => Some(*v),
-                        Alg1Msg::Veto => None,
-                    })
-                    .collect();
+                let values = ValueSpread::of(input.received.support().filter_map(|m| match m {
+                    Alg1Msg::Estimate(v) => Some(*v),
+                    Alg1Msg::Veto => None,
+                }));
                 // Lines 10-11: adopt the minimum on a clean round.
                 if !input.cd.is_collision() {
-                    if let Some(&min) = values.iter().next() {
+                    if let Some(min) = values.min {
                         debug_assert!(self.domain.contains(min));
                         self.estimate = min;
                     }
@@ -149,7 +145,7 @@ impl Automaton for MajEcfConsensus {
                 // vetoing process never passes this test.
                 if input.received.is_empty()
                     && input.cd == CdAdvice::Null
-                    && self.last_proposal_values.len() == 1
+                    && self.last_proposal_values.is_unique()
                 {
                     self.decided = Some(self.estimate);
                     self.halted = true;

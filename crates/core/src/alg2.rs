@@ -24,7 +24,6 @@
 
 use crate::consensus::ConsensusAutomaton;
 use crate::value::{Value, ValueDomain};
-use std::collections::BTreeSet;
 use wan_sim::{Automaton, CmAdvice, RoundInput};
 
 /// Messages of Algorithm 2. The propose- and accept-phase broadcasts carry
@@ -130,15 +129,15 @@ impl Alg2Core {
     /// Feeds one round's observations in; returns `Some(value)` when an
     /// accept round decides.
     ///
-    /// * `estimates` — the `SET` of estimate values received (prepare
-    ///   rounds; ignored otherwise);
+    /// * `least_estimate` — the minimum of the `SET` of estimate values
+    ///   received, if any (prepare rounds; ignored otherwise);
     /// * `received_any` — whether *any* message was received (including the
     ///   process's own broadcast, per constraint 5);
     /// * `collision` — the collision detector advice.
     pub fn observe(
         &mut self,
         pos: u64,
-        estimates: &BTreeSet<Value>,
+        least_estimate: Option<Value>,
         received_any: bool,
         collision: bool,
     ) -> Option<Value> {
@@ -146,7 +145,7 @@ impl Alg2Core {
             Alg2Phase::Prepare => {
                 // Lines 11-12: adopt the minimum on a clean round.
                 if !collision {
-                    if let Some(&min) = estimates.iter().next() {
+                    if let Some(min) = least_estimate {
                         debug_assert!(self.domain.contains(min));
                         self.estimate = min;
                     }
@@ -256,17 +255,17 @@ impl Automaton for ZeroEcfConsensus {
         if self.halted {
             return;
         }
-        let estimates: BTreeSet<Value> = input
+        let least_estimate = input
             .received
             .support()
             .filter_map(|m| match m {
                 Alg2Msg::Estimate(v) => Some(*v),
                 Alg2Msg::Mark => None,
             })
-            .collect();
+            .min();
         if let Some(v) = self.core.observe(
             pos,
-            &estimates,
+            least_estimate,
             !input.received.is_empty(),
             input.cd.is_collision(),
         ) {
@@ -394,18 +393,18 @@ mod tests {
         let mut core = Alg2Core::new(ValueDomain::new(8), Value(0)); // bits all 0
         assert!(core.decide_flag());
         // Propose round for bit 1: hears something while listening.
-        core.observe(1, &BTreeSet::new(), true, false);
+        core.observe(1, None, true, false);
         assert!(!core.decide_flag());
         // It now vetoes in accept.
         assert_eq!(core.wire(4, false), Some(Alg2Wire::Mark));
         // And hearing its own veto, it does not decide.
-        assert_eq!(core.observe(4, &BTreeSet::new(), true, false), None);
+        assert_eq!(core.observe(4, None, true, false), None);
     }
 
     #[test]
     fn collision_notification_also_rejects() {
         let mut core = Alg2Core::new(ValueDomain::new(8), Value(0));
-        core.observe(2, &BTreeSet::new(), false, true);
+        core.observe(2, None, false, true);
         assert!(!core.decide_flag());
     }
 

@@ -345,7 +345,7 @@ impl Automaton for NonAnonConsensus {
                 if self.elected.is_some() {
                     return;
                 }
-                let estimates: BTreeSet<Value> = input
+                let least_estimate = input
                     .received
                     .support()
                     .filter_map(|m| match m {
@@ -355,13 +355,13 @@ impl Automaton for NonAnonConsensus {
                         } if *epoch == self.epoch => Some(*v),
                         _ => None,
                     })
-                    .collect();
+                    .min();
                 // Note `elect_rounds_done` was already incremented; the
                 // position this round ran at is the previous one.
                 let pos = (self.elect_rounds_done - 1) % self.core.cycle_len();
                 let outcome = self.core.observe(
                     pos,
-                    &estimates,
+                    least_estimate,
                     !input.received.is_empty(),
                     input.cd.is_collision(),
                 );

@@ -62,7 +62,7 @@ impl fmt::Display for SafetyViolation {
 }
 
 /// The observable outcome of a consensus run, assembled by the harness.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConsensusOutcome {
     /// Each process's initial value.
     pub initial_values: Vec<Value>,

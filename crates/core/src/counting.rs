@@ -129,7 +129,9 @@ mod tests {
                 crash: Box::new(NoCrashes),
             },
         );
-        sim.run(rounds);
+        for _ in 0..rounds {
+            sim.advance(&mut ());
+        }
         sim.processes().iter().map(|p| p.count()).collect()
     }
 
@@ -167,7 +169,9 @@ mod tests {
                 crash: Box::new(NoCrashes),
             },
         );
-        sim.run(k * n as u64 + 3);
+        for _ in 0..k * n as u64 + 3 {
+            sim.advance(&mut ());
+        }
         assert!(sim.processes().iter().all(|p| p.count() == Some(n as u64)));
     }
 
@@ -191,7 +195,9 @@ mod tests {
                     crash: Box::new(NoCrashes),
                 },
             );
-            sim.run(30);
+            for _ in 0..30 {
+                sim.advance(&mut ());
+            }
             sim.processes().iter().map(|p| p.count()).collect()
         };
         let two = count_under_ls(2);

@@ -5,41 +5,41 @@ use crate::checker::ConsensusOutcome;
 use crate::consensus::ConsensusAutomaton;
 use crate::cst::Cst;
 use wan_sim::{
-    CollisionDetector, CompiledSchedule, Components, ContentionManager, CrashAdversary, DynCrash,
-    DynDetector, DynLoss, DynManager, Engine, ExecutionTrace, LossAdversary, Round, TraceDetail,
+    Automaton, CollisionDetector, CompiledSchedule, Components, ContentionManager, CrashAdversary,
+    DynCrash, DynDetector, DynLoss, DynManager, Engine, ExecutionTrace, LossAdversary, Round,
+    RoundObserver,
 };
 
-/// A consensus run: an [`Engine`] plus decision-round bookkeeping and the
-/// declared CST of its environment.
+/// A consensus run: an [`Engine`], the [`RoundObserver`] watching it,
+/// decision-round bookkeeping, and the declared CST of its environment.
 ///
 /// Generic over the component types like the engine itself; the defaults
 /// are the boxed trait objects, so `ConsensusRun<A>` and
 /// [`ConsensusRun::new`] mean exactly what they meant when the harness was
 /// fully dynamic. Statically-dispatched runs are built with
-/// [`ConsensusRun::from_engine`].
+/// [`ConsensusRun::from_engine`]. The observer defaults to an
+/// [`ExecutionTrace`] recording every round ([`ConsensusRun::trace`]);
+/// [`ConsensusRun::with_observer`] swaps in any other (`()` to keep
+/// nothing, the sweep's probe set to measure live).
 pub struct ConsensusRun<
     A: ConsensusAutomaton,
     CD = DynDetector,
     CM = DynManager,
     L = DynLoss,
     C = DynCrash,
+    O = ExecutionTrace<<A as Automaton>::Msg>,
 > {
     sim: Engine<A, CD, CM, L, C>,
+    observer: O,
     decision_rounds: Vec<Option<Round>>,
     cst: Cst,
 }
 
 impl<A: ConsensusAutomaton> ConsensusRun<A> {
-    /// Builds a fully-dynamic run over the given processes and boxed
-    /// environment components.
+    /// Builds a fully-dynamic, recorded run over the given processes and
+    /// boxed environment components.
     pub fn new(procs: Vec<A>, components: Components) -> Self {
-        let cst = Cst::from_components(&components);
-        let n = procs.len();
-        ConsensusRun {
-            sim: Engine::new(procs, components),
-            decision_rounds: vec![None; n],
-            cst,
-        }
+        Self::from_engine(Engine::new(procs, components))
     }
 }
 
@@ -52,14 +52,15 @@ where
     C: CrashAdversary,
 {
     /// Wraps an already-built engine (statically dispatched for concrete
-    /// component types), reading the declared CST from its components.
+    /// component types) in a recorded run, reading the declared CST from
+    /// its components.
     pub fn from_engine(sim: Engine<A, CD, CM, L, C>) -> Self {
-        let cst = Cst::from_engine(&sim);
         let n = sim.n();
         ConsensusRun {
-            sim,
+            cst: Cst::from_engine(&sim),
+            observer: ExecutionTrace::new(n),
             decision_rounds: vec![None; n],
-            cst,
+            sim,
         }
     }
 
@@ -69,18 +70,49 @@ where
         Self::from_engine(Engine::from_parts(procs, detector, manager, loss, crash))
     }
 
-    /// Record only receive counts in the trace (cheaper for sweeps).
-    #[must_use]
-    pub fn with_counts_only(mut self) -> Self {
-        self.sim = self.sim.with_detail(TraceDetail::Counts);
-        self
+    /// The recorded execution trace.
+    pub fn trace(&self) -> &ExecutionTrace<A::Msg> {
+        &self.observer
+    }
+}
+
+impl<A, CD, CM, L, C, O> ConsensusRun<A, CD, CM, L, C, O>
+where
+    A: ConsensusAutomaton,
+    CD: CollisionDetector,
+    CM: ContentionManager,
+    L: LossAdversary,
+    C: CrashAdversary,
+    O: RoundObserver<A::Msg>,
+{
+    /// Replaces the observer. Must be called before the first round, so
+    /// the observer watches the whole execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a round has already run.
+    pub fn with_observer<P: RoundObserver<A::Msg>>(
+        self,
+        observer: P,
+    ) -> ConsensusRun<A, CD, CM, L, C, P> {
+        assert_eq!(
+            self.sim.current_round(),
+            Round::ZERO,
+            "an observer must be attached before the first round"
+        );
+        ConsensusRun {
+            sim: self.sim,
+            observer,
+            decision_rounds: self.decision_rounds,
+            cst: self.cst,
+        }
     }
 
     /// Installs a compiled fault-injection schedule on the underlying
     /// engine ([`Engine::with_schedule`]): scheduled scenario events fire
     /// at the start of their rounds, before the components act. `None` is
     /// a no-op, so callers can thread an optional timeline through without
-    /// branching. Must be applied before the first step.
+    /// branching. Must be applied before the first round.
     #[must_use]
     pub fn with_schedule(mut self, schedule: Option<CompiledSchedule>) -> Self {
         if let Some(schedule) = schedule {
@@ -99,31 +131,40 @@ where
         &self.sim
     }
 
-    /// The recorded execution trace.
-    pub fn trace(&self) -> &ExecutionTrace<A::Msg> {
-        self.sim.trace()
+    /// Consumes the run and returns its observer.
+    pub fn into_observer(self) -> O {
+        self.observer
     }
 
     /// Executes one round, recording any new decisions.
     pub fn step(&mut self) {
-        self.sim.step();
+        self.sim.advance(&mut self.observer);
         self.note_decisions();
     }
 
-    /// Executes one round without trace recording, still tracking
-    /// decisions (the sweep fast path).
-    pub fn step_untraced(&mut self) {
-        self.sim.step_untraced();
-        self.note_decisions();
-    }
-
-    fn note_decisions(&mut self) {
-        note_and_check(
-            &mut self.decision_rounds,
-            self.sim.processes(),
-            self.sim.alive(),
-            self.sim.current_round(),
-        );
+    /// Records each process's *first* decision round (decisions are only
+    /// recorded from round 1 on — a process decided at construction keeps
+    /// `None`) and returns whether every correct (non-crashed) process has
+    /// decided, in one pass over the processes.
+    fn note_decisions(&mut self) -> bool {
+        let round = self.sim.current_round();
+        let mut all_decided = true;
+        for ((slot, p), &alive) in self
+            .decision_rounds
+            .iter_mut()
+            .zip(self.sim.processes())
+            .zip(self.sim.alive())
+        {
+            match p.decision() {
+                Some(_) if round > Round::ZERO => {
+                    slot.get_or_insert(round);
+                }
+                Some(_) => {}
+                None if alive => all_decided = false,
+                None => {}
+            }
+        }
+        all_decided
     }
 
     /// Whether every correct (non-crashed) process has decided.
@@ -138,41 +179,11 @@ where
     /// Runs until every correct process has decided, or `cap` rounds have
     /// executed. Returns the judged outcome.
     pub fn run_to_completion(&mut self, cap: Round) -> ConsensusOutcome {
-        while !self.all_correct_decided() && self.sim.current_round() < cap {
-            self.step();
+        let mut done = self.all_correct_decided();
+        while !done && self.sim.current_round() < cap {
+            self.sim.advance(&mut self.observer);
+            done = self.note_decisions();
         }
-        self.outcome()
-    }
-
-    /// As [`ConsensusRun::run_to_completion`], but skipping all trace
-    /// recording: the execution (and therefore the outcome) is identical,
-    /// only the per-round bookkeeping disappears. Use for large sweeps
-    /// that consume the [`ConsensusOutcome`] and never look at the trace.
-    ///
-    /// Rides [`Engine::run_until_untraced`], noting decision rounds from
-    /// inside the convergence predicate so the whole run stays on the
-    /// engine's allocation-free fast path.
-    pub fn run_to_completion_untraced(&mut self, cap: Round) -> ConsensusOutcome {
-        // Seed-era semantics: a run that needs no further rounds (already
-        // converged, or cap already reached) returns its outcome without
-        // touching the untraced machinery — in particular without the
-        // engine's traced/untraced exclusivity assertion, so finishing a
-        // traced run through this method stays a no-op.
-        if self.all_correct_decided() || self.sim.current_round() >= cap {
-            return self.outcome();
-        }
-        let decision_rounds = &mut self.decision_rounds;
-        self.sim.run_until_untraced(
-            |sim| {
-                note_and_check(
-                    decision_rounds,
-                    sim.processes(),
-                    sim.alive(),
-                    sim.current_round(),
-                )
-            },
-            cap,
-        );
         self.outcome()
     }
 
@@ -201,38 +212,6 @@ where
             terminated: self.all_correct_decided(),
         }
     }
-
-    /// Consumes the run and returns the automata and trace.
-    pub fn into_parts(self) -> (Vec<A>, ExecutionTrace<A::Msg>) {
-        self.sim.into_parts()
-    }
-}
-
-/// The one statement of the decision-recording rules, shared by the traced
-/// step loop ([`ConsensusRun::step`]) and the untraced convergence
-/// predicate ([`ConsensusRun::run_to_completion_untraced`]) so the two
-/// paths cannot drift: records each process's *first* decision round into
-/// `slots` (decisions are only recorded from round 1 on — a process
-/// decided at construction keeps `None`) and returns whether every correct
-/// (non-crashed) process has decided.
-fn note_and_check<A: ConsensusAutomaton>(
-    slots: &mut [Option<Round>],
-    procs: &[A],
-    alive: &[bool],
-    round: Round,
-) -> bool {
-    let mut all_decided = true;
-    for ((slot, p), &alive) in slots.iter_mut().zip(procs).zip(alive) {
-        match p.decision() {
-            Some(_) if round > Round::ZERO => {
-                slot.get_or_insert(round);
-            }
-            Some(_) => {}
-            None if alive => all_decided = false,
-            None => {}
-        }
-    }
-    all_decided
 }
 
 /// Convenience: rounds past a stabilization point, the unit in which the
@@ -330,33 +309,45 @@ mod tests {
     }
 
     #[test]
-    fn untraced_completion_is_a_noop_on_a_converged_traced_run() {
-        // Regression: finishing a traced run through the untraced entry
-        // point must return the outcome, not trip the engine's
-        // traced/untraced exclusivity assertion.
-        let procs = vec![TimedDecider {
-            initial: Value(3),
-            when: 2,
-            decided: None,
-        }];
-        let mut run = ConsensusRun::new(procs, components());
-        let traced = run.run_to_completion(Round(10));
-        assert!(traced.terminated);
-        let again = run.run_to_completion_untraced(Round(10));
-        assert_eq!(again.decision_rounds, traced.decision_rounds);
-        // Same for a capped, unconverged traced run.
-        let mut capped = ConsensusRun::new(
+    fn every_observer_sees_the_same_run() {
+        let procs = || {
+            vec![
+                TimedDecider {
+                    initial: Value(3),
+                    when: 2,
+                    decided: None,
+                },
+                TimedDecider {
+                    initial: Value(3),
+                    when: 4,
+                    decided: None,
+                },
+            ]
+        };
+        let mut recorded = ConsensusRun::new(procs(), components());
+        let mut unobserved = ConsensusRun::new(procs(), components()).with_observer(());
+        let outcome = recorded.run_to_completion(Round(10));
+        assert_eq!(outcome, unobserved.run_to_completion(Round(10)));
+        assert_eq!(
+            recorded.trace().len(),
+            4,
+            "one recorded round per round run"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "before the first round")]
+    fn late_observer_rejected() {
+        let mut run = ConsensusRun::new(
             vec![TimedDecider {
                 initial: Value(0),
-                when: u64::MAX,
+                when: 9,
                 decided: None,
             }],
             components(),
         );
-        capped.run_to_completion(Round(4));
-        let outcome = capped.run_to_completion_untraced(Round(4));
-        assert!(!outcome.terminated);
-        assert_eq!(outcome.rounds_executed, Round(4));
+        run.step();
+        let _ = run.with_observer(());
     }
 
     #[test]

@@ -11,8 +11,7 @@
 
 use crate::alg1::Alg1Msg;
 use crate::consensus::ConsensusAutomaton;
-use crate::value::{Value, ValueDomain};
-use std::collections::BTreeSet;
+use crate::value::{Value, ValueDomain, ValueSpread};
 use wan_sim::{Automaton, CmAdvice, RoundInput};
 
 /// Algorithm 1 with the collision detector wires cut: it treats every round
@@ -25,7 +24,7 @@ pub struct CdBlindOptimist {
     domain: ValueDomain,
     initial: Value,
     estimate: Value,
-    last_proposal_values: BTreeSet<Value>,
+    last_proposal_values: ValueSpread,
     decided: Option<Value>,
     halted: bool,
     rounds_done: u64,
@@ -39,7 +38,7 @@ impl CdBlindOptimist {
             domain,
             initial,
             estimate: initial,
-            last_proposal_values: BTreeSet::new(),
+            last_proposal_values: ValueSpread::default(),
             decided: None,
             halted: false,
             rounds_done: 0,
@@ -63,7 +62,7 @@ impl Automaton for CdBlindOptimist {
         } else {
             // Veto only on observed value disagreement — collisions are
             // invisible to it.
-            (self.last_proposal_values.len() > 1).then_some(Alg1Msg::Veto)
+            self.last_proposal_values.several.then_some(Alg1Msg::Veto)
         }
     }
 
@@ -74,20 +73,16 @@ impl Automaton for CdBlindOptimist {
             return;
         }
         if proposal {
-            let values: BTreeSet<Value> = input
-                .received
-                .support()
-                .filter_map(|m| match m {
-                    Alg1Msg::Estimate(v) => Some(*v),
-                    Alg1Msg::Veto => None,
-                })
-                .collect();
-            if let Some(&min) = values.iter().next() {
+            let values = ValueSpread::of(input.received.support().filter_map(|m| match m {
+                Alg1Msg::Estimate(v) => Some(*v),
+                Alg1Msg::Veto => None,
+            }));
+            if let Some(min) = values.min {
                 debug_assert!(self.domain.contains(min));
                 self.estimate = min;
             }
             self.last_proposal_values = values;
-        } else if input.received.is_empty() && self.last_proposal_values.len() == 1 {
+        } else if input.received.is_empty() && self.last_proposal_values.is_unique() {
             self.decided = Some(self.estimate);
             self.halted = true;
         }

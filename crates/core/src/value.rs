@@ -27,6 +27,40 @@ impl From<u64> for Value {
     }
 }
 
+/// What Algorithm 1's proposal rounds read from `SET(messages)`: its
+/// minimum, and whether it holds more than one value. Folded straight off
+/// a receive multiset's support, so a transition collects no set.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct ValueSpread {
+    /// The least value, if any.
+    pub min: Option<Value>,
+    /// Whether two or more distinct values were seen.
+    pub several: bool,
+}
+
+impl ValueSpread {
+    /// Folds `values` (repeats allowed) without allocating.
+    pub fn of(values: impl IntoIterator<Item = Value>) -> ValueSpread {
+        values
+            .into_iter()
+            .fold(ValueSpread::default(), |spread, v| match spread.min {
+                None => ValueSpread {
+                    min: Some(v),
+                    several: false,
+                },
+                Some(min) => ValueSpread {
+                    min: Some(min.min(v)),
+                    several: spread.several || v != min,
+                },
+            })
+    }
+
+    /// Whether exactly one distinct value was seen.
+    pub fn is_unique(self) -> bool {
+        self.min.is_some() && !self.several
+    }
+}
+
 /// A finite, totally ordered value set `V` with the binary representation
 /// `V^{0,1}` used by Algorithm 2: each value is a bit string of length
 /// `⌈lg |V|⌉` (at least 1), indexed MSB-first from 1 as in the paper's

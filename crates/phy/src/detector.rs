@@ -169,7 +169,9 @@ mod tests {
                 crash: Box::new(NoCrashes),
             },
         );
-        sim.run(3);
+        for _ in 0..3 {
+            sim.advance(&mut ());
+        }
         // Round 1 had n simultaneous broadcasters: physics decides, but by
         // the Noise Lemma proxy everyone heard something or flagged.
         for p in sim.processes() {

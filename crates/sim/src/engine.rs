@@ -14,22 +14,10 @@ use crate::automaton::{Automaton, RoundInput};
 use crate::ids::{ProcessId, Round};
 use crate::multiset::Multiset;
 use crate::scenario::{CompiledSchedule, EventTarget};
-use crate::trace::{ExecutionTrace, RoundView, TransmissionEntry};
+use crate::trace::{Receives, RoundObserver, RoundView, TransmissionEntry};
 use crate::traits::{
     CmView, CollisionDetector, ContentionManager, CrashAdversary, DeliveryMatrix, LossAdversary,
 };
-
-/// How much of the execution to record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceDetail {
-    /// Record everything, including each process's receive multiset.
-    /// Required by indistinguishability checks; the default.
-    #[default]
-    Full,
-    /// Record advice, senders and receive *counts* only — cheaper for long
-    /// experiment sweeps.
-    Counts,
-}
 
 /// A boxed collision detector (the dynamic-dispatch component form).
 pub type DynDetector = Box<dyn CollisionDetector>;
@@ -73,12 +61,12 @@ impl std::fmt::Debug for Components {
 pub type Simulation<A> = Engine<A, DynDetector, DynManager, DynLoss, DynCrash>;
 
 /// A running system `(E, A)`: `n` process automata plus the environment
-/// components, executing synchronized rounds and recording a full
-/// [`ExecutionTrace`].
+/// components, executing synchronized rounds and showing each one to a
+/// [`RoundObserver`].
 ///
 /// Generic over the component types so that concrete components are
 /// statically dispatched (and inlined) on the per-round hot path; see
-/// [`Simulation`] for the boxed form. Each call to [`Engine::step`]
+/// [`Simulation`] for the boxed form. Each call to [`Engine::advance`]
 /// executes one round in the order fixed by Definition 11:
 ///
 /// 1. the crash adversary selects processes to fail;
@@ -89,6 +77,10 @@ pub type Simulation<A> = Engine<A, DynDetector, DynManager, DynLoss, DynCrash>;
 /// 5. the collision detector produces `D_r` from the transmission entry
 ///    `(c, T)` (constraint 6);
 /// 6. live processes transition (`C_r = trans_A(C_{r-1}, N_r, D_r, W_r)`).
+///
+/// The engine keeps no history: what a round leaves behind is whatever
+/// its observer kept (an [`crate::ExecutionTrace`] records everything,
+/// `()` nothing).
 pub struct Engine<A: Automaton, CD, CM, L, C> {
     procs: Vec<A>,
     alive: Vec<bool>,
@@ -97,8 +89,6 @@ pub struct Engine<A: Automaton, CD, CM, L, C> {
     loss: L,
     crash: C,
     round: Round,
-    trace: ExecutionTrace<A::Msg>,
-    detail: TraceDetail,
     schedule: Option<CompiledSchedule>,
     buffers: RoundBuffers<A::Msg>,
 }
@@ -106,9 +96,8 @@ pub struct Engine<A: Automaton, CD, CM, L, C> {
 /// The engine's reusable per-round scratch state: every buffer
 /// [`Engine::advance`] needs, cleared and refilled each round instead of
 /// reallocated. After warm-up (once every buffer has reached its
-/// steady-state capacity) an untraced round performs no heap allocation;
-/// traced stepping appends the buffers into the trace's columnar arena
-/// ([`ExecutionTrace`]), paying amortized arena growth only.
+/// steady-state capacity) a round performs no heap allocation; the
+/// observer reads the buffers through a borrowed [`RoundView`].
 struct RoundBuffers<M: Ord> {
     /// This round's crashes (variable length).
     crashed: Vec<ProcessId>,
@@ -196,8 +185,6 @@ where
             loss,
             crash,
             round: Round::ZERO,
-            trace: ExecutionTrace::new(n),
-            detail: TraceDetail::Full,
             schedule: None,
             buffers: RoundBuffers::for_n(n),
         }
@@ -216,7 +203,7 @@ where
     }
 
     /// In-place form of [`Engine::with_schedule`]. Must be called before
-    /// the first step — events for already-executed rounds never fire.
+    /// the first round — events for already-executed rounds never fire.
     pub fn set_schedule(&mut self, schedule: CompiledSchedule) {
         assert_eq!(
             self.round,
@@ -226,19 +213,12 @@ where
         self.schedule = Some(schedule);
     }
 
-    /// Selects how much trace to record (default: [`TraceDetail::Full`]).
-    #[must_use]
-    pub fn with_detail(mut self, detail: TraceDetail) -> Self {
-        self.detail = detail;
-        self
-    }
-
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.procs.len()
     }
 
-    /// The last completed round ([`Round::ZERO`] before any step).
+    /// The last completed round ([`Round::ZERO`] before the first).
     pub fn current_round(&self) -> Round {
         self.round
     }
@@ -252,11 +232,6 @@ where
     /// is still *correct* (Definition 13) and remains `true` here.
     pub fn alive(&self) -> &[bool] {
         &self.alive
-    }
-
-    /// The recorded execution trace so far.
-    pub fn trace(&self) -> &ExecutionTrace<A::Msg> {
-        &self.trace
     }
 
     /// The collision detector (read-only).
@@ -279,62 +254,18 @@ where
         &self.crash
     }
 
-    /// Executes one round and returns a view of its record.
+    /// Executes one round and shows it to `observer` — the one code path
+    /// that runs a round.
     ///
-    /// # Panics
-    ///
-    /// Panics if any untraced round has already run: the trace is indexed
-    /// by round number, so traced and untraced stepping cannot be mixed in
-    /// one engine.
-    pub fn step(&mut self) -> RoundView<'_, A::Msg> {
-        self.assert_trace_contiguous();
-        self.advance(true);
-        self.trace
-            .round(self.round)
-            .expect("the just-pushed round exists")
-    }
-
-    /// Executes one round without recording it ([`Engine::run_untraced`]).
-    /// The execution is identical to [`Engine::step`] — components see the
-    /// same calls in the same order — only the bookkeeping is skipped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any traced round has already run: an engine is either
-    /// traced or untraced for its whole life, so a stale partial trace can
-    /// never masquerade as a complete one.
-    pub fn step_untraced(&mut self) {
-        self.assert_never_traced();
-        self.advance(false);
-    }
-
-    fn assert_trace_contiguous(&self) {
-        assert_eq!(
-            self.trace.len() as u64,
-            self.round.0,
-            "cannot record a traced round after untraced rounds: the trace \
-             is indexed by round number, so traced and untraced stepping \
-             cannot be mixed in one engine"
-        );
-    }
-
-    fn assert_never_traced(&self) {
-        assert!(
-            self.trace.is_empty(),
-            "cannot step untraced after traced rounds: the partial trace \
-             would silently masquerade as the complete execution"
-        );
-    }
-
-    /// One round, written entirely through the engine's [`RoundBuffers`]:
-    /// after warm-up, an untraced round allocates nothing — components
-    /// write their advice into reused slices, the loss adversary re-keys
-    /// the reused bitset matrix, and the receive multisets keep their
-    /// storage. The traced path additionally appends the buffers into the
-    /// trace's columns ([`ExecutionTrace::append_round`] — amortized arena
-    /// growth, no per-round records).
-    #[inline]
-    fn advance(&mut self, record: bool) {
+    /// Every phase writes through the engine's reused round buffers, so after
+    /// warm-up the round itself allocates nothing: components write their
+    /// advice into reused slices, the loss adversary re-keys the reused
+    /// bitset matrix, and the receive multisets keep their storage. The
+    /// observer then reads those buffers through one borrowed
+    /// [`RoundView`]; it pays for whatever it keeps (nothing for `()` or
+    /// the sweep's probes, amortized arena growth for an
+    /// [`crate::ExecutionTrace`]).
+    pub fn advance(&mut self, observer: &mut impl RoundObserver<A::Msg>) {
         let Engine {
             procs,
             alive,
@@ -343,8 +274,6 @@ where
             loss,
             crash,
             round,
-            trace,
-            detail,
             schedule,
             buffers: buf,
         } = self;
@@ -455,100 +384,23 @@ where
         // Channel feedback for adaptive managers.
         manager.observe(now, &buf.tx, &buf.senders);
 
-        if record {
-            trace.append_round(
-                now,
-                &buf.cm,
-                &buf.sent,
-                &buf.senders,
-                &buf.cd,
-                &buf.tx.received,
-                match detail {
-                    TraceDetail::Full => Some(&buf.received),
-                    TraceDetail::Counts => None,
-                },
-                &buf.crashed,
-                alive,
-            );
-        }
+        observer.observe(&RoundView {
+            round: now,
+            cm: &buf.cm,
+            sent: &buf.sent,
+            senders: &buf.senders,
+            cd: &buf.cd,
+            received_counts: &buf.tx.received,
+            received: Receives::Live(&buf.received),
+            crashed: &buf.crashed,
+            alive,
+        });
         *round = now;
     }
 
-    /// Executes `rounds` further rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any untraced round has already run (see [`Engine::step`]).
-    pub fn run(&mut self, rounds: u64) {
-        self.assert_trace_contiguous();
-        // The horizon is known, so the trace arena can size its
-        // fixed-width columns up front instead of doubling into them
-        // (capped so absurd caps cannot balloon the reservation).
-        self.trace
-            .reserve_rounds(usize::try_from(rounds).unwrap_or(usize::MAX).min(1 << 20));
-        for _ in 0..rounds {
-            self.advance(true);
-        }
-    }
-
-    /// Executes `rounds` further rounds without recording any of them —
-    /// the sweep fast path. The trace stays empty, while the automata,
-    /// liveness, and round counter evolve exactly as under
-    /// [`Engine::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any traced round has already run (see
-    /// [`Engine::step_untraced`]).
-    pub fn run_untraced(&mut self, rounds: u64) {
-        self.assert_never_traced();
-        for _ in 0..rounds {
-            self.advance(false);
-        }
-    }
-
-    /// Steps until `done(self)` holds, up to `cap` total completed rounds.
-    /// Returns `true` if the predicate held (possibly immediately), `false`
-    /// if the cap was reached first.
-    pub fn run_until(&mut self, mut done: impl FnMut(&Self) -> bool, cap: Round) -> bool {
-        loop {
-            if done(self) {
-                return true;
-            }
-            if self.round >= cap {
-                return false;
-            }
-            self.step();
-        }
-    }
-
-    /// As [`Engine::run_until`], but on the untraced fast path: the
-    /// execution (and the rounds the predicate observes) is identical,
-    /// only the per-round trace bookkeeping is skipped — so sweep cells
-    /// with convergence predicates get the same speedup as
-    /// [`Engine::run_untraced`]. The predicate is consulted before every
-    /// round, starting at the current (possibly [`Round::ZERO`]) state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any traced round has already run (see
-    /// [`Engine::step_untraced`]).
-    pub fn run_until_untraced(&mut self, mut done: impl FnMut(&Self) -> bool, cap: Round) -> bool {
-        self.assert_never_traced();
-        loop {
-            if done(self) {
-                return true;
-            }
-            if self.round >= cap {
-                return false;
-            }
-            self.advance(false);
-        }
-    }
-
-    /// Consumes the simulation and returns the automata and trace.
-    pub fn into_parts(self) -> (Vec<A>, ExecutionTrace<A::Msg>) {
-        (self.procs, self.trace)
+    /// Consumes the simulation and returns the automata.
+    pub fn into_processes(self) -> Vec<A> {
+        self.procs
     }
 }
 
@@ -571,7 +423,7 @@ mod tests {
     use crate::advice::{CdAdvice, CmAdvice};
     use crate::crash::{NoCrashes, ScheduledCrashes};
     use crate::loss::{NoLoss, TotalCollisionLoss};
-    use crate::{AllActive, AlwaysNull};
+    use crate::{AllActive, AlwaysNull, ExecutionTrace};
 
     /// Broadcasts its id every round; records everything it hears.
     #[derive(Debug)]
@@ -613,13 +465,41 @@ mod tests {
         }
     }
 
+    /// Runs `rounds` further rounds under `observer`.
+    fn run<CD, CM, L, C>(
+        sim: &mut Engine<Chatter, CD, CM, L, C>,
+        rounds: u64,
+        observer: &mut impl RoundObserver<usize>,
+    ) where
+        CD: CollisionDetector,
+        CM: ContentionManager,
+        L: LossAdversary,
+        C: CrashAdversary,
+    {
+        for _ in 0..rounds {
+            sim.advance(observer);
+        }
+    }
+
+    /// Renders every live view it is shown.
+    #[derive(Default)]
+    struct Renders(Vec<String>);
+
+    impl RoundObserver<usize> for Renders {
+        fn observe(&mut self, view: &RoundView<'_, usize>) {
+            self.0.push(format!("{view:?}"));
+        }
+    }
+
     #[test]
     fn lossless_round_delivers_everything() {
         let mut sim = Simulation::new(
             chatters(3),
             components(Box::new(NoLoss), Box::new(NoCrashes)),
         );
-        let rec = sim.step();
+        let mut trace = ExecutionTrace::new(3);
+        sim.advance(&mut trace);
+        let rec = trace.round(Round(1)).expect("recorded");
         assert_eq!(rec.transmission_entry().sent_count, 3);
         assert!(rec.received_counts().iter().all(|&c| c == 3));
         for p in sim.processes() {
@@ -629,19 +509,18 @@ mod tests {
 
     #[test]
     fn static_engine_matches_boxed_simulation() {
-        // The same system through both dispatch paths, step by step.
+        // The same system through both dispatch paths, round by round.
         let mut fast = Engine::from_parts(chatters(4), AlwaysNull, AllActive, NoLoss, NoCrashes);
         let mut boxed = Simulation::new(
             chatters(4),
             components(Box::new(NoLoss), Box::new(NoCrashes)),
         );
-        for _ in 0..5 {
-            fast.step();
-            boxed.step();
-        }
+        let (mut fast_trace, mut boxed_trace) = (ExecutionTrace::new(4), ExecutionTrace::new(4));
+        run(&mut fast, 5, &mut fast_trace);
+        run(&mut boxed, 5, &mut boxed_trace);
         assert_eq!(
-            format!("{:?}", fast.trace()),
-            format!("{:?}", boxed.trace()),
+            format!("{fast_trace:?}"),
+            format!("{boxed_trace:?}"),
             "static and boxed engines must produce identical traces"
         );
         assert_eq!(fast.current_round(), boxed.current_round());
@@ -662,7 +541,7 @@ mod tests {
             chatters(3),
             components(Box::new(TotalCollisionLoss), Box::new(NoCrashes)),
         );
-        sim.step();
+        sim.advance(&mut ());
         // Constraint 5: each broadcaster still received its own message.
         for (i, p) in sim.processes().iter().enumerate() {
             assert_eq!(p.heard, vec![i]);
@@ -673,81 +552,51 @@ mod tests {
     fn crashed_process_is_silent_forever() {
         let crash = ScheduledCrashes::new().crash(ProcessId(0), Round(2));
         let mut sim = Simulation::new(chatters(2), components(Box::new(NoLoss), Box::new(crash)));
-        sim.run(3);
+        let mut trace = ExecutionTrace::new(2);
+        run(&mut sim, 3, &mut trace);
         assert_eq!(sim.alive(), &[false, true]);
         // Round 1: both broadcast. Rounds 2-3: only p1.
-        let trace = sim.trace();
         assert_eq!(trace.round(Round(1)).unwrap().senders().len(), 2);
-        assert_eq!(trace.round(Round(2)).unwrap().senders(), vec![ProcessId(1)]);
-        assert_eq!(trace.round(Round(3)).unwrap().senders(), vec![ProcessId(1)]);
+        assert_eq!(trace.round(Round(2)).unwrap().senders(), [ProcessId(1)]);
+        assert_eq!(trace.round(Round(3)).unwrap().senders(), [ProcessId(1)]);
         // p0 heard round 1 only; it never transitions after crashing.
         assert_eq!(sim.processes()[0].heard, vec![0, 1]);
     }
 
     #[test]
-    fn run_until_respects_cap() {
-        let mut sim = Simulation::new(
-            chatters(2),
-            components(Box::new(NoLoss), Box::new(NoCrashes)),
-        );
-        let reached = sim.run_until(|_| false, Round(5));
-        assert!(!reached);
-        assert_eq!(sim.current_round(), Round(5));
-        let reached = sim.run_until(|s| s.current_round() >= Round(3), Round(10));
-        assert!(reached);
-        assert_eq!(sim.current_round(), Round(5), "predicate already true");
-    }
-
-    #[test]
-    fn run_until_untraced_matches_run_until_execution() {
-        let mut traced = Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        let mut untraced =
+    fn the_observer_does_not_perturb_the_execution() {
+        let mut watched = Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
+        let mut unwatched =
             Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        let done = |e: &Engine<Chatter, AlwaysNull, AllActive, NoLoss, NoCrashes>| {
-            e.processes()[0].heard.len() >= 9
-        };
-        let a = traced.run_until(done, Round(20));
-        let b = untraced.run_until_untraced(done, Round(20));
-        assert_eq!(a, b);
-        assert_eq!(traced.current_round(), untraced.current_round());
-        assert_eq!(untraced.trace().len(), 0, "untraced run records nothing");
-        for (x, y) in traced.processes().iter().zip(untraced.processes()) {
-            assert_eq!(x.heard, y.heard, "execution must be identical");
+        let mut trace = ExecutionTrace::new(3);
+        run(&mut watched, 6, &mut trace);
+        run(&mut unwatched, 6, &mut ());
+        assert_eq!(trace.len(), 6, "the recorder saw every round once");
+        assert_eq!(watched.current_round(), unwatched.current_round());
+        for (a, b) in watched.processes().iter().zip(unwatched.processes()) {
+            assert_eq!(a.heard, b.heard, "execution must be identical");
+            assert_eq!(a.collisions, b.collisions);
         }
     }
 
     #[test]
-    fn run_until_untraced_respects_cap_and_immediate_predicate() {
-        let mut sim = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        assert!(!sim.run_until_untraced(|_| false, Round(5)));
-        assert_eq!(sim.current_round(), Round(5));
-        assert!(sim.run_until_untraced(|s| s.current_round() >= Round(3), Round(10)));
-        assert_eq!(sim.current_round(), Round(5), "predicate already true");
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot step untraced after traced rounds")]
-    fn run_until_untraced_after_traced_rejected() {
-        let mut sim = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        sim.run(2);
-        sim.run_until_untraced(|_| false, Round(5));
-    }
-
-    #[test]
-    fn counts_detail_omits_receive_multisets() {
-        let mut sim = Simulation::new(
-            chatters(2),
-            components(Box::new(NoLoss), Box::new(NoCrashes)),
-        )
-        .with_detail(TraceDetail::Counts);
-        sim.step();
-        assert!(!sim.trace().has_receive_multisets());
-        assert!(sim
-            .trace()
-            .round(Round(1))
-            .unwrap()
-            .received_of(ProcessId(0))
-            .is_none());
+    fn live_views_render_like_recorded_ones() {
+        // The view an observer gets live over the round buffers and the
+        // view the recorded trace serves afterwards are the same round,
+        // byte for byte (crashes and lost messages included).
+        let crash = ScheduledCrashes::new().crash(ProcessId(1), Round(3));
+        let mut sim = Engine::from_parts(
+            chatters(3),
+            AlwaysNull,
+            AllActive,
+            TotalCollisionLoss,
+            crash,
+        );
+        let mut both = (ExecutionTrace::new(3), Renders::default());
+        run(&mut sim, 5, &mut both);
+        let (trace, Renders(live)) = both;
+        let recorded: Vec<String> = trace.rounds().map(|v| format!("{v:?}")).collect();
+        assert_eq!(live, recorded);
     }
 
     #[test]
@@ -757,37 +606,6 @@ mod tests {
             Vec::<Chatter>::new(),
             components(Box::new(NoLoss), Box::new(NoCrashes)),
         );
-    }
-
-    #[test]
-    fn untraced_run_matches_traced_run() {
-        let mut traced = Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        let mut untraced =
-            Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        traced.run(6);
-        untraced.run_untraced(6);
-        assert_eq!(untraced.trace().len(), 0, "untraced run records nothing");
-        assert_eq!(traced.current_round(), untraced.current_round());
-        for (a, b) in traced.processes().iter().zip(untraced.processes()) {
-            assert_eq!(a.heard, b.heard, "execution must be identical");
-            assert_eq!(a.collisions, b.collisions);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot record a traced round after untraced rounds")]
-    fn traced_step_after_untraced_rejected() {
-        let mut sim = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        sim.run_untraced(3);
-        sim.step();
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot step untraced after traced rounds")]
-    fn untraced_step_after_traced_rejected() {
-        let mut sim = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        sim.run(3);
-        sim.run_untraced(1);
     }
 
     #[test]
@@ -809,11 +627,13 @@ mod tests {
         let mut scheduled =
             Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes)
                 .with_schedule(ScenarioTimeline::new().compile());
-        plain.run(5);
-        scheduled.run(5);
+        let (mut plain_trace, mut scheduled_trace) =
+            (ExecutionTrace::new(3), ExecutionTrace::new(3));
+        run(&mut plain, 5, &mut plain_trace);
+        run(&mut scheduled, 5, &mut scheduled_trace);
         assert_eq!(
-            format!("{:?}", plain.trace()),
-            format!("{:?}", scheduled.trace()),
+            format!("{plain_trace:?}"),
+            format!("{scheduled_trace:?}"),
             "an empty schedule must not perturb the execution"
         );
     }
@@ -832,15 +652,15 @@ mod tests {
             TimelineCrashes::new(),
         )
         .with_schedule(timeline.compile());
-        sim.run(2);
+        run(&mut sim, 2, &mut ());
         assert_eq!(sim.alive(), &[true; 4], "nothing fails before the event");
-        sim.run(1);
+        run(&mut sim, 1, &mut ());
         assert_eq!(
             sim.alive(),
             &[false, false, true, true],
             "the burst takes the two lowest-indexed alive processes at its round"
         );
-        sim.run(2);
+        run(&mut sim, 2, &mut ());
         assert_eq!(sim.alive(), &[false, false, true, true], "bursts fire once");
     }
 
@@ -849,7 +669,7 @@ mod tests {
     fn late_schedule_install_rejected() {
         use crate::scenario::ScenarioTimeline;
         let mut sim = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        sim.step();
+        sim.advance(&mut ());
         sim.set_schedule(ScenarioTimeline::new().compile());
     }
 }

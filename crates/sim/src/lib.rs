@@ -23,8 +23,9 @@
 //! collision freedom wrapper ([`loss::Ecf`], Property 1) and the classical
 //! *total collision model* baseline of Section 1.2
 //! ([`loss::TotalCollisionLoss`]), crash adversaries, and full execution
-//! traces ([`ExecutionTrace`]) from which transmission traces (Definition 4)
-//! and broadcast-count sequences (Definition 22) are derived.
+//! traces ([`ExecutionTrace`], one [`RoundObserver`] of the engine's
+//! rounds) from which transmission traces (Definition 4) and
+//! broadcast-count sequences (Definition 22) are derived.
 //!
 //! Everything is deterministic given the seeds supplied to the stochastic
 //! components; no wall-clock time is consulted anywhere.
@@ -57,7 +58,7 @@
 //!     loss: Box::new(NoLoss),
 //!     crash: Box::new(NoCrashes),
 //! });
-//! sim.step();
+//! sim.advance(&mut ()); // observe nothing; pass an `ExecutionTrace` to record
 //! assert!(sim.processes().iter().all(|p| p.heard == 4));
 //! ```
 
@@ -77,14 +78,14 @@ pub mod traits;
 
 pub use advice::{CdAdvice, CmAdvice};
 pub use automaton::{Automaton, RoundInput};
-pub use engine::{
-    Components, DynCrash, DynDetector, DynLoss, DynManager, Engine, Simulation, TraceDetail,
-};
+pub use engine::{Components, DynCrash, DynDetector, DynLoss, DynManager, Engine, Simulation};
 pub use fingerprint::StableHasher;
 pub use ids::{ProcessId, Round};
 pub use multiset::{Multiset, MultisetView};
 pub use scenario::{CompiledSchedule, EventTarget, ScenarioEvent, ScenarioTimeline, StaggeredJoin};
-pub use trace::{BroadcastCount, ExecutionTrace, RoundRecord, RoundView, TransmissionEntry};
+pub use trace::{
+    BroadcastCount, ExecutionTrace, RoundObserver, RoundRecord, RoundView, TransmissionEntry,
+};
 pub use traits::{
     CmView, CollisionDetector, ContentionManager, CrashAdversary, DeliveryMatrix, LossAdversary,
 };

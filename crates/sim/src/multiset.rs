@@ -121,10 +121,9 @@ impl<T: Ord> Multiset<T> {
         self.entries.iter().all(|e| other.count(&e.0) >= e.1)
     }
 
-    /// Consumes the multiset into its canonical entry vector (sorted by
-    /// value, multiplicities ≥ 1) — the trace arena's pool format.
-    pub(crate) fn into_entries(self) -> Vec<(T, usize)> {
-        self.entries
+    /// A borrowed view of this multiset.
+    pub(crate) fn view(&self) -> MultisetView<'_, T> {
+        MultisetView::over(&self.entries)
     }
 
     /// Rebuilds a multiset from entries already in canonical form.
@@ -137,10 +136,11 @@ impl<T: Ord> Multiset<T> {
 }
 
 /// A borrowed multiset: a view over a canonical slice of sorted
-/// `(value, multiplicity)` entries, as stored in the trace arena's
-/// receive-multiset pool. Offers the read-side of the [`Multiset`] API
-/// without owning (or allocating) anything; [`MultisetView::to_multiset`]
-/// materializes an owned copy when one is needed.
+/// `(value, multiplicity)` entries — a live [`Multiset`]'s own, or a span
+/// of the trace arena's receive-multiset pool. Offers the read-side of
+/// the [`Multiset`] API without owning (or allocating) anything;
+/// [`MultisetView::to_multiset`] materializes an owned copy when one is
+/// needed.
 #[derive(PartialEq, Eq)]
 pub struct MultisetView<'a, T> {
     entries: &'a [(T, usize)],

@@ -12,8 +12,8 @@
 //! A timeline is *compiled* ([`ScenarioTimeline::compile`]) into a dense
 //! per-round [`CompiledSchedule`] the engine consults at the top of every
 //! round: [`CompiledSchedule::events_at`] is an `O(1)`, allocation-free
-//! slice lookup, so the untraced hot path stays at zero allocations per
-//! round. The engine routes each event to the component family it targets
+//! slice lookup, so an engine round stays at zero allocations. The engine
+//! routes each event to the component family it targets
 //! ([`ScenarioEvent::target`]) through the `apply_event` hook on the four
 //! component traits; components that do not understand an event ignore it.
 //!

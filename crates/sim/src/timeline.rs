@@ -218,8 +218,11 @@ mod tests {
                 crash: Box::new(NoCrashes),
             },
         );
-        sim.run(4);
-        let s = timeline(sim.trace());
+        let mut trace = ExecutionTrace::new(2);
+        for _ in 0..4 {
+            sim.advance(&mut trace);
+        }
+        let s = timeline(&trace);
         assert!(s.contains("*B"));
         assert_eq!(s.lines().count(), 3);
     }

@@ -2,26 +2,34 @@
 //! paper's transmission traces (Definition 4), CD/CM traces (Definitions
 //! 5, 7) and basic broadcast count sequences (Definition 22) are derived.
 //!
+//! ## Observing rounds
+//!
+//! [`crate::Engine::advance`] executes one round and hands it to a
+//! [`RoundObserver`] as a borrowed [`RoundView`] over the engine's own
+//! round buffers. An [`ExecutionTrace`] is one such observer (it records
+//! every view it is shown); the no-op `()` records nothing, and a pair
+//! `(A, B)` feeds both halves. Whatever reads rounds — the trace
+//! recorder, the sweep's probes, a test's own fold — reads them through
+//! the same `RoundView`, live or recorded.
+//!
 //! ## Representation
 //!
 //! [`ExecutionTrace`] is a **columnar arena** (struct-of-arrays): one
 //! grow-only flat buffer per column — CM advice, CD advice, receive
-//! counts, liveness (each indexed by `round * n + process`), a dense
-//! per-round sender bitset plus a pool of sent messages in ascending
-//! sender order, a pool of receive-multiset `(value, multiplicity)`
-//! entries, and a crash pool — instead of one heap-allocated record per
-//! round. Appending a round is a handful of `extend_from_slice` calls
-//! into warm buffers (amortized O(1) allocation, arena growth only),
-//! which is what lets the *traced* engine path run nearly as fast as the
-//! untraced one.
+//! counts, liveness and the message assignment (each indexed by
+//! `round * n + process`), plus pools of senders, receive-multiset
+//! `(value, multiplicity)` entries and crashes, each cut into rounds by an
+//! end-offset column — instead of one heap-allocated record per round.
+//! Recording a round is a handful of `extend_from_slice` calls into warm
+//! buffers (amortized O(1) allocation, arena growth only), and an empty
+//! trace allocates nothing.
 //!
-//! Rounds are read through the borrowed accessor type [`RoundView`];
 //! [`RoundRecord`] remains as the owned per-round snapshot (the input to
 //! [`ExecutionTrace::push_record`] and the retained representation of the
 //! [`reference::ReferenceTrace`] test oracle). A `RoundView` debug-renders
 //! byte-identically to the equivalent `RoundRecord`, so trace debug
 //! strings and [`ExecutionTrace::fingerprint`] values are unchanged
-//! across the representation switch — the golden summaries and the
+//! across representations — the golden summaries and the
 //! replay-determinism pins in the test suite carry over untouched.
 
 use crate::advice::{CdAdvice, CmAdvice};
@@ -29,6 +37,7 @@ use crate::fingerprint::{absorb_debug, StableHasher};
 use crate::ids::{ProcessId, Round};
 use crate::multiset::{Multiset, MultisetView};
 use std::fmt;
+use std::ops::Range;
 
 /// One entry of a transmission trace (Definition 4): the pair `(c, T)` where
 /// `c` is the number of processes that broadcast this round and
@@ -108,9 +117,9 @@ pub struct RoundRecord<M: Ord> {
     pub cd: Vec<CdAdvice>,
     /// `T(i)`: how many messages each process received.
     pub received_counts: Vec<usize>,
-    /// Full receive multisets (`N_r`), recorded only when the simulation runs
-    /// with [`crate::TraceDetail::Full`]; used by indistinguishability
-    /// checks.
+    /// Full receive multisets (`N_r`), used by indistinguishability
+    /// checks. Every engine-recorded round carries them; `None` builds a
+    /// counts-only trace by hand.
     pub received: Option<Vec<Multiset<M>>>,
     /// Processes that crashed at the start of this round.
     pub crashed: Vec<ProcessId>,
@@ -142,6 +151,86 @@ impl<M: Ord> RoundRecord<M> {
     }
 }
 
+/// Watches an execution round by round: [`crate::Engine::advance`] hands
+/// every round it executes to its observer, once, in round order.
+///
+/// Observers on the sweep's hot path must not allocate per round (the
+/// `engine_dispatch` bench gates the probe set at exactly zero); the trace
+/// recorder pays amortized arena growth only.
+pub trait RoundObserver<M: Ord> {
+    /// Observes one completed round.
+    fn observe(&mut self, view: &RoundView<'_, M>);
+}
+
+/// The no-op observer: the round executes and nothing is kept.
+impl<M: Ord> RoundObserver<M> for () {
+    fn observe(&mut self, _view: &RoundView<'_, M>) {}
+}
+
+/// Feeds every round to both observers, first `.0` then `.1`.
+impl<M: Ord, A: RoundObserver<M>, B: RoundObserver<M>> RoundObserver<M> for (A, B) {
+    fn observe(&mut self, view: &RoundView<'_, M>) {
+        self.0.observe(view);
+        self.1.observe(view);
+    }
+}
+
+/// The trace recorder: appends every observed round to the arena, receive
+/// multisets included — a handful of `extend_from_slice` calls into warm
+/// columns, no per-round records.
+///
+/// # Panics
+///
+/// Panics if the view's round is not the next round, its columns do not
+/// all have length `n`, or its receive detail (multisets present or
+/// absent) differs from previously recorded rounds.
+impl<M: Ord + Clone> RoundObserver<M> for ExecutionTrace<M> {
+    fn observe(&mut self, view: &RoundView<'_, M>) {
+        // Hard assert: the arena re-derives round numbers from position,
+        // so an out-of-order append would silently rewrite the record's
+        // round (and diverge from the retained-record oracle) if let
+        // through in release builds.
+        assert_eq!(view.round.trace_index(), self.len, "rounds append in order");
+        assert_eq!(view.cm.len(), self.n, "cm arity");
+        assert_eq!(view.sent.len(), self.n, "sent arity");
+        assert_eq!(view.cd.len(), self.n, "cd arity");
+        assert_eq!(view.received_counts.len(), self.n, "received_counts arity");
+        assert_eq!(view.alive.len(), self.n, "alive arity");
+        let full = view.has_receive_multisets();
+        match self.recv_recorded {
+            None => self.recv_recorded = Some(full),
+            Some(prev) => assert_eq!(
+                prev, full,
+                "a trace records receive multisets for all rounds or none"
+            ),
+        }
+        self.cm.extend_from_slice(view.cm);
+        self.sent.extend_from_slice(view.sent);
+        self.senders.extend_from_slice(view.senders);
+        self.sender_ends.push(self.senders.len());
+        self.cd.extend_from_slice(view.cd);
+        self.received_counts.extend_from_slice(view.received_counts);
+        if full {
+            for i in 0..self.n {
+                let bucket = view.received_of(ProcessId(i)).expect("full detail");
+                self.recv_entries
+                    .extend(bucket.iter().map(|(v, c)| (v.clone(), c)));
+                self.recv_ends.push(self.recv_entries.len());
+            }
+        }
+        self.crashed.extend_from_slice(view.crashed);
+        self.crash_ends.push(self.crashed.len());
+        self.alive.extend_from_slice(view.alive);
+        self.len += 1;
+    }
+}
+
+/// The span of entry `i` in a pool cut by an end-offset column.
+fn span(ends: &[usize], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] };
+    start..ends[i]
+}
+
 /// The full recorded history of a simulation, stored as a columnar arena
 /// (see the module docs). Rounds are read through [`RoundView`]s.
 #[derive(Clone)]
@@ -149,8 +238,6 @@ pub struct ExecutionTrace<M: Ord> {
     n: usize,
     /// Completed rounds.
     len: usize,
-    /// `⌈n / 64⌉`: words per round in the sender bitset.
-    sender_words: usize,
     /// CM advice, `len * n`.
     cm: Vec<CmAdvice>,
     /// CD advice, `len * n`.
@@ -159,47 +246,46 @@ pub struct ExecutionTrace<M: Ord> {
     received_counts: Vec<usize>,
     /// Liveness after the round's crashes, `len * n`.
     alive: Vec<bool>,
-    /// Dense sender bitset, `len * sender_words` words; bit `i` of a
-    /// round's span means process `i` broadcast.
-    sender_bits: Vec<u64>,
-    /// Sent messages in (round, ascending sender) order.
-    msgs: Vec<M>,
-    /// `msgs` span of round `r`: `msg_offsets[r] .. msg_offsets[r + 1]`.
-    msg_offsets: Vec<usize>,
+    /// The message assignment `M_r`, `len * n`.
+    sent: Vec<Option<M>>,
+    /// Broadcasters in (round, ascending process) order.
+    senders: Vec<ProcessId>,
+    /// End of each round's span of `senders`, `len`.
+    sender_ends: Vec<usize>,
     /// Receive-multiset entries in (round, process, ascending value)
     /// order; empty when the trace records counts only.
     recv_entries: Vec<(M, usize)>,
-    /// `recv_entries` span of `(r, i)`: index `r * n + i` to its
-    /// successor. Length `len * n + 1` when full detail is recorded.
-    recv_offsets: Vec<usize>,
+    /// End of each `(round, process)` span of `recv_entries`, `len * n`
+    /// when receive multisets are recorded.
+    recv_ends: Vec<usize>,
     /// Whether receive multisets are recorded; fixed by the first
     /// appended round.
     recv_recorded: Option<bool>,
     /// Crashes in round order.
     crashed: Vec<ProcessId>,
-    /// `crashed` span of round `r`: `crash_offsets[r] .. [r + 1]`.
-    crash_offsets: Vec<usize>,
+    /// End of each round's span of `crashed`, `len`.
+    crash_ends: Vec<usize>,
 }
 
 impl<M: Ord> ExecutionTrace<M> {
-    /// An empty trace over `n` process indices.
+    /// An empty trace over `n` process indices. Allocates nothing until
+    /// the first round is recorded.
     pub fn new(n: usize) -> Self {
         ExecutionTrace {
             n,
             len: 0,
-            sender_words: n.div_ceil(64),
             cm: Vec::new(),
             cd: Vec::new(),
             received_counts: Vec::new(),
             alive: Vec::new(),
-            sender_bits: Vec::new(),
-            msgs: Vec::new(),
-            msg_offsets: vec![0],
+            sent: Vec::new(),
+            senders: Vec::new(),
+            sender_ends: Vec::new(),
             recv_entries: Vec::new(),
-            recv_offsets: vec![0],
+            recv_ends: Vec::new(),
             recv_recorded: None,
             crashed: Vec::new(),
-            crash_offsets: vec![0],
+            crash_ends: Vec::new(),
         }
     }
 
@@ -218,179 +304,82 @@ impl<M: Ord> ExecutionTrace<M> {
         self.len == 0
     }
 
-    /// Whether receive multisets are recorded ([`crate::TraceDetail::Full`]).
-    /// `false` for counts-only traces and for empty traces.
+    /// Whether receive multisets are recorded. Engine-recorded traces
+    /// always carry them; `false` for hand-built counts-only traces and
+    /// for empty traces.
     pub fn has_receive_multisets(&self) -> bool {
         self.recv_recorded == Some(true)
     }
 
-    /// Pre-reserves arena capacity for `extra` further rounds in every
-    /// fixed-width column (the message and receive pools are
-    /// data-dependent and keep their amortized growth). Called by
-    /// [`crate::Engine::run`], which knows its horizon, so fixed-length
-    /// traced runs skip most doubling reallocations.
-    pub fn reserve_rounds(&mut self, extra: usize) {
-        self.cm.reserve(extra * self.n);
-        self.cd.reserve(extra * self.n);
-        self.received_counts.reserve(extra * self.n);
-        self.alive.reserve(extra * self.n);
-        self.sender_bits.reserve(extra * self.sender_words);
-        self.msg_offsets.reserve(extra);
-        self.crash_offsets.reserve(extra);
-        // Counts-only traces never touch the receive columns; before the
-        // first round fixes the detail level, stay conservative.
-        if self.recv_recorded == Some(true) {
-            self.recv_offsets.reserve(extra * self.n);
-        }
-    }
-
-    /// Appends a completed round from the engine's round buffers: every
-    /// column is extended in place, so a steady-state traced round costs
-    /// only amortized arena growth — no per-round `Vec`s, no `Multiset`
-    /// clones.
-    ///
-    /// `senders` must list exactly the `Some` positions of `sent`, in
-    /// ascending order (the engine maintains both).
-    #[allow(clippy::too_many_arguments)] // the columns of one round, not a config surface
-    pub(crate) fn append_round(
-        &mut self,
-        round: Round,
-        cm: &[CmAdvice],
-        sent: &[Option<M>],
-        senders: &[ProcessId],
-        cd: &[CdAdvice],
-        received_counts: &[usize],
-        received: Option<&[Multiset<M>]>,
-        crashed: &[ProcessId],
-        alive: &[bool],
-    ) where
-        M: Clone,
-    {
-        self.begin_round(round, cm, cd, received_counts, alive, received.is_some());
-
-        let base = self.sender_bits.len();
-        self.sender_bits.resize(base + self.sender_words, 0);
-        self.msgs.reserve(senders.len());
-        for &s in senders {
-            self.sender_bits[base + s.index() / 64] |= 1u64 << (s.index() % 64);
-            let msg = sent[s.index()]
-                .as_ref()
-                .expect("sender list out of sync with message assignment");
-            self.msgs.push(msg.clone());
-        }
-        self.msg_offsets.push(self.msgs.len());
-
-        if let Some(received) = received {
-            assert_eq!(received.len(), self.n, "received arity");
-            for bucket in received {
-                for (v, c) in bucket.iter() {
-                    self.recv_entries.push((v.clone(), c));
-                }
-                self.recv_offsets.push(self.recv_entries.len());
-            }
-        }
-
-        self.crashed.extend_from_slice(crashed);
-        self.crash_offsets.push(self.crashed.len());
-        self.len += 1;
-    }
-
     /// Appends an owned per-round snapshot — the hand-assembly path used
-    /// by tests and the [`mod@reference`] oracle. The engine appends through
-    /// the borrowing `ExecutionTrace::append_round` instead.
+    /// by tests and the [`mod@reference`] oracle — by recording its view
+    /// (the engine's rounds arrive through the [`RoundObserver`] impl
+    /// directly).
     ///
     /// # Panics
     ///
-    /// Panics if the record's round is not the next round, its columns do
-    /// not all have length `n`, or its receive detail (multisets present
-    /// or absent) differs from previously appended rounds.
-    pub fn push_record(&mut self, record: RoundRecord<M>) {
-        let RoundRecord {
-            round,
-            cm,
-            sent,
-            cd,
-            received_counts,
-            received,
-            crashed,
-            alive,
-        } = record;
-        self.begin_round(
-            round,
-            &cm,
-            &cd,
-            &received_counts,
-            &alive,
-            received.is_some(),
-        );
-
-        assert_eq!(sent.len(), self.n, "sent arity");
-        let base = self.sender_bits.len();
-        self.sender_bits.resize(base + self.sender_words, 0);
-        for (i, msg) in sent.into_iter().enumerate() {
-            if let Some(msg) = msg {
-                self.sender_bits[base + i / 64] |= 1u64 << (i % 64);
-                self.msgs.push(msg);
-            }
-        }
-        self.msg_offsets.push(self.msgs.len());
-
-        if let Some(received) = received {
+    /// As the [`RoundObserver`] impl, and if the record's receive
+    /// multisets are present but not `n` of them.
+    pub fn push_record(&mut self, record: RoundRecord<M>)
+    where
+        M: Clone,
+    {
+        if let Some(received) = &record.received {
             assert_eq!(received.len(), self.n, "received arity");
-            for bucket in received {
-                self.recv_entries.extend(bucket.into_entries());
-                self.recv_offsets.push(self.recv_entries.len());
-            }
         }
-
-        self.crashed.extend(crashed);
-        self.crash_offsets.push(self.crashed.len());
-        self.len += 1;
+        let senders = record.senders();
+        self.observe(&RoundView {
+            round: record.round,
+            cm: &record.cm,
+            sent: &record.sent,
+            senders: &senders,
+            cd: &record.cd,
+            received_counts: &record.received_counts,
+            received: record
+                .received
+                .as_deref()
+                .map_or(Receives::Absent, Receives::Live),
+            crashed: &record.crashed,
+            alive: &record.alive,
+        });
     }
 
-    /// Shared validation + fixed-width column appends of both append paths.
-    fn begin_round(
-        &mut self,
-        round: Round,
-        cm: &[CmAdvice],
-        cd: &[CdAdvice],
-        received_counts: &[usize],
-        alive: &[bool],
-        full: bool,
-    ) {
-        // Hard assert: the arena re-derives round numbers from position,
-        // so an out-of-order append would silently rewrite the record's
-        // round (and diverge from the retained-record oracle) if let
-        // through in release builds.
-        assert_eq!(round.trace_index(), self.len, "rounds append in order");
-        assert_eq!(cm.len(), self.n, "cm arity");
-        assert_eq!(cd.len(), self.n, "cd arity");
-        assert_eq!(received_counts.len(), self.n, "received_counts arity");
-        assert_eq!(alive.len(), self.n, "alive arity");
-        match self.recv_recorded {
-            None => self.recv_recorded = Some(full),
-            Some(prev) => assert_eq!(
-                prev, full,
-                "a trace records receive multisets for all rounds or none"
-            ),
+    /// The view of the round at trace position `index` (< `len`).
+    fn view(&self, index: usize) -> RoundView<'_, M> {
+        let cols = index * self.n..(index + 1) * self.n;
+        RoundView {
+            round: Round(index as u64 + 1),
+            cm: &self.cm[cols.clone()],
+            sent: &self.sent[cols.clone()],
+            senders: &self.senders[span(&self.sender_ends, index)],
+            cd: &self.cd[cols.clone()],
+            received_counts: &self.received_counts[cols.clone()],
+            received: if self.has_receive_multisets() {
+                Receives::Pooled {
+                    start: if cols.start == 0 {
+                        0
+                    } else {
+                        self.recv_ends[cols.start - 1]
+                    },
+                    ends: &self.recv_ends[cols.clone()],
+                    entries: &self.recv_entries,
+                }
+            } else {
+                Receives::Absent
+            },
+            crashed: &self.crashed[span(&self.crash_ends, index)],
+            alive: &self.alive[cols],
         }
-        self.cm.extend_from_slice(cm);
-        self.cd.extend_from_slice(cd);
-        self.received_counts.extend_from_slice(received_counts);
-        self.alive.extend_from_slice(alive);
     }
 
     /// The view of round `r`, if completed.
     pub fn round(&self, r: Round) -> Option<RoundView<'_, M>> {
-        (r.trace_index() < self.len).then(|| RoundView {
-            trace: self,
-            index: r.trace_index(),
-        })
+        (r.trace_index() < self.len).then(|| self.view(r.trace_index()))
     }
 
     /// Iterates over all completed rounds in order.
     pub fn rounds(&self) -> impl Iterator<Item = RoundView<'_, M>> {
-        (0..self.len).map(move |index| RoundView { trace: self, index })
+        (0..self.len).map(move |index| self.view(index))
     }
 
     /// The transmission trace (Definition 4) restricted to completed rounds.
@@ -487,17 +476,48 @@ impl<M: Ord + fmt::Debug> fmt::Debug for ExecutionTrace<M> {
     }
 }
 
-/// A borrowed view of one completed round of an [`ExecutionTrace`]:
-/// the accessor type consumers read instead of owned `RoundRecord`
-/// fields. Cheap to copy (a trace pointer and an index); every accessor
-/// returns a slice or value straight out of the trace's columns.
+/// A borrowed view of one round: the accessor type every round consumer
+/// reads instead of owned `RoundRecord` fields. The engine shows each
+/// round to its [`RoundObserver`] as a view over its live round buffers;
+/// an [`ExecutionTrace`] serves views over its columns. Cheap to copy (a
+/// handful of slices); every accessor returns a slice or value straight
+/// out of the backing storage.
 pub struct RoundView<'a, M: Ord> {
-    trace: &'a ExecutionTrace<M>,
-    index: usize,
+    pub(crate) round: Round,
+    pub(crate) cm: &'a [CmAdvice],
+    pub(crate) sent: &'a [Option<M>],
+    /// The `Some` positions of `sent`, ascending.
+    pub(crate) senders: &'a [ProcessId],
+    pub(crate) cd: &'a [CdAdvice],
+    pub(crate) received_counts: &'a [usize],
+    pub(crate) received: Receives<'a, M>,
+    pub(crate) crashed: &'a [ProcessId],
+    pub(crate) alive: &'a [bool],
+}
+
+/// Where a view's receive multisets `N_r` live.
+pub(crate) enum Receives<'a, M: Ord> {
+    /// Not recorded (a hand-built counts-only trace).
+    Absent,
+    /// The engine's per-process receive buffers.
+    Live(&'a [Multiset<M>]),
+    /// A trace arena's entry pool: process `i`'s multiset spans
+    /// `entries[ends[i - 1]..ends[i]]`, starting at `start` for `i = 0`.
+    Pooled {
+        start: usize,
+        ends: &'a [usize],
+        entries: &'a [(M, usize)],
+    },
 }
 
 // Manual impls: the derive would demand `M: Clone`/`M: Copy`, but a view
-// is a pointer + index regardless of the message type.
+// is a set of borrows regardless of the message type.
+impl<M: Ord> Clone for Receives<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<M: Ord> Copy for Receives<'_, M> {}
 impl<M: Ord> Clone for RoundView<'_, M> {
     fn clone(&self) -> Self {
         *self
@@ -508,129 +528,103 @@ impl<M: Ord> Copy for RoundView<'_, M> {}
 impl<'a, M: Ord> RoundView<'a, M> {
     /// The (1-based) round number.
     pub fn round(self) -> Round {
-        Round(self.index as u64 + 1)
+        self.round
     }
 
     /// Number of process indices.
     pub fn n(self) -> usize {
-        self.trace.n
-    }
-
-    fn col<T>(self, column: &'a [T]) -> &'a [T] {
-        let n = self.trace.n;
-        &column[self.index * n..(self.index + 1) * n]
+        self.cm.len()
     }
 
     /// Contention manager advice per process (the CM-trace entry, Def. 7).
     pub fn cm(self) -> &'a [CmAdvice] {
-        self.col(&self.trace.cm)
+        self.cm
     }
 
     /// Collision detector advice per process (the CD-trace entry, Def. 5).
     pub fn cd(self) -> &'a [CdAdvice] {
-        self.col(&self.trace.cd)
+        self.cd
     }
 
     /// `T(i)`: how many messages each process received.
     pub fn received_counts(self) -> &'a [usize] {
-        self.col(&self.trace.received_counts)
+        self.received_counts
     }
 
     /// Liveness after this round's crashes.
     pub fn alive(self) -> &'a [bool] {
-        self.col(&self.trace.alive)
+        self.alive
     }
 
     /// How many processes were alive after this round's crashes.
     pub fn alive_count(self) -> usize {
-        self.alive().iter().filter(|&&a| a).count()
+        self.alive.iter().filter(|&&a| a).count()
     }
 
     /// How many processes were advised [`CmAdvice::Active`] this round —
     /// the quantity the wake-up stabilization analyses fold over.
     pub fn active_count(self) -> usize {
-        self.cm().iter().filter(|a| a.is_active()).count()
+        self.cm.iter().filter(|a| a.is_active()).count()
     }
 
     /// Processes that crashed at the start of this round.
     pub fn crashed(self) -> &'a [ProcessId] {
-        let start = self.trace.crash_offsets[self.index];
-        let end = self.trace.crash_offsets[self.index + 1];
-        &self.trace.crashed[start..end]
-    }
-
-    /// This round's sender-bitset words.
-    fn sender_span(self) -> &'a [u64] {
-        let w = self.trace.sender_words;
-        &self.trace.sender_bits[self.index * w..(self.index + 1) * w]
+        self.crashed
     }
 
     /// Whether process `i` broadcast this round.
     pub fn is_sender(self, i: ProcessId) -> bool {
-        let (word, bit) = (i.index() / 64, i.index() % 64);
-        self.sender_span()[word] & (1u64 << bit) != 0
+        self.sent[i.index()].is_some()
     }
 
     /// `c`: how many processes broadcast this round.
     pub fn sent_count(self) -> usize {
-        self.trace.msg_offsets[self.index + 1] - self.trace.msg_offsets[self.index]
+        self.senders.len()
     }
 
     /// The message process `i` broadcast, if any (the entry `M_r(i)` of the
     /// round's message assignment).
     pub fn sent(self, i: ProcessId) -> Option<&'a M> {
-        if !self.is_sender(i) {
-            return None;
-        }
-        let span = self.sender_span();
-        let (word, bit) = (i.index() / 64, i.index() % 64);
-        let mut rank = (span[word] & ((1u64 << bit) - 1)).count_ones() as usize;
-        for w in &span[..word] {
-            rank += w.count_ones() as usize;
-        }
-        Some(&self.sent_messages()[rank])
+        self.sent[i.index()].as_ref()
     }
 
-    /// The messages broadcast this round, in ascending sender order
-    /// (the round's slice of the trace's message pool).
-    pub fn sent_messages(self) -> &'a [M] {
-        let start = self.trace.msg_offsets[self.index];
-        let end = self.trace.msg_offsets[self.index + 1];
-        &self.trace.msgs[start..end]
+    /// The messages broadcast this round, in ascending sender order.
+    pub fn sent_messages(self) -> impl Iterator<Item = &'a M> {
+        self.sent.iter().flatten()
     }
 
     /// Which processes broadcast this round, in ascending order.
-    pub fn senders(self) -> Vec<ProcessId> {
-        let mut out = Vec::with_capacity(self.sent_count());
-        for (w, &word) in self.sender_span().iter().enumerate() {
-            let mut word = word;
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                out.push(ProcessId(w * 64 + bit));
-                word &= word - 1;
-            }
-        }
-        out
+    pub fn senders(self) -> &'a [ProcessId] {
+        self.senders
     }
 
-    /// Process `i`'s receive multiset `N_r[i]`, when the trace records
-    /// full detail ([`crate::TraceDetail::Full`]); `None` for counts-only
-    /// traces.
+    fn has_receive_multisets(self) -> bool {
+        !matches!(self.received, Receives::Absent)
+    }
+
+    /// Process `i`'s receive multiset `N_r[i]`; `None` only for rounds of
+    /// a hand-built counts-only trace.
     pub fn received_of(self, i: ProcessId) -> Option<MultisetView<'a, M>> {
-        if !self.trace.has_receive_multisets() {
-            return None;
+        match self.received {
+            Receives::Absent => None,
+            Receives::Live(buckets) => Some(buckets[i.index()].view()),
+            Receives::Pooled {
+                start,
+                ends,
+                entries,
+            } => {
+                let i = i.index();
+                let from = if i == 0 { start } else { ends[i - 1] };
+                Some(MultisetView::over(&entries[from..ends[i]]))
+            }
         }
-        let slot = self.index * self.trace.n + i.index();
-        let start = self.trace.recv_offsets[slot];
-        let end = self.trace.recv_offsets[slot + 1];
-        Some(MultisetView::over(&self.trace.recv_entries[start..end]))
     }
 
     /// The transmission-trace entry `(c, T)` for this round.
     pub fn transmission_entry(self) -> TransmissionEntry {
         TransmissionEntry {
             sent_count: self.sent_count(),
-            received: self.received_counts().to_vec(),
+            received: self.received_counts.to_vec(),
         }
     }
 
@@ -641,20 +635,18 @@ impl<'a, M: Ord> RoundView<'a, M> {
 
     /// Reassembles the owned snapshot of this round — the bridge back to
     /// the retained representation, used by the [`mod@reference`] oracle and
-    /// by callers that must outlive the trace borrow.
+    /// by callers that must outlive the borrow.
     pub fn to_record(self) -> RoundRecord<M>
     where
         M: Clone,
     {
         RoundRecord {
-            round: self.round(),
-            cm: self.cm().to_vec(),
-            sent: (0..self.n())
-                .map(|i| self.sent(ProcessId(i)).cloned())
-                .collect(),
-            cd: self.cd().to_vec(),
-            received_counts: self.received_counts().to_vec(),
-            received: self.trace.has_receive_multisets().then(|| {
+            round: self.round,
+            cm: self.cm.to_vec(),
+            sent: self.sent.to_vec(),
+            cd: self.cd.to_vec(),
+            received_counts: self.received_counts.to_vec(),
+            received: self.has_receive_multisets().then(|| {
                 (0..self.n())
                     .map(|i| {
                         self.received_of(ProcessId(i))
@@ -663,27 +655,18 @@ impl<'a, M: Ord> RoundView<'a, M> {
                     })
                     .collect()
             }),
-            crashed: self.crashed().to_vec(),
-            alive: self.alive().to_vec(),
+            crashed: self.crashed.to_vec(),
+            alive: self.alive.to_vec(),
         }
     }
 }
 
 /// Byte-identical to the derived `Debug` of the equivalent [`RoundRecord`]
 /// — the format contract that keeps trace debug strings and fingerprints
-/// stable across the columnar representation (pinned by the
-/// `views_render_like_records` tests and the per-family fingerprint
-/// pins).
+/// stable across representations (pinned by the `views_render_like_records`
+/// tests and the per-family fingerprint pins).
 impl<M: Ord + fmt::Debug> fmt::Debug for RoundView<'_, M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Sent<'a, M: Ord>(RoundView<'a, M>);
-        impl<M: Ord + fmt::Debug> fmt::Debug for Sent<'_, M> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_list()
-                    .entries((0..self.0.n()).map(|i| self.0.sent(ProcessId(i))))
-                    .finish()
-            }
-        }
         struct RecvList<'a, M: Ord>(RoundView<'a, M>);
         impl<M: Ord + fmt::Debug> fmt::Debug for RecvList<'_, M> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -698,7 +681,7 @@ impl<M: Ord + fmt::Debug> fmt::Debug for RoundView<'_, M> {
         struct Recv<'a, M: Ord>(RoundView<'a, M>);
         impl<M: Ord + fmt::Debug> fmt::Debug for Recv<'_, M> {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                if self.0.trace.has_receive_multisets() {
+                if self.0.has_receive_multisets() {
                     f.debug_tuple("Some").field(&RecvList(self.0)).finish()
                 } else {
                     f.write_str("None")
@@ -706,14 +689,14 @@ impl<M: Ord + fmt::Debug> fmt::Debug for RoundView<'_, M> {
             }
         }
         f.debug_struct("RoundRecord")
-            .field("round", &self.round())
-            .field("cm", &self.cm())
-            .field("sent", &Sent(*self))
-            .field("cd", &self.cd())
-            .field("received_counts", &self.received_counts())
+            .field("round", &self.round)
+            .field("cm", &self.cm)
+            .field("sent", &self.sent)
+            .field("cd", &self.cd)
+            .field("received_counts", &self.received_counts)
             .field("received", &Recv(*self))
-            .field("crashed", &self.crashed())
-            .field("alive", &self.alive())
+            .field("crashed", &self.crashed)
+            .field("alive", &self.alive)
             .finish()
     }
 }
@@ -905,7 +888,7 @@ mod tests {
         assert_eq!(v.sent(ProcessId(0)), Some(&7));
         assert_eq!(v.sent(ProcessId(1)), None);
         assert_eq!(v.sent(ProcessId(2)), Some(&9));
-        assert_eq!(v.sent_messages(), [7, 9]);
+        assert!(v.sent_messages().eq(&[7, 9]));
         assert_eq!(v.senders(), vec![ProcessId(0), ProcessId(2)]);
         assert_eq!(v.broadcast_count(), BroadcastCount::TwoPlus);
         assert!(v.received_of(ProcessId(0)).is_none(), "counts-only trace");

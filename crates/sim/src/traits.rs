@@ -5,21 +5,18 @@
 //!
 //! ## The writer-API convention
 //!
-//! Every component trait exposes its per-round output in two forms: a
-//! writer-style `*_into` method that fills a caller-provided buffer, and a
-//! `Vec`-returning convenience method. **Each has a default implementation
-//! in terms of the other, so an implementor must override at least one**
-//! (overriding neither recurses forever):
+//! Every component trait has exactly one required per-round method: a
+//! writer-style `*_into` that fills a caller-provided buffer
+//! ([`CollisionDetector::advise_into`], [`ContentionManager::advise_into`],
+//! [`LossAdversary::deliver_into`], [`CrashAdversary::crashes_into`]). The
+//! engine calls only these, so its reusable round buffers make a
+//! steady-state round allocation-free. The `Vec`-returning forms
+//! (`advise`, `deliver`, `crashes`) are provided wrappers over the writer
+//! for tests and one-off callers; they are not meant to be overridden.
+//! A component that implements no writer does not compile.
 //!
-//! * Components on a hot path implement the `*_into` form natively — the
-//!   engine's reusable round buffers then make a steady-state round
-//!   allocation-free — and inherit the `Vec` wrapper for free.
-//! * Seed-era or external implementors that only define the `Vec` form
-//!   keep compiling unchanged; the default `*_into` falls back to the
-//!   `Vec` method and copies (correct, but allocating).
-//!
-//! The `Box<dyn …>` adapters forward *both* methods, so dynamic dispatch
-//! preserves whichever form the underlying component implements natively.
+//! The `Box<dyn …>` adapters forward the writer (and the other
+//! per-component hooks), so dynamic dispatch reaches the same code.
 
 use crate::advice::{CdAdvice, CmAdvice};
 use crate::ids::{ProcessId, Round};
@@ -37,29 +34,18 @@ pub use crate::matrix::DeliveryMatrix;
 /// (completeness/accuracy, Properties 4–9) are defined and enforced in
 /// `wan-cd`.
 ///
-/// Implement [`CollisionDetector::advise_into`] (hot path) or
-/// [`CollisionDetector::advise`] (convenience); see the module docs.
+/// Implement [`CollisionDetector::advise_into`]; see the module docs.
 pub trait CollisionDetector {
-    /// Advice for every process index for round `round`, given the round's
-    /// transmission entry. The returned vector must have length
-    /// `tx.received.len()`.
+    /// Fills `out` (length `tx.received.len()`) with advice for every
+    /// process index for round `round`, given the round's transmission
+    /// entry, overwriting every slot.
+    fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]);
+
+    /// [`CollisionDetector::advise_into`] into a fresh vector.
     fn advise(&mut self, round: Round, tx: &TransmissionEntry) -> Vec<CdAdvice> {
         let mut out = vec![CdAdvice::Null; tx.received.len()];
         self.advise_into(round, tx, &mut out);
         out
-    }
-
-    /// Writer form of [`CollisionDetector::advise`]: fills `out` (length
-    /// `tx.received.len()`) with this round's advice, overwriting every
-    /// slot.
-    fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]) {
-        let advice = self.advise(round, tx);
-        assert_eq!(
-            advice.len(),
-            out.len(),
-            "collision detector returned wrong arity"
-        );
-        out.copy_from_slice(&advice);
     }
 
     /// The round `r_acc` from which this detector guarantees accuracy
@@ -73,15 +59,12 @@ pub trait CollisionDetector {
     /// A scheduled scenario event addressed to the detector (see
     /// [`crate::scenario`]), applied at the start of its round, before any
     /// advice is produced. Detectors that do not understand the event
-    /// ignore it (the default). Must not allocate — the untraced round
-    /// path is gated at zero allocations.
+    /// ignore it (the default). Must not allocate — the engine round is
+    /// gated at zero allocations.
     fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {}
 }
 
 impl CollisionDetector for Box<dyn CollisionDetector> {
-    fn advise(&mut self, round: Round, tx: &TransmissionEntry) -> Vec<CdAdvice> {
-        (**self).advise(round, tx)
-    }
     fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]) {
         (**self).advise_into(round, tx, out)
     }
@@ -118,27 +101,17 @@ pub struct CmView<'a> {
 /// `active`/`passive` advice. Wake-up and leader-election service properties
 /// (Properties 2–3) live in `wan-cm`.
 ///
-/// Implement [`ContentionManager::advise_into`] (hot path) or
-/// [`ContentionManager::advise`] (convenience); see the module docs.
+/// Implement [`ContentionManager::advise_into`]; see the module docs.
 pub trait ContentionManager {
-    /// Advice for every process index for round `round`. Must return a
-    /// vector of length `view.n`.
+    /// Fills `out` (length `view.n`) with advice for every process index
+    /// for round `round`, overwriting every slot.
+    fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]);
+
+    /// [`ContentionManager::advise_into`] into a fresh vector.
     fn advise(&mut self, round: Round, view: &CmView<'_>) -> Vec<CmAdvice> {
         let mut out = vec![CmAdvice::Passive; view.n];
         self.advise_into(round, view, &mut out);
         out
-    }
-
-    /// Writer form of [`ContentionManager::advise`]: fills `out` (length
-    /// `view.n`) with this round's advice, overwriting every slot.
-    fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]) {
-        let advice = self.advise(round, view);
-        assert_eq!(
-            advice.len(),
-            out.len(),
-            "contention manager returned wrong arity"
-        );
-        out.copy_from_slice(&advice);
     }
 
     /// Channel feedback after the round completes: the transmission entry
@@ -162,9 +135,6 @@ pub trait ContentionManager {
 }
 
 impl ContentionManager for Box<dyn ContentionManager> {
-    fn advise(&mut self, round: Round, view: &CmView<'_>) -> Vec<CmAdvice> {
-        (**self).advise(round, view)
-    }
     fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]) {
         (**self).advise_into(round, view, out)
     }
@@ -189,31 +159,28 @@ impl ContentionManager for Box<dyn ContentionManager> {
 /// collision model, partitions, random loss, scripts, and the eventual
 /// collision freedom wrapper of Property 1) live in [`crate::loss`].
 ///
-/// Implement [`LossAdversary::deliver_into`] (hot path) or
-/// [`LossAdversary::deliver`] (convenience); see the module docs.
+/// Implement [`LossAdversary::deliver_into`]; see the module docs.
 pub trait LossAdversary {
-    /// The delivery matrix for round `round`, given which processes
-    /// broadcast. The engine forces self-delivery afterwards, so adversaries
-    /// need not handle constraint 5 themselves.
-    fn deliver(&mut self, round: Round, senders: &[ProcessId], n: usize) -> DeliveryMatrix {
-        let mut out = DeliveryMatrix::empty();
-        self.deliver_into(round, senders, n, &mut out);
-        out
-    }
-
-    /// Writer form of [`LossAdversary::deliver`]: resolves the round into
-    /// `out`, whose previous contents are arbitrary (typically the last
-    /// round's matrix). Implementations must start with
-    /// [`DeliveryMatrix::clear_and_resize`]`(senders, n)` and may only mark
-    /// deliveries from the given senders.
+    /// Resolves the delivery matrix for round `round`, given which
+    /// processes broadcast, into `out`, whose previous contents are
+    /// arbitrary (typically the last round's matrix). Implementations must
+    /// start with [`DeliveryMatrix::clear_and_resize`]`(senders, n)` and may
+    /// only mark deliveries from the given senders. The engine forces
+    /// self-delivery afterwards, so adversaries need not handle constraint
+    /// 5 themselves.
     fn deliver_into(
         &mut self,
         round: Round,
         senders: &[ProcessId],
         n: usize,
         out: &mut DeliveryMatrix,
-    ) {
-        *out = self.deliver(round, senders, n);
+    );
+
+    /// [`LossAdversary::deliver_into`] into a fresh matrix.
+    fn deliver(&mut self, round: Round, senders: &[ProcessId], n: usize) -> DeliveryMatrix {
+        let mut out = DeliveryMatrix::empty();
+        self.deliver_into(round, senders, n, &mut out);
+        out
     }
 
     /// The round `r_cf` from which the adversary guarantees eventual
@@ -230,9 +197,6 @@ pub trait LossAdversary {
 }
 
 impl LossAdversary for Box<dyn LossAdversary> {
-    fn deliver(&mut self, round: Round, senders: &[ProcessId], n: usize) -> DeliveryMatrix {
-        (**self).deliver(round, senders, n)
-    }
     fn deliver_into(
         &mut self,
         round: Round,
@@ -259,22 +223,18 @@ impl LossAdversary for Box<dyn LossAdversary> {
 /// with the unconstrained loss adversary recovers that behaviour, see
 /// DESIGN.md "Known subtleties".)
 ///
-/// Implement [`CrashAdversary::crashes_into`] (hot path) or
-/// [`CrashAdversary::crashes`] (convenience); see the module docs.
+/// Implement [`CrashAdversary::crashes_into`]; see the module docs.
 pub trait CrashAdversary {
-    /// Processes to crash at the start of `round`. Crashing an
+    /// *Appends* the processes to crash at the start of `round` to `out`
+    /// (the engine clears the buffer between rounds). Crashing an
     /// already-crashed process is a no-op.
+    fn crashes_into(&mut self, round: Round, alive: &[bool], out: &mut Vec<ProcessId>);
+
+    /// [`CrashAdversary::crashes_into`] into a fresh vector.
     fn crashes(&mut self, round: Round, alive: &[bool]) -> Vec<ProcessId> {
         let mut out = Vec::new();
         self.crashes_into(round, alive, &mut out);
         out
-    }
-
-    /// Writer form of [`CrashAdversary::crashes`]: *appends* this round's
-    /// crashes to `out` (the engine clears the buffer between rounds).
-    fn crashes_into(&mut self, round: Round, alive: &[bool], out: &mut Vec<ProcessId>) {
-        let crashes = self.crashes(round, alive);
-        out.extend(crashes);
     }
 
     /// A scheduled scenario event addressed to the crash adversary (see
@@ -284,9 +244,6 @@ pub trait CrashAdversary {
 }
 
 impl CrashAdversary for Box<dyn CrashAdversary> {
-    fn crashes(&mut self, round: Round, alive: &[bool]) -> Vec<ProcessId> {
-        (**self).crashes(round, alive)
-    }
     fn crashes_into(&mut self, round: Round, alive: &[bool], out: &mut Vec<ProcessId>) {
         (**self).crashes_into(round, alive, out)
     }
@@ -299,43 +256,13 @@ impl CrashAdversary for Box<dyn CrashAdversary> {
 mod tests {
     use super::*;
 
-    /// A detector that only implements the seed-era `Vec` form: the writer
-    /// default must fall back to it (the source-compatibility contract).
-    struct VecOnlyDetector;
-    impl CollisionDetector for VecOnlyDetector {
-        fn advise(&mut self, _round: Round, tx: &TransmissionEntry) -> Vec<CdAdvice> {
-            tx.received
-                .iter()
-                .map(|&t| {
-                    if t == 0 {
-                        CdAdvice::Collision
-                    } else {
-                        CdAdvice::Null
-                    }
-                })
-                .collect()
-        }
-    }
-
-    /// A manager that only implements the writer form: the `Vec` default
-    /// must wrap it.
+    /// A manager that implements the writer form: the `Vec` wrapper must
+    /// serve it.
     struct IntoOnlyManager;
     impl ContentionManager for IntoOnlyManager {
         fn advise_into(&mut self, _round: Round, _view: &CmView<'_>, out: &mut [CmAdvice]) {
             out.fill(CmAdvice::Active);
         }
-    }
-
-    #[test]
-    fn vec_only_implementor_serves_the_writer_form() {
-        let mut d = VecOnlyDetector;
-        let tx = TransmissionEntry {
-            sent_count: 2,
-            received: vec![2, 0],
-        };
-        let mut out = [CdAdvice::Null; 2];
-        d.advise_into(Round(1), &tx, &mut out);
-        assert_eq!(out, [CdAdvice::Null, CdAdvice::Collision]);
     }
 
     #[test]
@@ -348,58 +275,5 @@ mod tests {
             contending: &alive,
         };
         assert_eq!(m.advise(Round(1), &view), vec![CmAdvice::Active; 3]);
-    }
-
-    #[test]
-    fn vec_only_loss_serves_the_writer_form() {
-        struct HalfLoss;
-        impl LossAdversary for HalfLoss {
-            fn deliver(&mut self, _r: Round, senders: &[ProcessId], n: usize) -> DeliveryMatrix {
-                let mut m = DeliveryMatrix::none(senders, n);
-                for &s in senders {
-                    for r in 0..n / 2 {
-                        m.set(s, ProcessId(r), true);
-                    }
-                }
-                m
-            }
-        }
-        let mut adv = HalfLoss;
-        let mut out = DeliveryMatrix::full(&[ProcessId(1)], 2); // stale state
-        adv.deliver_into(Round(1), &[ProcessId(0)], 4, &mut out);
-        assert_eq!(out.n(), 4);
-        assert!(out.delivered(ProcessId(0), ProcessId(1)));
-        assert!(!out.delivered(ProcessId(0), ProcessId(2)));
-        assert!(!out.is_sender(ProcessId(1)), "stale sender replaced");
-    }
-
-    #[test]
-    fn vec_only_crash_serves_the_writer_form() {
-        struct CrashZero;
-        impl CrashAdversary for CrashZero {
-            fn crashes(&mut self, _round: Round, _alive: &[bool]) -> Vec<ProcessId> {
-                vec![ProcessId(0)]
-            }
-        }
-        let mut out = vec![ProcessId(9)];
-        CrashZero.crashes_into(Round(1), &[true; 2], &mut out);
-        assert_eq!(out, vec![ProcessId(9), ProcessId(0)], "appends, not clears");
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong arity")]
-    fn arity_mismatch_in_vec_fallback_is_caught() {
-        struct WrongArity;
-        impl CollisionDetector for WrongArity {
-            fn advise(&mut self, _round: Round, _tx: &TransmissionEntry) -> Vec<CdAdvice> {
-                vec![CdAdvice::Null]
-            }
-        }
-        let tx = TransmissionEntry {
-            sent_count: 0,
-            received: vec![0, 0],
-        };
-        let mut out = [CdAdvice::Null; 2];
-        WrongArity.advise_into(Round(1), &tx, &mut out);
     }
 }

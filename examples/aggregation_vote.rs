@@ -36,7 +36,9 @@ fn main() {
             crash: Box::new(NoCrashes),
         },
     );
-    census.run(k * n as u64 + 2);
+    for _ in 0..k * n as u64 + 2 {
+        census.advance(&mut ());
+    }
     let population = census.processes()[0].count().expect("census closed");
     println!("census: every node counted {population} cluster members");
     assert!(census

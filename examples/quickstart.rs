@@ -1,8 +1,9 @@
 //! Quickstart: four crash-prone wireless nodes agree on a value in two
 //! rounds past stabilization, using Algorithm 1 (Newport '05, Section 7.1)
 //! with a majority-complete, eventually-accurate collision detector —
-//! then the run is *measured* with the probe API: the built-in probe set
-//! plus a custom probe, all driven over the recorded trace.
+//! and the run is *measured* with the probe API while it executes: the
+//! built-in probe set plus a custom probe watch every round, next to the
+//! trace recorder that draws the timeline.
 //!
 //! ```text
 //! cargo run --example quickstart
@@ -16,7 +17,7 @@ use ccwan::cm::{FairWakeUp, PreStabilization};
 use ccwan::consensus::{alg1, ConsensusRun, Value, ValueDomain};
 use ccwan::sim::crash::NoCrashes;
 use ccwan::sim::loss::{Ecf, RandomLoss};
-use ccwan::sim::{Components, Round, RoundView};
+use ccwan::sim::{Components, ExecutionTrace, Round, RoundView};
 
 /// A custom probe in ~15 lines: how many rounds *after* the declared CST
 /// still saw two or more broadcasters (the contention the stabilized
@@ -69,26 +70,27 @@ fn main() {
         crash: Box::new(NoCrashes),
     };
 
-    let mut run = ConsensusRun::new(alg1::processes(domain, &proposals), components);
-    println!("declared {}", run.cst());
-
-    let outcome = run.run_to_completion(Round(100));
-
-    // The whole execution at a glance: `*` = told to speak, `B` =
-    // broadcast, `±` = collision advice, digits = messages received.
-    println!("{}", ccwan::sim::timeline::timeline(run.trace()));
-
-    // Measure the run: the built-in probe set (broadcast counts, CD
-    // accuracy, crash exposure, wake-up stabilization, decision latency)
-    // plus the custom probe above, driven over the recorded trace.
+    // Measure the run as it executes: the built-in probe set (broadcast
+    // counts, CD accuracy, crash exposure, wake-up stabilization, decision
+    // latency) plus the custom probe above watch every round, next to the
+    // trace recorder.
     let mut probes = ProbeSet::from_manifest(&ProbeManifest::standard());
     probes.push(Box::new(PostCstContention {
         cst: cst.0,
         contended: 0,
     }));
+    let mut run = ConsensusRun::new(alg1::processes(domain, &proposals), components)
+        .with_observer((ExecutionTrace::new(proposals.len()), probes));
+    println!("declared {}", run.cst());
+
+    let outcome = run.run_to_completion(Round(100));
+    let (trace, mut probes) = run.into_observer();
+
+    // The whole execution at a glance: `*` = told to speak, `B` =
+    // broadcast, `±` = collision advice, digits = messages received.
+    println!("{}", ccwan::sim::timeline::timeline(&trace));
+
     let mut metrics = MetricRow::new();
-    probes.reset();
-    probes.observe_trace(run.trace());
     probes.finish(
         &CellEnd {
             reference: cst.0,

@@ -42,44 +42,9 @@ fn same_cell_replays_byte_identical_traces() {
     }
 }
 
-/// The untraced fast path (the outcome-only probe manifest's engine
-/// path) produces exactly the measurement the traced reference execution
-/// produces — across every algorithm and environment family in the
-/// registry. Cells run traced by default now, so the equivalence is
-/// pinned by forcing both paths on an outcome-only copy of each spec.
-#[test]
-fn untraced_cells_match_traced_reference() {
-    let registry = Registry::standard(Scale::Quick);
-    for prefix in [
-        "lattice/",
-        "alg1/",
-        "alg2/",
-        "alg3/",
-        "bst/",
-        "phy/",
-        "ablation/",
-    ] {
-        let mut spec = registry
-            .specs()
-            .iter()
-            .find(|s| s.name.starts_with(prefix))
-            .unwrap_or_else(|| panic!("registry has a {prefix} spec"))
-            .clone();
-        spec.probes = ccwan::bench::sweep::ProbeManifest::outcome_only();
-        for case in 0..2 {
-            assert_eq!(
-                spec.run_cell(0, case),
-                spec.run_cell_traced(0, case),
-                "{} case {case}: untraced fast path diverged from traced reference",
-                spec.name
-            );
-        }
-    }
-}
-
-/// The default (traced, full-manifest) path and the legacy core fields
-/// agree: a traced-by-default cell's compatibility accessor equals the
-/// outcome-only untraced run of the same cell.
+/// The standard manifest and the legacy core fields agree: a
+/// standard-manifest cell's compatibility accessor equals the
+/// outcome-only run of the same cell.
 #[test]
 fn traced_by_default_cells_preserve_the_legacy_core_fields() {
     let registry = Registry::standard(Scale::Quick);

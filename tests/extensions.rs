@@ -30,7 +30,9 @@ fn counting_is_exact_under_k_wakeup_with_heavy_loss() {
                     crash: Box::new(NoCrashes),
                 },
             );
-            sim.run(k * n as u64 + 2);
+            for _ in 0..k * n as u64 + 2 {
+                sim.advance(&mut ());
+            }
             assert!(
                 sim.processes().iter().all(|p| p.count() == Some(n as u64)),
                 "n={n} k={k} loss={loss}"

@@ -40,8 +40,8 @@ proptest! {
     }
 }
 
-/// Replaying one cell — directly, via the forced-traced entry point, or
-/// inside a sweep — always yields the identical metric row.
+/// Replaying one cell — directly or inside a sweep — always yields the
+/// identical metric row.
 #[test]
 fn probe_output_is_a_pure_function_of_spec_and_case() {
     let registry = Registry::standard(Scale::Quick);
@@ -55,8 +55,6 @@ fn probe_output_is_a_pure_function_of_spec_and_case() {
             let direct = spec.run_cell(7, case);
             let again = spec.run_cell(7, case);
             assert_eq!(direct, again, "{} case {case} replay", spec.name);
-            let forced = spec.run_cell_traced(7, case);
-            assert_eq!(direct, forced, "{} case {case} forced-traced", spec.name);
         }
         // The same cell inside a sweep carries the same metrics.
         let frame = SweepRunner::with_threads(3).run_fresh(std::slice::from_ref(spec));
