@@ -119,9 +119,17 @@ struct RoundBuffers<M: Ord> {
     received: Vec<Multiset<M>>,
     /// The transmission entry `(c, T)`; its `received` vector is reused.
     tx: TransmissionEntry,
+    /// This round's distinct messages, as one representative sender each,
+    /// in ascending message order (variable length).
+    distinct: Vec<ProcessId>,
+    /// `rank[s]`: the position in `distinct` of sender `s`'s message,
+    /// length `n` (meaningful for this round's senders only).
+    rank: Vec<usize>,
+    /// Per-rank delivery counts of the receiver being assembled.
+    rank_counts: Vec<usize>,
 }
 
-impl<M: Ord> RoundBuffers<M> {
+impl<M: Ord + Clone> RoundBuffers<M> {
     fn for_n(n: usize) -> Self {
         RoundBuffers {
             crashed: Vec::new(),
@@ -136,6 +144,89 @@ impl<M: Ord> RoundBuffers<M> {
                 sent_count: 0,
                 received: Vec::with_capacity(n),
             },
+            distinct: Vec::with_capacity(n),
+            rank: vec![0; n],
+            rank_counts: Vec::with_capacity(n),
+        }
+    }
+
+    /// Receive assembly: each process's receive multiset `N_r[i]` and its
+    /// count `T(i)`, from the round's messages `sent`, broadcasters
+    /// `senders` and forced-diagonal delivery matrix.
+    ///
+    /// The round's distinct messages are ranked once. A receiver then
+    /// costs a row popcount (its `T(i)`) when the round carries one
+    /// distinct message, and otherwise one count per delivery, tallied by
+    /// rank and appended in rank order: one clone per distinct message
+    /// received, never one per delivery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix's declared senders are not this round's
+    /// broadcasters (the [`LossAdversary`] contract), since a delivery
+    /// from a silent process has no message to deliver.
+    fn assemble_receives(&mut self) {
+        let RoundBuffers {
+            sent,
+            senders,
+            matrix,
+            received,
+            tx,
+            distinct,
+            rank,
+            rank_counts,
+            ..
+        } = self;
+        assert!(
+            matrix.is_keyed_by(senders),
+            "delivery matrix may only deliver from this round's senders"
+        );
+        let msg = |s: ProcessId| sent[s.index()].as_ref().expect("senders broadcast");
+
+        // Rank the distinct messages. A one-message round needs no ranks.
+        distinct.clear();
+        for &s in senders.iter() {
+            let m = msg(s);
+            if let Err(at) = distinct.binary_search_by(|&d| msg(d).cmp(m)) {
+                distinct.insert(at, s);
+            }
+        }
+        if distinct.len() > 1 {
+            for &s in senders.iter() {
+                let m = msg(s);
+                rank[s.index()] = distinct
+                    .binary_search_by(|&d| msg(d).cmp(m))
+                    .expect("every message was ranked");
+            }
+        }
+
+        tx.received.clear();
+        for (r, bucket) in received.iter_mut().enumerate() {
+            bucket.clear();
+            let row = matrix.row_words(ProcessId(r));
+            let total: usize = row.iter().map(|w| w.count_ones() as usize).sum();
+            tx.received.push(total);
+            if total == 0 {
+                continue;
+            }
+            if let [only] = distinct[..] {
+                bucket.push_greatest(msg(only).clone(), total);
+                continue;
+            }
+            rank_counts.clear();
+            rank_counts.resize(distinct.len(), 0);
+            for (wi, &w) in row.iter().enumerate() {
+                let mut rest = w;
+                while rest != 0 {
+                    rank_counts[rank[wi * 64 + rest.trailing_zeros() as usize]] += 1;
+                    rest &= rest - 1;
+                }
+            }
+            for (&d, &count) in distinct.iter().zip(rank_counts.iter()) {
+                if count > 0 {
+                    bucket.push_greatest(msg(d).clone(), count);
+                }
+            }
         }
     }
 }
@@ -334,37 +425,15 @@ where
                 .filter_map(|(i, m)| m.is_some().then_some(ProcessId(i))),
         );
 
-        // 4. Loss resolution; self-delivery forced (constraint 5).
+        // 4. Loss resolution; self-delivery forced (constraint 5). Receive
+        // assembly also fills the transmission entry's counts `T`.
         loss.deliver_into(now, &buf.senders, n, &mut buf.matrix);
         assert_eq!(buf.matrix.n(), n, "loss adversary returned wrong arity");
         buf.matrix.force_self_delivery();
+        buf.assemble_receives();
 
-        // Receive assembly is word-wise: walk each receiver's delivery
-        // row via the trailing-zeros bit loop instead of probing every
-        // sender bit, so empty words (the common case on sparse rounds)
-        // cost one comparison.
-        let sent = &buf.sent;
-        for (r, bucket) in buf.received.iter_mut().enumerate() {
-            bucket.clear();
-            buf.matrix.for_each_delivered_to(ProcessId(r), |s| {
-                let msg = sent[s.index()]
-                    .as_ref()
-                    .expect("delivery matrix may only deliver from this round's senders");
-                bucket.insert(msg.clone());
-            });
-        }
-
-        // 5. Collision detection from the transmission entry (c, T). The
-        // counts live inside the entry until the record is assembled, so
-        // the hot path builds them exactly once. Each receive multiset's
-        // total is by construction its delivery-row popcount (one insert
-        // per set sender bit), so the counts come straight off the matrix
-        // words.
+        // 5. Collision detection from the transmission entry (c, T).
         buf.tx.sent_count = buf.senders.len();
-        buf.tx.received.clear();
-        buf.tx
-            .received
-            .extend((0..n).map(|r| buf.matrix.received_count(ProcessId(r))));
         // Pre-filled like the Vec-form wrapper's default (see step 2).
         buf.cd.fill(CdAdvice::Null);
         detector.advise_into(now, &buf.tx, &mut buf.cd);
@@ -424,6 +493,9 @@ mod tests {
     use crate::crash::{NoCrashes, ScheduledCrashes};
     use crate::loss::{NoLoss, TotalCollisionLoss};
     use crate::{AllActive, AlwaysNull, ExecutionTrace};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Broadcasts its id every round; records everything it hears.
     #[derive(Debug)]
@@ -671,5 +743,140 @@ mod tests {
         let mut sim = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
         sim.advance(&mut ());
         sim.set_schedule(ScenarioTimeline::new().compile());
+    }
+
+    /// Breaks the [`LossAdversary`] contract: keys the matrix with process
+    /// 0 whether or not it broadcast, and delivers from it to everyone.
+    struct RogueLoss;
+
+    impl LossAdversary for RogueLoss {
+        fn deliver_into(
+            &mut self,
+            _round: Round,
+            senders: &[ProcessId],
+            n: usize,
+            out: &mut DeliveryMatrix,
+        ) {
+            let mut keyed = senders.to_vec();
+            if !keyed.contains(&ProcessId(0)) {
+                keyed.insert(0, ProcessId(0));
+            }
+            out.clear_and_resize(&keyed, n);
+            out.deliver_all_from(ProcessId(0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery matrix may only deliver from this round's senders")]
+    fn delivery_from_a_non_broadcaster_rejected() {
+        // Process 0 crashes before round 1, so it sends nothing.
+        let crash = ScheduledCrashes::new().crash(ProcessId(0), Round(1));
+        let mut sim = Engine::from_parts(chatters(3), AlwaysNull, AllActive, RogueLoss, crash);
+        sim.advance(&mut ());
+    }
+
+    /// The per-delivery receive assembly that rank counting replaced, kept
+    /// as the reference: one sorted insert per delivered message, and each
+    /// count `T(i)` from a separate row popcount.
+    fn reference_receives<M: Ord + Clone>(
+        sent: &[Option<M>],
+        matrix: &DeliveryMatrix,
+    ) -> (Vec<Multiset<M>>, Vec<usize>) {
+        let receivers = (0..matrix.n()).map(ProcessId);
+        let received = receivers
+            .clone()
+            .map(|r| {
+                let mut bucket = Multiset::new();
+                for s in matrix.delivered_to(r) {
+                    let msg = sent[s.index()]
+                        .as_ref()
+                        .expect("delivery matrix may only deliver from this round's senders");
+                    bucket.insert(msg.clone());
+                }
+                bucket
+            })
+            .collect();
+        let counts = receivers.map(|r| matrix.received_count(r)).collect();
+        (received, counts)
+    }
+
+    /// Who broadcasts in a generated round.
+    #[derive(Debug, Clone, Copy)]
+    enum Broadcasters {
+        Nobody,
+        Everyone,
+        /// Each process independently silent (crashed or passive).
+        Some,
+    }
+
+    /// Fills `buf` with a random round at `n` processes: messages drawn
+    /// from `alphabet` values (`None`: all distinct, in no particular
+    /// order), then a delivery matrix of the given density, diagonal
+    /// forced as the engine forces it.
+    fn random_round(
+        buf: &mut RoundBuffers<u64>,
+        rng: &mut StdRng,
+        n: usize,
+        alphabet: Option<u64>,
+        who: Broadcasters,
+        density: f64,
+    ) {
+        for (i, slot) in buf.sent.iter_mut().enumerate() {
+            let speaks = match who {
+                Broadcasters::Nobody => false,
+                Broadcasters::Everyone => true,
+                Broadcasters::Some => rng.random_bool(0.5),
+            };
+            let value = match alphabet {
+                Some(k) => rng.next_u64() % k,
+                None => (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5555,
+            };
+            *slot = speaks.then_some(value);
+        }
+        buf.senders.clear();
+        buf.senders
+            .extend((0..n).filter(|&i| buf.sent[i].is_some()).map(ProcessId));
+        buf.matrix.clear_and_resize(&buf.senders, n);
+        for &s in &buf.senders {
+            buf.matrix
+                .deliver_from_where(s, |_| rng.random_bool(density));
+        }
+        buf.matrix.force_self_delivery();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Rank-counted assembly equals the per-delivery reference — every
+        /// receive multiset and every count `T(i)` — across widths around
+        /// the word boundaries, alphabets of 1, 2 and 3 values and all
+        /// distinct, silent and crashed processes, and rounds with no
+        /// senders. One buffer set per width is reused across all of its
+        /// rounds, as the engine reuses it, so stale state would show.
+        #[test]
+        fn rank_counted_assembly_matches_per_delivery_reference(
+            seed in any::<u64>(),
+            density_permille in 0u64..=1000,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let density = density_permille as f64 / 1000.0;
+            for n in [1usize, 4, 63, 64, 65, 130] {
+                let mut buf = RoundBuffers::<u64>::for_n(n);
+                for alphabet in [Some(1), Some(2), Some(3), None] {
+                    for who in [Broadcasters::Nobody, Broadcasters::Everyone, Broadcasters::Some] {
+                        random_round(&mut buf, &mut rng, n, alphabet, who, density);
+                        let (received, counts) = reference_receives(&buf.sent, &buf.matrix);
+                        buf.assemble_receives();
+                        prop_assert_eq!(
+                            &buf.received, &received,
+                            "n = {}, alphabet {:?}, {:?}", n, alphabet, who
+                        );
+                        prop_assert_eq!(
+                            &buf.tx.received, &counts,
+                            "n = {}, alphabet {:?}, {:?}", n, alphabet, who
+                        );
+                    }
+                }
+            }
+        }
     }
 }

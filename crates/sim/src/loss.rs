@@ -242,11 +242,11 @@ impl LossAdversary for RandomLoss {
     ) {
         out.clear_and_resize(senders, n);
         // One draw per (sender, receiver) pair in this exact order: the
-        // RNG stream is pinned by the determinism tests. The degenerate
-        // regimes (`random_bool(0.0)` is always false, `random_bool(1.0)`
-        // always true — each still one `next_u64`) deliver in whole-word
-        // masks and just advance the stream, so later rounds see the
-        // exact same draws as the scalar loop.
+        // RNG stream is pinned by the determinism tests. A pair is
+        // delivered iff its draw clears the loss threshold. The degenerate
+        // regimes (threshold 0 delivers every pair, threshold 2^53 none)
+        // deliver in whole-word masks and just advance the stream, so
+        // later rounds see the exact same draws as the per-pair loop.
         if self.p_loss == 0.0 || self.p_loss == 1.0 {
             if self.p_loss == 0.0 {
                 out.deliver_all();
@@ -256,12 +256,37 @@ impl LossAdversary for RandomLoss {
             }
             return;
         }
+        let threshold = LossThreshold::new(self.p_loss);
         for &s in senders {
             // `deliver_from_where` probes receivers in ascending index
             // order, one predicate call (= one draw) per process: the
-            // stream stays bit-for-bit the nested scalar loop's.
-            out.deliver_from_where(s, |_| !self.rng.random_bool(self.p_loss));
+            // stream stays bit-for-bit the nested per-pair loop's.
+            out.deliver_from_where(s, |_| threshold.delivers(self.rng.next_u64()));
         }
+    }
+}
+
+/// The per-pair loss decision at probability `p`, computed once per round:
+/// a pair whose draw `x` has `x >> 11 >= ceil(p · 2^53)` is delivered,
+/// else lost.
+///
+/// This is the shim's `random_bool(p)` in integer form. `random_bool`
+/// tests `(x >> 11) as f64 * 2^-53 < p`. Both sides scale exactly by
+/// `2^53` (`x >> 11` is an integer below `2^53`), so the test holds iff
+/// the integer `x >> 11` is below the real `p · 2^53`, i.e. below its
+/// ceiling. Deciding pairs this way consumes the same draws in the same
+/// order and yields the same delivery bits.
+#[derive(Debug, Clone, Copy)]
+struct LossThreshold(u64);
+
+impl LossThreshold {
+    fn new(p: f64) -> Self {
+        LossThreshold((p * (1u64 << 53) as f64).ceil() as u64)
+    }
+
+    /// Whether the pair that drew `x` is delivered.
+    fn delivers(self, x: u64) -> bool {
+        x >> 11 >= self.0
     }
 }
 
@@ -310,16 +335,16 @@ impl LossAdversary for TimelineLoss {
         out: &mut DeliveryMatrix,
     ) {
         out.clear_and_resize(senders, n);
-        // One draw per pair regardless of regime (even at p ∈ {0, 1}, where
-        // `random_bool` still consumes one `next_u64`): the stream is a
-        // pure function of the round's sender set, never of the current
-        // loss rate or partition state.
-        let p = self.p_loss;
+        // One draw per pair regardless of regime (even at p ∈ {0, 1}, whose
+        // thresholds decide every pair the same way): the stream is a pure
+        // function of the round's sender set, never of the current loss
+        // rate or partition state.
+        let threshold = LossThreshold::new(self.p_loss);
         let boundary = self.boundary;
         let rng = &mut self.rng;
         for &s in senders {
             out.deliver_from_where(s, |r| {
-                let delivered = !rng.random_bool(p);
+                let delivered = threshold.delivers(rng.next_u64());
                 let same_side = match boundary {
                     None => true,
                     Some(b) => (s.index() < b) == (r.index() < b),
@@ -535,6 +560,88 @@ mod tests {
                         m.delivered(s, ProcessId(r)),
                         expect,
                         "round {round}, sender {s}, receiver {r}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A "generator" that always draws `x`: lets the shim's own
+    /// `random_bool` be evaluated on a chosen draw.
+    struct Fixed(u64);
+
+    impl Rng for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn loss_threshold_is_random_bool_in_integer_form() {
+        let unit = |k: u64| k as f64 / (1u64 << 53) as f64;
+        let mut ps = vec![
+            0.0,
+            f64::from_bits(1), // 2^-1074, the least positive double
+            unit(1),           // 2^-53
+            0.3,
+            0.5,
+            0.6,
+            1.0 - unit(1),
+            1.0,
+        ];
+        // Seeded random p at full double precision (a random 64-bit
+        // integer scaled by 2^-64), so most p · 2^53 are not integers.
+        let mut pick = StdRng::seed_from_u64(0x1055);
+        ps.extend((0..1000).map(|_| pick.next_u64() as f64 / 2f64.powi(64)));
+        for (i, &p) in ps.iter().enumerate() {
+            let threshold = LossThreshold::new(p);
+            // The same stream, drawn both ways.
+            let mut ints = StdRng::seed_from_u64(i as u64);
+            let mut floats = ints.clone();
+            for draw in 0..10_000 {
+                assert_eq!(
+                    threshold.delivers(ints.next_u64()),
+                    !floats.random_bool(p),
+                    "p = {p:e}, draw {draw}"
+                );
+            }
+            // The draws on either side of the threshold, which a random
+            // stream almost never hits.
+            let LossThreshold(t) = threshold;
+            for k in [t.saturating_sub(1), t, t + 1] {
+                let x = k.min((1 << 53) - 1) << 11;
+                assert_eq!(
+                    threshold.delivers(x),
+                    !Fixed(x).random_bool(p),
+                    "p = {p:e}, x >> 11 = {}",
+                    x >> 11
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn timeline_loss_rate_swaps_match_a_random_bool_reference() {
+        // Mid-run `SetLossRate` events, the degenerate rates included,
+        // against the per-pair `random_bool` loop on the same stream.
+        let swaps = [(3, 0.25), (5, 0.0), (6, 0.8), (8, 1.0), (10, 0.5)];
+        let n = 70; // multi-word rows
+        let senders = pids(&[0, 5, 63, 64, 69]);
+        let mut adv = TimelineLoss::new(0.6, 31);
+        let mut reference = StdRng::seed_from_u64(31);
+        let mut p = 0.6;
+        for round in 1..=12u64 {
+            if let Some(&(_, q)) = swaps.iter().find(|&&(at, _)| at == round) {
+                adv.apply_event(Round(round), ScenarioEvent::SetLossRate { p: q });
+                p = q;
+            }
+            let m = adv.deliver(Round(round), &senders, n);
+            for &s in &senders {
+                for r in 0..n {
+                    assert_eq!(
+                        m.delivered(s, ProcessId(r)),
+                        !reference.random_bool(p),
+                        "round {round}, p = {p}, sender {s}, receiver {r}"
                     );
                 }
             }

@@ -107,6 +107,13 @@ impl DeliveryMatrix {
         bits(&self.senders).map(ProcessId)
     }
 
+    /// Whether the matrix covers exactly `senders`, which must be strictly
+    /// ascending (as the engine's broadcaster list is).
+    pub(crate) fn is_keyed_by(&self, senders: &[ProcessId]) -> bool {
+        let declared: u32 = self.senders.iter().map(|w| w.count_ones()).sum();
+        declared as usize == senders.len() && senders.iter().all(|&s| self.is_sender(s))
+    }
+
     fn row(&self, r: ProcessId) -> &[u64] {
         let start = r.index() * self.words_per_row;
         &self.rows[start..start + self.words_per_row]
@@ -182,8 +189,7 @@ impl DeliveryMatrix {
         self.row(r).iter().map(|w| w.count_ones() as usize).sum()
     }
 
-    /// The senders whose messages receiver `r` obtains, in ascending order —
-    /// the engine's delivery loop.
+    /// The senders whose messages receiver `r` obtains, in ascending order.
     pub fn delivered_to(&self, r: ProcessId) -> impl Iterator<Item = ProcessId> + '_ {
         bits(self.row(r)).map(ProcessId)
     }
@@ -197,29 +203,14 @@ impl DeliveryMatrix {
         self.row(r)
     }
 
-    /// Calls `f` with each sender delivering to `r`, in ascending order —
-    /// the batched (trailing-zeros word walk) form of
-    /// [`DeliveryMatrix::delivered_to`]. Visits whole empty words in one
-    /// comparison instead of one probe per sender, which is what makes
-    /// sparse receive assembly cheap on wide rounds.
-    #[inline]
-    pub fn for_each_delivered_to(&self, r: ProcessId, mut f: impl FnMut(ProcessId)) {
-        for (wi, &w) in self.row(r).iter().enumerate() {
-            let mut rest = w;
-            while rest != 0 {
-                f(ProcessId(wi * 64 + rest.trailing_zeros() as usize));
-                rest &= rest - 1;
-            }
-        }
-    }
-
     /// Delivers sender `s`'s message to exactly the receivers `pred`
     /// accepts, probing every process in ascending index order (`0..n`).
     /// The strict probe order is load-bearing for adversaries whose
-    /// predicate consumes an RNG stream: one call per process, in index
-    /// order, keeps the stream — and therefore the delivery bits —
-    /// identical to a hand-written per-receiver loop. The sender's word
-    /// and bit are hoisted out of the probe loop.
+    /// predicate takes one RNG draw per probe (the random loss
+    /// adversaries test each draw against their loss threshold): one call
+    /// per process, in index order, keeps the stream — and therefore the
+    /// delivery bits — identical to a hand-written per-receiver loop. The
+    /// sender's word and bit are hoisted out of the probe loop.
     ///
     /// # Panics
     ///
@@ -332,6 +323,28 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_sender_rejected() {
         let _ = DeliveryMatrix::none(&[ProcessId(5)], 2);
+    }
+
+    #[test]
+    fn is_keyed_by_requires_exactly_the_declared_senders() {
+        let m = DeliveryMatrix::none(&[ProcessId(1), ProcessId(64)], 70);
+        assert!(m.is_keyed_by(&[ProcessId(1), ProcessId(64)]));
+        assert!(
+            !m.is_keyed_by(&[ProcessId(1)]),
+            "one declared sender too many"
+        );
+        assert!(
+            !m.is_keyed_by(&[ProcessId(1), ProcessId(2), ProcessId(64)]),
+            "a broadcaster missing"
+        );
+        assert!(
+            !m.is_keyed_by(&[ProcessId(1), ProcessId(65)]),
+            "a different sender"
+        );
+        assert!(
+            !m.is_keyed_by(&[ProcessId(1), ProcessId(70)]),
+            "out of range"
+        );
     }
 
     #[test]
@@ -506,10 +519,9 @@ mod tests {
         }
 
         /// Word-wise consumers agree with the per-bit reference on random
-        /// matrices: the trailing-zeros walk visits exactly the senders
-        /// `delivered_to` yields (in the same ascending order), row-word
-        /// popcounts equal `received_count`, and the masked row OR equals
-        /// bit-by-bit sets.
+        /// matrices: row-word popcounts equal `received_count` and the
+        /// number of senders `delivered_to` yields, and the masked row OR
+        /// equals bit-by-bit sets.
         #[test]
         fn word_wise_paths_match_per_bit_reference(
             n in 1usize..150,
@@ -542,13 +554,10 @@ mod tests {
             }
             for r in 0..n {
                 let r = ProcessId(r);
-                let mut walked = Vec::new();
-                m.for_each_delivered_to(r, |s| walked.push(s));
-                prop_assert_eq!(&walked, &m.delivered_to(r).collect::<Vec<_>>());
                 let popcount: usize =
                     m.row_words(r).iter().map(|w| w.count_ones() as usize).sum();
                 prop_assert_eq!(popcount, m.received_count(r));
-                prop_assert_eq!(popcount, walked.len());
+                prop_assert_eq!(popcount, m.delivered_to(r).count());
             }
             // deliver_row_mask == per-bit sets of the mask ∩ senders.
             let rx = ProcessId(mask_rx % n);

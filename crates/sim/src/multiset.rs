@@ -70,6 +70,20 @@ impl<T: Ord> Multiset<T> {
         self.total += n;
     }
 
+    /// Appends `n ≥ 1` occurrences of `value`, which must be greater than
+    /// every value already present (checked in debug builds). The engine's
+    /// receive assembly produces each multiset in ascending order, so it
+    /// appends instead of searching.
+    pub(crate) fn push_greatest(&mut self, value: T, n: usize) {
+        debug_assert!(n >= 1, "multiplicities are positive");
+        debug_assert!(
+            self.entries.last().is_none_or(|(last, _)| *last < value),
+            "push_greatest() below the current maximum"
+        );
+        self.entries.push((value, n));
+        self.total += n;
+    }
+
     /// The multiplicity of `value` in the multiset (zero if absent).
     pub fn count(&self, value: &T) -> usize {
         self.entries
