@@ -43,9 +43,9 @@
 //! ```
 
 use ccwan_core::{alg1, alg2, ConsensusAutomaton, ConsensusRun, Value, ValueDomain};
-use criterion::black_box;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use wan_bench::experiments::helpers::EnvPlan;
 use wan_bench::sweep::{ProbeManifest, ProbeSet};

@@ -5,15 +5,14 @@
 //! run_experiments check          [--quick]
 //! run_experiments bless          [--quick]
 //! run_experiments metrics <glob> [--quick]
-//! run_experiments throughput     [--quick]
 //! run_experiments help
 //! ```
 //!
 //! Every sweep executes every cell, in this process, through the
-//! work-stealing [`SweepRunner`] (`CCWAN_SWEEP_THREADS` sets its worker
-//! count); results are byte-identical at any thread count. `--no-cache`
-//! is still accepted on `run`, `check`, `bless` and `metrics` and has no
-//! effect: there is no result cache to bypass.
+//! work-stealing [`SweepRunner`]; results are byte-identical at any thread
+//! count. `CCWAN_SWEEP_THREADS` sets the worker count and must be a
+//! positive integer: any other value aborts the run rather than falling
+//! back to the default.
 //!
 //! * `run` prints every experiment table (`--only eN` narrows to one). A
 //!   bare invocation means `run`.
@@ -32,13 +31,6 @@
 //!   stable — registry order, then canonical metric order — and the table
 //!   is a pure function of the results frame, so stdout is byte-identical
 //!   at any worker count.
-//! * `throughput` times a fresh execution of every registry spec and
-//!   prints a per-spec wall-clock summary — simulated rounds/sec, plus
-//!   messages/sec where the spec's probe manifest records broadcasts — to
-//!   **stderr**. This is the sweep-scale view of the batched delivery
-//!   kernels: the `engine_dispatch` bench measures single engines in
-//!   isolation, this measures the real work-stealing sweep stack end to
-//!   end.
 
 use std::path::{Path, PathBuf};
 use wan_bench::sweep::{golden, MetricId, Registry, ResultsFrame, SweepRunner, SweepSummary};
@@ -79,17 +71,15 @@ commands:
   bless          regenerate the golden summary after an intended change
   metrics <glob> per-spec summary of probe metrics; the glob selects
                  metric names or registry spec names (e.g. 'absmac/*')
-  throughput     time a fresh execution of every registry spec (stderr)
 
 options:
   --quick        CI-sized sweeps instead of paper-sized
   --only eN      (run) a single experiment (e1..e16)
-  --no-cache     (run/check/bless/metrics) accepted for compatibility;
-                 has no effect, every sweep runs fresh
   --help, help   this text
 
 environment:
-  CCWAN_SWEEP_THREADS  sweep worker threads (default: available cores)
+  CCWAN_SWEEP_THREADS  sweep worker threads, a positive integer
+                       (default: available cores)
   CCWAN_GOLDEN_DIR     golden summary directory (default: golden/sweeps)";
 
 /// What `main` dispatches on once the command line is understood.
@@ -98,7 +88,6 @@ enum Command {
     Check,
     Bless,
     Metrics { glob: String },
-    Throughput,
 }
 
 fn main() {
@@ -110,44 +99,38 @@ fn main() {
         println!("{USAGE}");
         return;
     }
-    let (command, quick, no_cache) = match parse(&args) {
+    let (command, quick) = match parse(&args) {
         Ok(parsed) => parsed,
         Err(msg) => {
             eprintln!("{msg}\n\nrun `run_experiments help` for usage");
             std::process::exit(2);
         }
     };
-    if no_cache {
-        eprintln!("note: --no-cache has no effect; every sweep runs fresh");
-    }
     let scale = if quick { Scale::Quick } else { Scale::Full };
     let code = match command {
         Command::Run { only } => run_suite(scale, only.as_deref()),
         Command::Check => run_check(scale, false),
         Command::Bless => run_check(scale, true),
         Command::Metrics { glob } => run_metrics(scale, &glob),
-        Command::Throughput => run_throughput(scale),
     };
     std::process::exit(code);
 }
 
-/// Parses the command line into `(command, quick, no_cache)`. The first
-/// argument selects the command unless it is a flag, in which case the
-/// command is `run`.
-fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
+/// Parses the command line into `(command, quick)`. The first argument
+/// selects the command unless it is a flag, in which case the command is
+/// `run`.
+fn parse(args: &[String]) -> Result<(Command, bool), String> {
     let (word, rest) = match args.split_first() {
         Some((first, rest)) if !first.starts_with('-') => (first.as_str(), rest),
         _ => ("run", args),
     };
     let mut quick = false;
-    let mut no_cache = false;
     let mut only: Option<String> = None;
     let mut positional: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
             "--quick" => quick = true,
-            "--no-cache" => no_cache = true,
             "--only" => {
                 i += 1;
                 only = Some(
@@ -156,24 +139,14 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
                         .to_lowercase(),
                 );
             }
-            flag @ ("--check" | "--bless" | "--metrics" | "--throughput") => {
-                return Err(format!(
-                    "the flag-style {flag} was removed; use the `{}` command",
-                    &flag[2..]
-                ));
-            }
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             value => positional.push(value),
         }
         i += 1;
     }
 
-    let reject = |flag: &str| format!("{flag} does not apply to `{word}`");
     if only.is_some() && word != "run" {
-        return Err(reject("--only"));
-    }
-    if no_cache && word == "throughput" {
-        return Err(reject("--no-cache"));
+        return Err(format!("--only does not apply to `{word}`"));
     }
     let command = match (word, positional.as_slice()) {
         ("run", []) => {
@@ -189,18 +162,17 @@ fn parse(args: &[String]) -> Result<(Command, bool, bool), String> {
         }
         ("check", []) => Command::Check,
         ("bless", []) => Command::Bless,
-        ("throughput", []) => Command::Throughput,
         ("metrics", [glob]) => Command::Metrics {
             glob: glob.to_string(),
         },
         ("metrics", []) => return Err("`metrics` requires a glob (e.g. 'cd_*')".into()),
         ("metrics", _) => return Err("`metrics` takes exactly one glob".into()),
-        ("run" | "check" | "bless" | "throughput", [extra, ..]) => {
+        ("run" | "check" | "bless", [extra, ..]) => {
             return Err(format!("`{word}` takes no positional argument {extra:?}"));
         }
         (other, _) => return Err(format!("unknown command {other:?}")),
     };
-    Ok((command, quick, no_cache))
+    Ok((command, quick))
 }
 
 fn run_suite(scale: Scale, only: Option<&str>) -> i32 {
@@ -290,65 +262,6 @@ fn run_metrics(scale: Scale, glob: &str) -> i32 {
         selected.len()
     ));
     println!("{table}");
-    0
-}
-
-/// `throughput`: wall-clock every registry spec through a fresh
-/// work-stealing sweep and report simulated rounds/sec (from the
-/// `rounds_executed` column every manifest emits) and messages/sec (from
-/// `broadcasts_total`, where the manifest records it). Everything goes to
-/// stderr: throughput numbers are machine-dependent and must never leak
-/// into the byte-comparable stdout channel the other modes maintain.
-fn run_throughput(scale: Scale) -> i32 {
-    let registry = Registry::standard(scale);
-    let runner = SweepRunner::parallel();
-    eprintln!(
-        "# sweep throughput ({scale:?}, {} worker thread(s), fresh execution)",
-        runner.threads()
-    );
-    eprintln!(
-        "{:<24} {:>6} {:>10} {:>9} {:>12} {:>12}",
-        "spec", "cells", "rounds", "ms", "rounds/sec", "msgs/sec"
-    );
-    let (mut cells, mut rounds, mut messages, mut nanos) = (0u64, 0i128, 0i128, 0u128);
-    let mut messaged_nanos = 0u128; // denominator for specs that count broadcasts
-    for spec in registry.specs() {
-        let start = std::time::Instant::now();
-        let frame = runner.run_fresh(std::slice::from_ref(spec));
-        let elapsed = start.elapsed().as_nanos().max(1);
-        let spec_frame = frame.spec(0);
-        let spec_cells = spec_frame.cases().len() as u64;
-        let spec_rounds = spec_frame
-            .column(MetricId::RoundsExecuted)
-            .map_or(0, |column| column.sum());
-        let spec_messages = spec_frame
-            .column(MetricId::BroadcastsTotal)
-            .map(|column| column.sum());
-        let per_sec = |count: i128| count as f64 * 1e9 / elapsed as f64;
-        eprintln!(
-            "{:<24} {:>6} {:>10} {:>9.1} {:>12.0} {:>12}",
-            spec.name,
-            spec_cells,
-            spec_rounds,
-            elapsed as f64 / 1e6,
-            per_sec(spec_rounds),
-            spec_messages.map_or_else(|| "—".to_string(), |m| format!("{:.0}", per_sec(m))),
-        );
-        cells += spec_cells;
-        rounds += spec_rounds;
-        nanos += elapsed;
-        if let Some(m) = spec_messages {
-            messages += m;
-            messaged_nanos += elapsed;
-        }
-    }
-    eprintln!(
-        "total: {cells} cells, {rounds} rounds in {:.1} ms — {:.0} rounds/sec, \
-         {:.0} msgs/sec (over broadcast-counting specs)",
-        nanos as f64 / 1e6,
-        rounds as f64 * 1e9 / nanos.max(1) as f64,
-        messages as f64 * 1e9 / messaged_nanos.max(1) as f64,
-    );
     0
 }
 

@@ -1,11 +1,10 @@
 //! # wan-bench: the experiment harness
 //!
-//! One function per experiment of DESIGN.md Section 3 (E1–E14), each
-//! returning renderable [`table::Table`]s. The bench targets
-//! (`benches/fig1_lattice.rs`, `benches/results_summary.rs`,
-//! `benches/lower_bounds.rs`, `benches/phy_claims.rs`) and the
-//! `run_experiments` binary print them; `EXPERIMENTS.md` records
-//! paper-versus-measured for each.
+//! One function per experiment E1–E16 ([`experiments`]), each returning
+//! a renderable [`table::Table`]. The `run_experiments` binary prints
+//! them (`run --only eN` for one) and gates the [`sweep`] registry
+//! against the committed goldens; the `engine_dispatch` bench target
+//! holds the round engine's allocation gates and micro lanes.
 
 pub mod experiments;
 pub mod sweep;

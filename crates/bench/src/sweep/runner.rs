@@ -23,15 +23,16 @@ pub struct SweepRunner {
 }
 
 impl SweepRunner {
-    /// A runner using every available core (or `CCWAN_SWEEP_THREADS` if
-    /// set).
+    /// A runner using every available core, or as many workers as
+    /// `CCWAN_SWEEP_THREADS` names.
+    ///
+    /// # Panics
+    ///
+    /// If `CCWAN_SWEEP_THREADS` is set to anything but a positive integer.
     pub fn parallel() -> Self {
-        let threads = std::env::var("CCWAN_SWEEP_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+        let value = std::env::var_os(THREADS_VAR).map(|v| v.to_string_lossy().into_owned());
         SweepRunner {
-            threads: threads.max(1),
+            threads: threads_from_env(value.as_deref()),
         }
     }
 
@@ -45,11 +46,6 @@ impl SweepRunner {
         SweepRunner {
             threads: threads.max(1),
         }
-    }
-
-    /// The worker count this runner fans out to.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Runs every cell of every spec in this process and returns the
@@ -158,6 +154,24 @@ impl SweepRunner {
     }
 }
 
+/// The environment variable that sets [`SweepRunner::parallel`]'s worker
+/// count.
+const THREADS_VAR: &str = "CCWAN_SWEEP_THREADS";
+
+/// The worker count for a `CCWAN_SWEEP_THREADS` value: every available
+/// core when unset, that many workers for a positive integer, and a panic
+/// naming the variable and the value for anything else (`abc`, `0`, `-1`,
+/// empty), so a typo cannot quietly run at the default count.
+fn threads_from_env(value: Option<&str>) -> usize {
+    let Some(text) = value else {
+        return std::thread::available_parallelism().map_or(1, |n| n.get());
+    };
+    match text.parse::<usize>() {
+        Ok(threads) if threads > 0 => threads,
+        _ => panic!("{THREADS_VAR} must be a positive integer, got {text:?}"),
+    }
+}
+
 /// The panic-facing rendering of one `(spec, case)` cell.
 fn describe_cell(specs: &[ScenarioSpec], (spec_index, case): (usize, u64)) -> String {
     let spec = &specs[spec_index];
@@ -260,6 +274,22 @@ mod tests {
         }));
         let msg = panic_message(&*caught.expect_err("must propagate"));
         assert!(msg.contains("task-3"), "expected task-3 first, got: {msg}");
+    }
+
+    #[test]
+    fn thread_count_variable_is_unset_or_a_positive_integer() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(threads_from_env(None), cores);
+        assert_eq!(threads_from_env(Some("1")), 1);
+        assert_eq!(threads_from_env(Some("4")), 4);
+        for bad in ["abc", "0", "-1", ""] {
+            let caught = catch_unwind(|| threads_from_env(Some(bad)));
+            let msg = panic_message(&*caught.expect_err(bad));
+            assert!(
+                msg.contains(THREADS_VAR) && msg.contains(&format!("{bad:?}")),
+                "{bad:?}: {msg}"
+            );
+        }
     }
 
     #[test]
