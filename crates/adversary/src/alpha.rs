@@ -22,7 +22,7 @@ use wan_cd::ClassDetector;
 use wan_cm::LeaderElectionService;
 use wan_sim::crash::NoCrashes;
 use wan_sim::loss::TotalCollisionLoss;
-use wan_sim::{BroadcastCount, Components, ExecutionTrace, Round, Simulation};
+use wan_sim::{BroadcastCount, Components, Engine, ExecutionTrace, Round};
 
 /// The result of running an alpha execution for `k` rounds.
 pub struct AlphaExecution<A: ConsensusAutomaton> {
@@ -45,7 +45,7 @@ impl<A: ConsensusAutomaton> AlphaExecution<A> {
             crash: Box::new(NoCrashes),
         };
         let mut trace = ExecutionTrace::new(procs.len());
-        let mut sim = Simulation::new(procs, components);
+        let mut sim = Engine::new(procs, components);
         for _ in 0..k {
             sim.advance(&mut trace);
         }

@@ -11,8 +11,7 @@ use ccwan_core::ConsensusAutomaton;
 use wan_cd::ClassDetector;
 use wan_sim::crash::NoCrashes;
 use wan_sim::{
-    AllActive, Components, DeliveryMatrix, ExecutionTrace, LossAdversary, ProcessId, Round,
-    Simulation,
+    AllActive, Components, DeliveryMatrix, Engine, ExecutionTrace, LossAdversary, ProcessId, Round,
 };
 
 /// A loss adversary that delivers nothing (the engine still forces
@@ -54,7 +53,7 @@ impl<A: ConsensusAutomaton> BetaExecution<A> {
             crash: Box::new(NoCrashes),
         };
         let mut trace = ExecutionTrace::new(procs.len());
-        let mut sim = Simulation::new(procs, components);
+        let mut sim = Engine::new(procs, components);
         for _ in 0..k {
             sim.advance(&mut trace);
         }

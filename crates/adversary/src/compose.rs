@@ -8,8 +8,8 @@
 //! `k` rounds — that is:
 //!
 //! * admissible for a **half-AC** detector and a leader-election service
-//!   (certified here by `wan_cd::CheckedDetector` and by construction of
-//!   the CM script),
+//!   (certified here by checking every advice `γ` records against
+//!   `CdClass::admits`, and by construction of the CM script),
 //! * satisfies eventual collision freedom (loss heals at `k+1`), and
 //! * indistinguishable from each alpha, for that alpha's group, through
 //!   round `k` (checked here observation-by-observation).
@@ -23,11 +23,11 @@
 use crate::alpha::AlphaExecution;
 use crate::indist::group_observations_equal;
 use ccwan_core::{ConsensusAutomaton, ConsensusOutcome, ConsensusRun};
-use wan_cd::{CdClass, CheckedDetector, ClassDetector, ScriptedDetector};
+use wan_cd::{CdClass, ClassDetector, ScriptedDetector};
 use wan_cm::{LeaderElectionService, PreStabilization, ScriptedCm};
 use wan_sim::crash::NoCrashes;
 use wan_sim::loss::{IntraGroupRule, PartitionLoss};
-use wan_sim::{CdAdvice, CmAdvice, Components, ProcessId, Round};
+use wan_sim::{CdAdvice, CmAdvice, Components, ExecutionTrace, ProcessId, Round};
 
 /// What the composition construction established.
 #[derive(Debug)]
@@ -40,9 +40,9 @@ pub struct CompositionReport {
     /// Whether each group's view of `γ` matched its alpha through `k`
     /// (`None` = matched; `Some(description)` = the first mismatch).
     pub indistinguishability_failure: Option<String>,
-    /// Scripted-advice violations of the declared detector class
-    /// (certification that `γ`'s advice lies within `MAXCD(class)`;
-    /// must be 0).
+    /// Process-rounds of `γ` whose advice the declared detector class does
+    /// not admit (certification that `γ`'s advice lies within
+    /// `MAXCD(class)`; must be 0).
     pub detector_violations: usize,
     /// Whether any process of `γ` decided within the first `k` rounds.
     pub decided_within_k: bool,
@@ -105,10 +105,7 @@ where
             advice
         })
         .collect();
-    let detector = CheckedDetector::new(
-        ScriptedDetector::new(script, Box::new(ClassDetector::perfect())),
-        class,
-    );
+    let detector = ScriptedDetector::new(script, Box::new(ClassDetector::perfect()));
 
     // 3. Scripted contention advice: min(P) and min(P') active for the
     //    prefix (each group sees a single active process — its alpha's
@@ -161,10 +158,7 @@ where
 
     let decided_within_k = outcome.decisions.iter().any(|d| d.is_some());
 
-    // Violation count lives inside the (boxed) detector; re-derive it from
-    // strictness: we used non-strict mode, so re-checking requires access.
-    // Instead of downcasting, replay the certification here.
-    let detector_violations = certify_script(&alpha_a, &alpha_b, k, class, run.trace().n());
+    let detector_violations = inadmissible_advice(run.trace(), class);
 
     CompositionReport {
         k,
@@ -176,43 +170,24 @@ where
     }
 }
 
-/// Re-checks the scripted advice against the class obligations, given the
-/// composed transmission behaviour implied by the alpha executions:
-/// certification that the γ advice is a behaviour of `MAXCD(class)`.
-fn certify_script<A: ConsensusAutomaton>(
-    alpha_a: &AlphaExecution<A>,
-    alpha_b: &AlphaExecution<A>,
-    k: usize,
-    class: CdClass,
-    n_total: usize,
-) -> usize {
-    let n = n_total / 2;
-    let mut violations = 0;
-    for r in 0..k {
-        let round = Round(r as u64 + 1);
-        let rec_a = alpha_a.trace.round(round).expect("alpha round");
-        let rec_b = alpha_b.trace.round(round).expect("alpha round");
-        let c = rec_a.sent_count() + rec_b.sent_count();
-        // Composed receive counts: intra-group alpha deliveries only.
-        for (i, (&t, adv)) in rec_a
-            .received_counts()
-            .iter()
-            .zip(rec_a.cd().iter())
-            .enumerate()
-        {
-            let _ = i;
-            if !class.admits(round, Round::FIRST, c, t.min(c), adv.is_collision()) {
-                violations += 1;
-            }
-        }
-        for (&t, adv) in rec_b.received_counts().iter().zip(rec_b.cd().iter()) {
-            if !class.admits(round, Round::FIRST, c, t.min(c), adv.is_collision()) {
-                violations += 1;
-            }
-        }
-        let _ = n;
-    }
-    violations
+/// Counts the process-rounds of `trace` whose collision advice `class`
+/// does not admit for that round's `(c, T(i))`, with accuracy required
+/// from round 1: zero certifies that the advice is a behaviour of
+/// `MAXCD(class)`.
+fn inadmissible_advice<M: Ord>(trace: &ExecutionTrace<M>, class: CdClass) -> usize {
+    trace
+        .rounds()
+        .map(|view| {
+            let c = view.sent_count();
+            view.received_counts()
+                .iter()
+                .zip(view.cd())
+                .filter(|&(&t, advice)| {
+                    !class.admits(view.round(), Round::FIRST, c, t, advice.is_collision())
+                })
+                .count()
+        })
+        .sum()
 }
 
 #[cfg(test)]
@@ -222,6 +197,7 @@ mod tests {
     use ccwan_core::alg2;
     use ccwan_core::strawman::CdBlindOptimist;
     use ccwan_core::{Value, ValueDomain};
+    use wan_sim::trace::RoundRecord;
 
     #[test]
     fn alg2_composition_establishes_lower_bound() {
@@ -283,6 +259,32 @@ mod tests {
             "expected an agreement violation: {:?}",
             report.outcome.decisions
         );
+    }
+
+    #[test]
+    fn inadmissible_advice_counts_each_rejected_process_round() {
+        // p0 and p1 broadcast in both rounds (c = 2) and p2 listens. Round
+        // 1: each broadcaster hears only itself and p2 hears nothing but is
+        // told `±`, all of which half-AC admits. Round 2: the broadcasters
+        // hear both messages, and p2 hears nothing (T(i) = 0) yet is told
+        // `null`: the one advice half-AC rejects.
+        let record = |round: u64, received_counts: Vec<usize>, p2: CdAdvice| RoundRecord {
+            round: Round(round),
+            cm: vec![CmAdvice::Active, CmAdvice::Active, CmAdvice::Passive],
+            sent: vec![Some(0u8), Some(1), None],
+            cd: vec![CdAdvice::Null, CdAdvice::Null, p2],
+            received_counts,
+            received: None,
+            crashed: vec![],
+            alive: vec![true; 3],
+        };
+        let mut trace = ExecutionTrace::new(3);
+        trace.push_record(record(1, vec![1, 1, 0], CdAdvice::Collision));
+        trace.push_record(record(2, vec![2, 2, 0], CdAdvice::Null));
+        assert_eq!(inadmissible_advice(&trace, CdClass::HALF_AC), 1);
+        // Full completeness also rejects round 1's `null` to each
+        // broadcaster, which lost one of the two messages.
+        assert_eq!(inadmissible_advice(&trace, CdClass::AC), 3);
     }
 
     #[test]

@@ -11,6 +11,9 @@
 //! * `ecf` — a realistic experiment stack (in-class detector, fair
 //!   wake-up, ECF-wrapped random loss).
 //!
+//! Every stack is a boxed `Components` bundle, as in every registry cell,
+//! so each lane pays the registry's virtual calls.
+//!
 //! The bench reports the observers' per-run overhead against `()`
 //! (interleaved paired sampling: the two variants alternate back to back
 //! and the reported ratio is the median of per-pair ratios, which cancels
@@ -21,7 +24,7 @@
 //! steady-state allocations/round and bytes/round of every lane, plus
 //! allocations/call of the SINR radio's `resolve_into`. The lanes add the
 //! churn and abstract-MAC stacks and the real Algorithm 1 and Algorithm 2
-//! automata on the registry's boxed ECF stack. The allocation gates make
+//! automata on the registry's ECF stack. The allocation gates make
 //! the bench exit nonzero (which is what the CI bench-smoke step gates
 //! on):
 //!
@@ -56,9 +59,8 @@ use wan_phy::{PhyConfig, PhyRound, RadioChannel};
 use wan_sim::crash::{NoCrashes, TimelineCrashes};
 use wan_sim::loss::{Ecf, NoLoss, RandomLoss, TimelineLoss};
 use wan_sim::{
-    AllActive, AlwaysNull, Automaton, CmAdvice, CollisionDetector, ContentionManager,
-    CrashAdversary, Engine, ExecutionTrace, LossAdversary, ProcessId, Round, RoundInput,
-    RoundObserver, ScenarioEvent, ScenarioTimeline, StaggeredJoin,
+    AllActive, AlwaysNull, Automaton, CmAdvice, Components, Engine, ExecutionTrace, ProcessId,
+    Round, RoundInput, RoundObserver, ScenarioEvent, ScenarioTimeline, StaggeredJoin,
 };
 
 const ROUNDS: u64 = 1000;
@@ -118,8 +120,8 @@ fn steady_state_allocs(mut run: impl FnMut(u64)) -> (f64, f64) {
 }
 
 /// Broadcasts its id every round and folds what it hears into a checksum:
-/// per-round automaton work is a few adds, so the engine (and its dispatch
-/// mechanism) dominates the profile.
+/// per-round automaton work is a few adds, so the engine dominates the
+/// profile.
 struct Beacon {
     id: usize,
     checksum: u64,
@@ -142,24 +144,39 @@ fn beacons(n: usize) -> Vec<Beacon> {
     (0..n).map(|id| Beacon { id, checksum: 0 }).collect()
 }
 
-fn ecf_parts(seed: u64) -> (ClassDetector, FairWakeUp, Ecf<RandomLoss>, NoCrashes) {
-    (
-        ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, seed).accurate_from(Round(8)),
-        FairWakeUp::immediate(),
-        Ecf::new(RandomLoss::new(0.3, seed), Round(8)),
-        NoCrashes,
-    )
+/// `n` beacons against `components`. `black_box` keeps the component
+/// types opaque, as they are in registry-driven sweeps.
+fn beacon_engine(n: usize, components: Components) -> Engine<Beacon> {
+    Engine::new(beacons(n), black_box(components))
 }
 
 /// The `storm` stack: every process broadcasts every round.
-fn storm(n: usize) -> Engine<Beacon, AlwaysNull, AllActive, NoLoss, NoCrashes> {
-    Engine::from_parts(beacons(n), AlwaysNull, AllActive, NoLoss, NoCrashes)
+fn storm(n: usize) -> Engine<Beacon> {
+    beacon_engine(
+        n,
+        Components {
+            detector: Box::new(AlwaysNull),
+            manager: Box::new(AllActive),
+            loss: Box::new(NoLoss),
+            crash: Box::new(NoCrashes),
+        },
+    )
 }
 
-/// The `ecf` stack, statically dispatched.
-fn ecf(n: usize) -> Engine<Beacon, ClassDetector, FairWakeUp, Ecf<RandomLoss>, NoCrashes> {
-    let (cd, cm, loss, crash) = ecf_parts(7);
-    Engine::from_parts(beacons(n), cd, cm, loss, crash)
+/// The `ecf` stack.
+fn ecf(n: usize) -> Engine<Beacon> {
+    beacon_engine(
+        n,
+        Components {
+            detector: Box::new(
+                ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 7)
+                    .accurate_from(Round(8)),
+            ),
+            manager: Box::new(FairWakeUp::immediate()),
+            loss: Box::new(Ecf::new(RandomLoss::new(0.3, 7), Round(8))),
+            crash: Box::new(NoCrashes),
+        },
+    )
 }
 
 fn checksum(procs: &[Beacon]) -> u64 {
@@ -194,13 +211,7 @@ impl Observer for ExecutionTrace<u64> {
 
 /// One `ROUNDS`-round run of `engine` under a fresh `O`; returns the
 /// processes' checksum.
-fn run_under<O: Observer, CD, CM, L, C>(mut engine: Engine<Beacon, CD, CM, L, C>) -> u64
-where
-    CD: CollisionDetector,
-    CM: ContentionManager,
-    L: LossAdversary,
-    C: CrashAdversary,
-{
+fn run_under<O: Observer>(mut engine: Engine<Beacon>) -> u64 {
     let mut observer = O::fresh(engine.n());
     for _ in 0..ROUNDS {
         engine.advance(&mut observer);
@@ -210,22 +221,16 @@ where
 }
 
 fn run_storm<const N: usize, O: Observer>() -> u64 {
-    run_under::<O, _, _, _, _>(storm(N))
+    run_under::<O>(storm(N))
 }
 
 fn run_ecf<const N: usize, O: Observer>() -> u64 {
-    run_under::<O, _, _, _, _>(ecf(N))
+    run_under::<O>(ecf(N))
 }
 
 /// Broadcasts in one `ROUNDS`-round run of `engine` (for the
 /// messages/sec figure): counted off a recorded trace, not assumed.
-fn broadcasts<CD, CM, L, C>(mut engine: Engine<Beacon, CD, CM, L, C>) -> u64
-where
-    CD: CollisionDetector,
-    CM: ContentionManager,
-    L: LossAdversary,
-    C: CrashAdversary,
-{
+fn broadcasts(mut engine: Engine<Beacon>) -> u64 {
     let mut trace = ExecutionTrace::new(engine.n());
     for _ in 0..ROUNDS {
         engine.advance(&mut trace);
@@ -302,29 +307,17 @@ fn host() -> String {
 struct Lane {
     stack: &'static str,
     processes: usize,
-    dispatch: &'static str,
     observer: &'static str,
     advance: Box<dyn FnMut(u64)>,
 }
 
 /// A lane driving `engine` under a fresh `O`.
-fn lane<O: Observer + 'static, CD, CM, L, C>(
-    stack: &'static str,
-    dispatch: &'static str,
-    mut engine: Engine<Beacon, CD, CM, L, C>,
-) -> Lane
-where
-    CD: CollisionDetector + 'static,
-    CM: ContentionManager + 'static,
-    L: LossAdversary + 'static,
-    C: CrashAdversary + 'static,
-{
+fn lane<O: Observer + 'static>(stack: &'static str, mut engine: Engine<Beacon>) -> Lane {
     let processes = engine.n();
     let mut observer = O::fresh(processes);
     Lane {
         stack,
         processes,
-        dispatch,
         observer: O::NAME,
         advance: Box::new(move |rounds| {
             for _ in 0..rounds {
@@ -335,7 +328,7 @@ where
     }
 }
 
-/// A real consensus automaton at n = 50 on the registry's boxed ECF stack
+/// A real consensus automaton at n = 50 on the registry's ECF stack
 /// (`EnvPlan::components`), driven through `ConsensusRun::step` with the
 /// standard probe set as the observer, exactly as a sweep cell runs.
 /// Stabilization comes only at round 100 000, so every measured round is
@@ -368,7 +361,6 @@ where
     Lane {
         stack,
         processes: N,
-        dispatch: "boxed",
         observer: "probes",
         advance: Box::new(move |rounds| {
             for _ in 0..rounds {
@@ -489,20 +481,6 @@ fn main() {
     // Steady-state allocator pressure per round, via the counting global
     // allocator, labelled by observer: `none` and `probes` must be exactly
     // zero, `trace` arena growth only (the CI gates, asserted below).
-    let boxed_ecf = |n: usize| {
-        let (cd, cm, loss, crash) = ecf_parts(7);
-        // `black_box` keeps the component types opaque, as they are in
-        // registry-driven sweeps.
-        Engine::new(
-            beacons(n),
-            black_box(wan_sim::Components {
-                detector: Box::new(cd),
-                manager: Box::new(cm),
-                loss: Box::new(loss),
-                crash: Box::new(crash),
-            }),
-        )
-    };
     // The full churn stack with a compiled scenario schedule installed:
     // the per-round timeline hook, the timeline-aware components, *and*
     // mid-window event application (`SetLossRate` / `CdSwitch` fire
@@ -523,12 +501,14 @@ fn main() {
         ]);
         let manager = StaggeredJoin::new(FairWakeUp::immediate(), 25);
         let loss = Ecf::new(TimelineLoss::new(0.3, 7), Round(8));
-        Engine::from_parts(
-            beacons(50),
-            detector,
-            manager,
-            loss,
-            TimelineCrashes::over(NoCrashes),
+        beacon_engine(
+            50,
+            Components {
+                detector: Box::new(detector),
+                manager: Box::new(manager),
+                loss: Box::new(loss),
+                crash: Box::new(TimelineCrashes::over(NoCrashes)),
+            },
         )
         .with_schedule(timeline.compile())
     };
@@ -544,32 +524,32 @@ fn main() {
             policy: MacDelayPolicy::Random { defer: 0.3 },
             seed: 7,
         });
-        Engine::from_parts(
-            beacons(50),
-            CheckedDetector::new(detector, CdClass::ZERO_EV_AC),
-            AllActive,
-            channel,
-            TimelineCrashes::over(NoCrashes),
+        beacon_engine(
+            50,
+            Components {
+                detector: Box::new(CheckedDetector::new(detector, CdClass::ZERO_EV_AC)),
+                manager: Box::new(AllActive),
+                loss: Box::new(channel),
+                crash: Box::new(TimelineCrashes::over(NoCrashes)),
+            },
         )
     };
     let lanes: Vec<Lane> = vec![
-        lane::<(), _, _, _, _>("storm", "static", storm(4)),
-        lane::<(), _, _, _, _>("storm", "static", storm(50)),
-        lane::<(), _, _, _, _>("ecf", "static", ecf(4)),
-        lane::<(), _, _, _, _>("ecf", "static", ecf(50)),
-        lane::<(), _, _, _, _>("ecf", "boxed", boxed_ecf(50)),
-        lane::<(), _, _, _, _>("churn", "static", churn()),
-        lane::<(), _, _, _, _>("absmac", "static", absmac()),
-        lane::<ProbeSet<u64>, _, _, _, _>("storm", "static", storm(4)),
-        lane::<ProbeSet<u64>, _, _, _, _>("ecf", "static", ecf(50)),
-        lane::<ProbeSet<u64>, _, _, _, _>("ecf", "boxed", boxed_ecf(50)),
-        lane::<ProbeSet<u64>, _, _, _, _>("churn", "static", churn()),
-        lane::<ProbeSet<u64>, _, _, _, _>("absmac", "static", absmac()),
+        lane::<()>("storm", storm(4)),
+        lane::<()>("storm", storm(50)),
+        lane::<()>("ecf", ecf(4)),
+        lane::<()>("ecf", ecf(50)),
+        lane::<()>("churn", churn()),
+        lane::<()>("absmac", absmac()),
+        lane::<ProbeSet<u64>>("storm", storm(4)),
+        lane::<ProbeSet<u64>>("ecf", ecf(50)),
+        lane::<ProbeSet<u64>>("churn", churn()),
+        lane::<ProbeSet<u64>>("absmac", absmac()),
         consensus_lane("alg1", CdClass::MAJ_EV_AC, alg1::processes),
         consensus_lane("alg2", CdClass::ZERO_EV_AC, alg2::processes),
-        lane::<ExecutionTrace<u64>, _, _, _, _>("storm", "static", storm(4)),
-        lane::<ExecutionTrace<u64>, _, _, _, _>("storm", "static", storm(50)),
-        lane::<ExecutionTrace<u64>, _, _, _, _>("ecf", "static", ecf(50)),
+        lane::<ExecutionTrace<u64>>("storm", storm(4)),
+        lane::<ExecutionTrace<u64>>("storm", storm(50)),
+        lane::<ExecutionTrace<u64>>("ecf", ecf(50)),
     ];
 
     let _ = writeln!(json, "  \"allocation\": [");
@@ -579,13 +559,12 @@ fn main() {
         let Lane {
             stack,
             processes: n,
-            dispatch,
             observer,
             advance,
         } = lane;
         let (allocs, bytes) = steady_state_allocs(advance);
         println!(
-            "allocs {stack:<6} n={n:<3} {dispatch:<6} {observer:<6} {allocs:>10.3} allocs/round  \
+            "allocs {stack:<6} n={n:<3} {observer:<6} {allocs:>10.3} allocs/round  \
              {bytes:>12.1} bytes/round"
         );
         // The trace arena may grow (amortized doubling), so its gate is
@@ -599,14 +578,13 @@ fn main() {
         };
         if gated {
             alloc_violations.push(format!(
-                "{stack}/{dispatch}/n{n} under {observer}: {allocs} allocs/round \
+                "{stack}/n{n} under {observer}: {allocs} allocs/round \
                  ({bytes} bytes/round)"
             ));
         }
         let _ = writeln!(json, "    {{");
         let _ = writeln!(json, "      \"stack\": \"{stack}\",");
         let _ = writeln!(json, "      \"processes\": {n},");
-        let _ = writeln!(json, "      \"dispatch\": \"{dispatch}\",");
         let _ = writeln!(json, "      \"observer\": \"{observer}\",");
         let _ = writeln!(json, "      \"allocs_per_round\": {allocs:.3},");
         let _ = writeln!(json, "      \"bytes_per_round\": {bytes:.1}");

@@ -9,7 +9,7 @@ use wan_cd::{CdClass, CheckedDetector, ClassDetector, FreedomPolicy, OccasionalD
 use wan_cm::{KWakeUp, LeaderElectionService, PreStabilization, WakeUpService};
 use wan_sim::crash::NoCrashes;
 use wan_sim::loss::{Ecf, NoLoss, RandomLoss};
-use wan_sim::{Components, ProcessId, Round, Simulation};
+use wan_sim::{Components, Engine, ProcessId, Round};
 
 /// E15 (Section 9 open question): what does "always zero complete,
 /// occasionally majority complete" buy?
@@ -93,7 +93,7 @@ pub fn e16_counting_separation(_scale: Scale) -> Table {
     );
     for n in [1usize, 3, 6, 10] {
         for k in [1u64, 3] {
-            let mut sim = Simulation::new(
+            let mut sim = Engine::new(
                 counting::processes(n, k),
                 Components {
                     detector: Box::new(
@@ -126,7 +126,7 @@ pub fn e16_counting_separation(_scale: Scale) -> Table {
     // broadcasts forever; silence never comes) — and systems of different
     // sizes are indistinguishable.
     for n in [2usize, 5] {
-        let mut sim = Simulation::new(
+        let mut sim = Engine::new(
             counting::processes(n, 1),
             Components {
                 detector: Box::new(ClassDetector::new(

@@ -447,7 +447,23 @@ impl ScenarioSpec {
                 reference,
             ),
             Algorithm::Alg3 { id_bits } => {
+                // Checked before any id is drawn: `unique_assignments`
+                // would probe forever for a free id, and `1 << 64`
+                // overflows.
+                assert!(
+                    id_bits < 64,
+                    "spec {}: id_bits = {id_bits} does not fit a u64 id space",
+                    self.name
+                );
                 let ids = IdSpace::new(1 << id_bits);
+                assert!(
+                    self.n as u64 <= ids.size(),
+                    "spec {}: n = {} processes need distinct ids, but id_bits = {id_bits} \
+                     gives only {}",
+                    self.name,
+                    self.n,
+                    ids.size()
+                );
                 let assignments = unique_assignments(&values, ids, seed);
                 visitor.visit(
                     alg3::processes(ids, domain, &assignments, seed),
@@ -1196,6 +1212,28 @@ mod tests {
         assert_ne!(a.cell_seed(0), a.cell_seed(1));
         assert_ne!(a.cell_seed(0), b.cell_seed(0));
         assert_eq!(a.cell_seed(3), a.cell_seed(3));
+    }
+
+    /// The first alg3 spec with its id space cut to `id_bits`.
+    fn alg3_with_id_bits(id_bits: u32) -> ScenarioSpec {
+        ScenarioSpec {
+            algorithm: Algorithm::Alg3 { id_bits },
+            ..alg3_crossover_specs(Scale::Quick)[0].clone()
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "alg3/v2-i2: n = 3 processes need distinct ids, but id_bits = 1")]
+    fn alg3_with_fewer_ids_than_processes_panics() {
+        let spec = alg3_with_id_bits(1);
+        assert_eq!(spec.n, 3);
+        spec.run_cell(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "alg3/v2-i2: id_bits = 64 does not fit a u64 id space")]
+    fn alg3_with_an_id_space_past_u64_panics() {
+        alg3_with_id_bits(64).run_cell(0, 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod tests {
     use crate::schedule::{LeaderElectionService, PreStabilization, WakeUpService};
     use wan_sim::crash::NoCrashes;
     use wan_sim::loss::NoLoss;
-    use wan_sim::{AlwaysNull, Automaton, CmAdvice, Components, ProcessId, RoundInput, Simulation};
+    use wan_sim::{AlwaysNull, Automaton, CmAdvice, Components, Engine, ProcessId, RoundInput};
 
     /// A process that broadcasts whenever advised active.
     struct Obedient;
@@ -64,7 +64,7 @@ mod tests {
     }
 
     fn run(manager: Box<dyn wan_sim::ContentionManager>, rounds: u64) -> ExecutionTrace<u8> {
-        let mut sim = Simulation::new(
+        let mut sim = Engine::new(
             (0..4).map(|_| Obedient).collect(),
             Components {
                 detector: Box::new(AlwaysNull),

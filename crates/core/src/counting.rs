@@ -111,10 +111,10 @@ mod tests {
     use wan_cm::{KWakeUp, LeaderElectionService};
     use wan_sim::crash::NoCrashes;
     use wan_sim::loss::NoLoss;
-    use wan_sim::{Components, Simulation};
+    use wan_sim::{Components, Engine};
 
     fn run_counting(n: usize, k: u64, rounds: u64) -> Vec<Option<u64>> {
-        let mut sim = Simulation::new(
+        let mut sim = Engine::new(
             processes(n, k),
             Components {
                 detector: Box::new(
@@ -154,7 +154,7 @@ mod tests {
         // audible, so the count still comes out right.
         let n = 5;
         let k = 2;
-        let mut sim = Simulation::new(
+        let mut sim = Engine::new(
             processes(n, k),
             Components {
                 detector: Box::new(
@@ -182,7 +182,7 @@ mod tests {
         // speaks), so the counting algorithm either never decides or
         // decides the same — wrong — number for some population.
         let count_under_ls = |n: usize| -> Vec<Option<u64>> {
-            let mut sim = Simulation::new(
+            let mut sim = Engine::new(
                 processes(n, 1),
                 Components {
                     detector: Box::new(ClassDetector::new(

@@ -1,7 +1,7 @@
 //! Communication stabilization time (Definition 20).
 
 use std::fmt;
-use wan_sim::{CollisionDetector, Components, ContentionManager, Engine, LossAdversary, Round};
+use wan_sim::{Components, Round};
 
 /// The three stabilization rounds whose maximum is the *communication
 /// stabilization time* `CST = max{r_cf, r_acc, r_wake}` (Definition 20):
@@ -20,37 +20,13 @@ pub struct Cst {
 }
 
 impl Cst {
-    /// Reads the declared stabilization rounds from concrete components
-    /// (statically dispatched; works for any component types).
-    pub fn declared<CD, CM, L>(detector: &CD, manager: &CM, loss: &L) -> Self
-    where
-        CD: CollisionDetector,
-        CM: ContentionManager,
-        L: LossAdversary,
-    {
-        Cst {
-            r_cf: loss.collision_free_from(),
-            r_acc: detector.accuracy_from(),
-            r_wake: manager.stabilized_from(),
-        }
-    }
-
-    /// Reads the declared stabilization rounds from a boxed component
-    /// bundle.
+    /// Reads the declared stabilization rounds from a component bundle.
     pub fn from_components(components: &Components) -> Self {
-        Cst::declared(&components.detector, &components.manager, &components.loss)
-    }
-
-    /// Reads the declared stabilization rounds from a running engine.
-    pub fn from_engine<A, CD, CM, L, C>(engine: &Engine<A, CD, CM, L, C>) -> Self
-    where
-        A: wan_sim::Automaton,
-        CD: CollisionDetector,
-        CM: ContentionManager,
-        L: LossAdversary,
-        C: wan_sim::CrashAdversary,
-    {
-        Cst::declared(engine.detector(), engine.manager(), engine.loss())
+        Cst {
+            r_cf: components.loss.collision_free_from(),
+            r_acc: components.detector.accuracy_from(),
+            r_wake: components.manager.stabilized_from(),
+        }
     }
 
     /// `CST` itself: the maximum of the three rounds. `None` if any

@@ -3,71 +3,33 @@
 
 use crate::checker::ConsensusOutcome;
 use crate::consensus::ConsensusAutomaton;
-use crate::cst::Cst;
 use wan_sim::{
-    Automaton, CollisionDetector, CompiledSchedule, Components, ContentionManager, CrashAdversary,
-    DynCrash, DynDetector, DynLoss, DynManager, Engine, ExecutionTrace, LossAdversary, Round,
-    RoundObserver,
+    Automaton, CompiledSchedule, Components, Engine, ExecutionTrace, Round, RoundObserver,
 };
 
-/// A consensus run: an [`Engine`], the [`RoundObserver`] watching it,
-/// decision-round bookkeeping, and the declared CST of its environment.
+/// A consensus run: an [`Engine`], the [`RoundObserver`] watching it, and
+/// decision-round bookkeeping.
 ///
-/// Generic over the component types like the engine itself; the defaults
-/// are the boxed trait objects, so `ConsensusRun<A>` and
-/// [`ConsensusRun::new`] mean exactly what they meant when the harness was
-/// fully dynamic. Statically-dispatched runs are built with
-/// [`ConsensusRun::from_engine`]. The observer defaults to an
-/// [`ExecutionTrace`] recording every round ([`ConsensusRun::trace`]);
-/// [`ConsensusRun::with_observer`] swaps in any other (`()` to keep
-/// nothing, the sweep's probe set to measure live).
-pub struct ConsensusRun<
-    A: ConsensusAutomaton,
-    CD = DynDetector,
-    CM = DynManager,
-    L = DynLoss,
-    C = DynCrash,
-    O = ExecutionTrace<<A as Automaton>::Msg>,
-> {
-    sim: Engine<A, CD, CM, L, C>,
+/// The observer defaults to an [`ExecutionTrace`] recording every round
+/// ([`ConsensusRun::trace`]); [`ConsensusRun::with_observer`] swaps in any
+/// other (`()` to keep nothing, the sweep's probe set to measure live).
+pub struct ConsensusRun<A: ConsensusAutomaton, O = ExecutionTrace<<A as Automaton>::Msg>> {
+    sim: Engine<A>,
     observer: O,
     decision_rounds: Vec<Option<Round>>,
-    cst: Cst,
 }
 
 impl<A: ConsensusAutomaton> ConsensusRun<A> {
-    /// Builds a fully-dynamic, recorded run over the given processes and
-    /// boxed environment components.
+    /// Builds a recorded run over the given processes and environment
+    /// components.
     pub fn new(procs: Vec<A>, components: Components) -> Self {
-        Self::from_engine(Engine::new(procs, components))
-    }
-}
-
-impl<A, CD, CM, L, C> ConsensusRun<A, CD, CM, L, C>
-where
-    A: ConsensusAutomaton,
-    CD: CollisionDetector,
-    CM: ContentionManager,
-    L: LossAdversary,
-    C: CrashAdversary,
-{
-    /// Wraps an already-built engine (statically dispatched for concrete
-    /// component types) in a recorded run, reading the declared CST from
-    /// its components.
-    pub fn from_engine(sim: Engine<A, CD, CM, L, C>) -> Self {
+        let sim = Engine::new(procs, components);
         let n = sim.n();
         ConsensusRun {
-            cst: Cst::from_engine(&sim),
+            sim,
             observer: ExecutionTrace::new(n),
             decision_rounds: vec![None; n],
-            sim,
         }
-    }
-
-    /// Builds a statically-dispatched run over the given processes and
-    /// concrete environment components.
-    pub fn from_parts(procs: Vec<A>, detector: CD, manager: CM, loss: L, crash: C) -> Self {
-        Self::from_engine(Engine::from_parts(procs, detector, manager, loss, crash))
     }
 
     /// The recorded execution trace.
@@ -76,25 +38,14 @@ where
     }
 }
 
-impl<A, CD, CM, L, C, O> ConsensusRun<A, CD, CM, L, C, O>
-where
-    A: ConsensusAutomaton,
-    CD: CollisionDetector,
-    CM: ContentionManager,
-    L: LossAdversary,
-    C: CrashAdversary,
-    O: RoundObserver<A::Msg>,
-{
+impl<A: ConsensusAutomaton, O: RoundObserver<A::Msg>> ConsensusRun<A, O> {
     /// Replaces the observer. Must be called before the first round, so
     /// the observer watches the whole execution.
     ///
     /// # Panics
     ///
     /// Panics if a round has already run.
-    pub fn with_observer<P: RoundObserver<A::Msg>>(
-        self,
-        observer: P,
-    ) -> ConsensusRun<A, CD, CM, L, C, P> {
+    pub fn with_observer<P: RoundObserver<A::Msg>>(self, observer: P) -> ConsensusRun<A, P> {
         assert_eq!(
             self.sim.current_round(),
             Round::ZERO,
@@ -104,7 +55,6 @@ where
             sim: self.sim,
             observer,
             decision_rounds: self.decision_rounds,
-            cst: self.cst,
         }
     }
 
@@ -121,13 +71,8 @@ where
         self
     }
 
-    /// The declared communication stabilization time of the environment.
-    pub fn cst(&self) -> Cst {
-        self.cst
-    }
-
     /// The underlying engine (read-only).
-    pub fn sim(&self) -> &Engine<A, CD, CM, L, C> {
+    pub fn sim(&self) -> &Engine<A> {
         &self.sim
     }
 
@@ -212,12 +157,6 @@ where
             terminated: self.all_correct_decided(),
         }
     }
-}
-
-/// Convenience: rounds past a stabilization point, the unit in which the
-/// Section 7 bounds are stated (e.g. Theorem 1's `CST + 2`).
-pub fn rounds_past(decision: Round, stabilization: Round) -> u64 {
-    decision.since(stabilization)
 }
 
 #[cfg(test)]
@@ -348,11 +287,5 @@ mod tests {
         );
         run.step();
         let _ = run.with_observer(());
-    }
-
-    #[test]
-    fn rounds_past_helper() {
-        assert_eq!(rounds_past(Round(7), Round(5)), 2);
-        assert_eq!(rounds_past(Round(5), Round(7)), 0);
     }
 }

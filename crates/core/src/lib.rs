@@ -66,6 +66,6 @@ pub mod value;
 pub use checker::{ConsensusOutcome, SafetyViolation};
 pub use consensus::ConsensusAutomaton;
 pub use cst::Cst;
-pub use harness::{rounds_past, ConsensusRun};
+pub use harness::ConsensusRun;
 pub use uid::{IdSpace, Uid};
 pub use value::{Value, ValueDomain};

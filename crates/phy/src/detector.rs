@@ -126,7 +126,7 @@ impl CollisionDetector for PhyDetector {
 mod tests {
     use super::*;
     use wan_sim::crash::NoCrashes;
-    use wan_sim::{AllActive, Automaton, CmAdvice, Components, RoundInput, Simulation};
+    use wan_sim::{AllActive, Automaton, CmAdvice, Components, Engine, RoundInput};
 
     /// Broadcasts its id in round 1 only; counts decodes and collisions.
     struct OneShot {
@@ -160,7 +160,7 @@ mod tests {
                 flagged: false,
             })
             .collect();
-        let mut sim = Simulation::new(
+        let mut sim = Engine::new(
             procs,
             Components {
                 detector: Box::new(detector),

@@ -1,13 +1,8 @@
 //! The round engine: executes a system `(E, A)` per Definition 11.
 //!
-//! The engine is generic over its four environment components
-//! ([`Engine`]), so a monomorphized simulation pays no virtual-dispatch
-//! cost on the per-round hot path. The boxed bundle [`Components`] and the
-//! alias [`Simulation`] keep the original fully-dynamic API: a
-//! `Simulation<A>` is just an `Engine` whose component parameters are the
-//! `Box<dyn …>` trait objects (which implement the component traits
-//! themselves, by deref — see `traits.rs`), so heterogeneous experiment
-//! sweeps can still mix detector/manager/loss/crash types at runtime.
+//! The engine runs its automata against one boxed [`Components`] bundle,
+//! so every system — whatever detector, manager, loss and crash types its
+//! environment picks at run time — executes on the same code path.
 
 use crate::advice::{CdAdvice, CmAdvice};
 use crate::automaton::{Automaton, RoundInput};
@@ -19,33 +14,19 @@ use crate::traits::{
     CmView, CollisionDetector, ContentionManager, CrashAdversary, DeliveryMatrix, LossAdversary,
 };
 
-/// A boxed collision detector (the dynamic-dispatch component form).
-pub type DynDetector = Box<dyn CollisionDetector>;
-/// A boxed contention manager.
-pub type DynManager = Box<dyn ContentionManager>;
-/// A boxed message-loss adversary.
-pub type DynLoss = Box<dyn LossAdversary>;
-/// A boxed crash adversary.
-pub type DynCrash = Box<dyn CrashAdversary>;
-
 /// The environment components a simulation runs against (an *environment* in
 /// the sense of Definition 9, plus the resolved message-loss and crash
-/// nondeterminism of Definition 11), as boxed trait objects.
-///
-/// This is the dynamic-dispatch adapter: each `Box<dyn …>` implements its
-/// component trait via deref, so a `Components` bundle plugs straight into
-/// the generic [`Engine`] (yielding the [`Simulation`] alias). Use it when
-/// an experiment sweep must mix component *types* at runtime; use
-/// [`Engine::from_parts`] with concrete types when the hot path matters.
+/// nondeterminism of Definition 11), as boxed trait objects, so an
+/// experiment can mix component types at run time.
 pub struct Components {
     /// The collision detector (`E.CD`).
-    pub detector: DynDetector,
+    pub detector: Box<dyn CollisionDetector>,
     /// The contention manager (`E.CM`).
-    pub manager: DynManager,
+    pub manager: Box<dyn ContentionManager>,
     /// The resolved message-loss behaviour.
-    pub loss: DynLoss,
+    pub loss: Box<dyn LossAdversary>,
     /// The resolved crash behaviour.
-    pub crash: DynCrash,
+    pub crash: Box<dyn CrashAdversary>,
 }
 
 impl std::fmt::Debug for Components {
@@ -54,20 +35,12 @@ impl std::fmt::Debug for Components {
     }
 }
 
-/// The fully-dynamic engine: every component behind a `Box<dyn …>`.
-///
-/// This is the original engine type; all seed-era call sites
-/// (`Simulation::new(procs, components)`) keep working unchanged.
-pub type Simulation<A> = Engine<A, DynDetector, DynManager, DynLoss, DynCrash>;
-
 /// A running system `(E, A)`: `n` process automata plus the environment
 /// components, executing synchronized rounds and showing each one to a
 /// [`RoundObserver`].
 ///
-/// Generic over the component types so that concrete components are
-/// statically dispatched (and inlined) on the per-round hot path; see
-/// [`Simulation`] for the boxed form. Each call to [`Engine::advance`]
-/// executes one round in the order fixed by Definition 11:
+/// Each call to [`Engine::advance`] executes one round in the order fixed
+/// by Definition 11:
 ///
 /// 1. the crash adversary selects processes to fail;
 /// 2. the contention manager produces `W_r`;
@@ -81,13 +54,10 @@ pub type Simulation<A> = Engine<A, DynDetector, DynManager, DynLoss, DynCrash>;
 /// The engine keeps no history: what a round leaves behind is whatever
 /// its observer kept (an [`crate::ExecutionTrace`] records everything,
 /// `()` nothing).
-pub struct Engine<A: Automaton, CD, CM, L, C> {
+pub struct Engine<A: Automaton> {
     procs: Vec<A>,
     alive: Vec<bool>,
-    detector: CD,
-    manager: CM,
-    loss: L,
-    crash: C,
+    components: Components,
     round: Round,
     schedule: Option<CompiledSchedule>,
     buffers: RoundBuffers<A::Msg>,
@@ -231,50 +201,20 @@ impl<M: Ord + Clone> RoundBuffers<M> {
     }
 }
 
-impl<A: Automaton> Simulation<A> {
-    /// Creates a fully-dynamic simulation over the given automata and
-    /// boxed environment bundle.
+impl<A: Automaton> Engine<A> {
+    /// Creates an engine over the given automata and environment bundle.
     ///
     /// # Panics
     ///
     /// Panics if `procs` is empty (environments are defined over non-empty
     /// index sets, Definition 9).
     pub fn new(procs: Vec<A>, components: Components) -> Self {
-        let Components {
-            detector,
-            manager,
-            loss,
-            crash,
-        } = components;
-        Engine::from_parts(procs, detector, manager, loss, crash)
-    }
-}
-
-impl<A, CD, CM, L, C> Engine<A, CD, CM, L, C>
-where
-    A: Automaton,
-    CD: CollisionDetector,
-    CM: ContentionManager,
-    L: LossAdversary,
-    C: CrashAdversary,
-{
-    /// Creates an engine over the given automata and concrete environment
-    /// components (statically dispatched).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `procs` is empty (environments are defined over non-empty
-    /// index sets, Definition 9).
-    pub fn from_parts(procs: Vec<A>, detector: CD, manager: CM, loss: L, crash: C) -> Self {
         assert!(!procs.is_empty(), "a system needs at least one process");
         let n = procs.len();
         Engine {
             procs,
             alive: vec![true; n],
-            detector,
-            manager,
-            loss,
-            crash,
+            components,
             round: Round::ZERO,
             schedule: None,
             buffers: RoundBuffers::for_n(n),
@@ -325,26 +265,6 @@ where
         &self.alive
     }
 
-    /// The collision detector (read-only).
-    pub fn detector(&self) -> &CD {
-        &self.detector
-    }
-
-    /// The contention manager (read-only).
-    pub fn manager(&self) -> &CM {
-        &self.manager
-    }
-
-    /// The message-loss adversary (read-only).
-    pub fn loss(&self) -> &L {
-        &self.loss
-    }
-
-    /// The crash adversary (read-only).
-    pub fn crash(&self) -> &C {
-        &self.crash
-    }
-
     /// Executes one round and shows it to `observer` — the one code path
     /// that runs a round.
     ///
@@ -360,10 +280,13 @@ where
         let Engine {
             procs,
             alive,
-            detector,
-            manager,
-            loss,
-            crash,
+            components:
+                Components {
+                    detector,
+                    manager,
+                    loss,
+                    crash,
+                },
             round,
             schedule,
             buffers: buf,
@@ -473,10 +396,7 @@ where
     }
 }
 
-impl<A, CD, CM, L, C> std::fmt::Debug for Engine<A, CD, CM, L, C>
-where
-    A: Automaton + std::fmt::Debug,
-{
+impl<A: Automaton + std::fmt::Debug> std::fmt::Debug for Engine<A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("n", &self.procs.len())
@@ -528,26 +448,26 @@ mod tests {
             .collect()
     }
 
-    fn components(loss: Box<dyn LossAdversary>, crash: Box<dyn CrashAdversary>) -> Components {
-        Components {
-            detector: Box::new(AlwaysNull),
-            manager: Box::new(AllActive),
-            loss,
-            crash,
-        }
+    /// `n` chatters under `AlwaysNull` and `AllActive`, against the given
+    /// loss and crash adversaries.
+    fn system(
+        n: usize,
+        loss: impl LossAdversary + 'static,
+        crash: impl CrashAdversary + 'static,
+    ) -> Engine<Chatter> {
+        Engine::new(
+            chatters(n),
+            Components {
+                detector: Box::new(AlwaysNull),
+                manager: Box::new(AllActive),
+                loss: Box::new(loss),
+                crash: Box::new(crash),
+            },
+        )
     }
 
     /// Runs `rounds` further rounds under `observer`.
-    fn run<CD, CM, L, C>(
-        sim: &mut Engine<Chatter, CD, CM, L, C>,
-        rounds: u64,
-        observer: &mut impl RoundObserver<usize>,
-    ) where
-        CD: CollisionDetector,
-        CM: ContentionManager,
-        L: LossAdversary,
-        C: CrashAdversary,
-    {
+    fn run(sim: &mut Engine<Chatter>, rounds: u64, observer: &mut impl RoundObserver<usize>) {
         for _ in 0..rounds {
             sim.advance(observer);
         }
@@ -565,10 +485,7 @@ mod tests {
 
     #[test]
     fn lossless_round_delivers_everything() {
-        let mut sim = Simulation::new(
-            chatters(3),
-            components(Box::new(NoLoss), Box::new(NoCrashes)),
-        );
+        let mut sim = system(3, NoLoss, NoCrashes);
         let mut trace = ExecutionTrace::new(3);
         sim.advance(&mut trace);
         let rec = trace.round(Round(1)).expect("recorded");
@@ -580,39 +497,8 @@ mod tests {
     }
 
     #[test]
-    fn static_engine_matches_boxed_simulation() {
-        // The same system through both dispatch paths, round by round.
-        let mut fast = Engine::from_parts(chatters(4), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        let mut boxed = Simulation::new(
-            chatters(4),
-            components(Box::new(NoLoss), Box::new(NoCrashes)),
-        );
-        let (mut fast_trace, mut boxed_trace) = (ExecutionTrace::new(4), ExecutionTrace::new(4));
-        run(&mut fast, 5, &mut fast_trace);
-        run(&mut boxed, 5, &mut boxed_trace);
-        assert_eq!(
-            format!("{fast_trace:?}"),
-            format!("{boxed_trace:?}"),
-            "static and boxed engines must produce identical traces"
-        );
-        assert_eq!(fast.current_round(), boxed.current_round());
-    }
-
-    #[test]
-    fn static_engine_component_accessors() {
-        let eng = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        assert_eq!(eng.detector().accuracy_from(), Some(Round::FIRST));
-        assert!(eng.loss().collision_free_from().is_some());
-        assert!(eng.manager().stabilized_from().is_none());
-        let _: &NoCrashes = eng.crash();
-    }
-
-    #[test]
     fn total_collision_loses_contended_round_but_senders_keep_own() {
-        let mut sim = Simulation::new(
-            chatters(3),
-            components(Box::new(TotalCollisionLoss), Box::new(NoCrashes)),
-        );
+        let mut sim = system(3, TotalCollisionLoss, NoCrashes);
         sim.advance(&mut ());
         // Constraint 5: each broadcaster still received its own message.
         for (i, p) in sim.processes().iter().enumerate() {
@@ -623,7 +509,7 @@ mod tests {
     #[test]
     fn crashed_process_is_silent_forever() {
         let crash = ScheduledCrashes::new().crash(ProcessId(0), Round(2));
-        let mut sim = Simulation::new(chatters(2), components(Box::new(NoLoss), Box::new(crash)));
+        let mut sim = system(2, NoLoss, crash);
         let mut trace = ExecutionTrace::new(2);
         run(&mut sim, 3, &mut trace);
         assert_eq!(sim.alive(), &[false, true]);
@@ -637,9 +523,8 @@ mod tests {
 
     #[test]
     fn the_observer_does_not_perturb_the_execution() {
-        let mut watched = Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
-        let mut unwatched =
-            Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
+        let mut watched = system(3, NoLoss, NoCrashes);
+        let mut unwatched = system(3, NoLoss, NoCrashes);
         let mut trace = ExecutionTrace::new(3);
         run(&mut watched, 6, &mut trace);
         run(&mut unwatched, 6, &mut ());
@@ -657,13 +542,7 @@ mod tests {
         // view the recorded trace serves afterwards are the same round,
         // byte for byte (crashes and lost messages included).
         let crash = ScheduledCrashes::new().crash(ProcessId(1), Round(3));
-        let mut sim = Engine::from_parts(
-            chatters(3),
-            AlwaysNull,
-            AllActive,
-            TotalCollisionLoss,
-            crash,
-        );
+        let mut sim = system(3, TotalCollisionLoss, crash);
         let mut both = (ExecutionTrace::new(3), Renders::default());
         run(&mut sim, 5, &mut both);
         let (trace, Renders(live)) = both;
@@ -674,31 +553,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one process")]
     fn empty_system_rejected() {
-        let _ = Simulation::new(
-            Vec::<Chatter>::new(),
-            components(Box::new(NoLoss), Box::new(NoCrashes)),
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one process")]
-    fn empty_static_system_rejected() {
-        let _ = Engine::from_parts(
-            Vec::<Chatter>::new(),
-            AlwaysNull,
-            AllActive,
-            NoLoss,
-            NoCrashes,
-        );
+        let _ = system(0, NoLoss, NoCrashes);
     }
 
     #[test]
     fn empty_schedule_is_bit_identical_to_no_schedule() {
         use crate::scenario::ScenarioTimeline;
-        let mut plain = Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes);
+        let mut plain = system(3, NoLoss, NoCrashes);
         let mut scheduled =
-            Engine::from_parts(chatters(3), AlwaysNull, AllActive, NoLoss, NoCrashes)
-                .with_schedule(ScenarioTimeline::new().compile());
+            system(3, NoLoss, NoCrashes).with_schedule(ScenarioTimeline::new().compile());
         let (mut plain_trace, mut scheduled_trace) =
             (ExecutionTrace::new(3), ExecutionTrace::new(3));
         run(&mut plain, 5, &mut plain_trace);
@@ -716,14 +579,7 @@ mod tests {
         use crate::scenario::{ScenarioEvent, ScenarioTimeline};
         let timeline =
             ScenarioTimeline::new().at_round(Round(3), ScenarioEvent::CrashBurst { count: 2 });
-        let mut sim = Engine::from_parts(
-            chatters(4),
-            AlwaysNull,
-            AllActive,
-            NoLoss,
-            TimelineCrashes::new(),
-        )
-        .with_schedule(timeline.compile());
+        let mut sim = system(4, NoLoss, TimelineCrashes::new()).with_schedule(timeline.compile());
         run(&mut sim, 2, &mut ());
         assert_eq!(sim.alive(), &[true; 4], "nothing fails before the event");
         run(&mut sim, 1, &mut ());
@@ -740,7 +596,7 @@ mod tests {
     #[should_panic(expected = "before the first round")]
     fn late_schedule_install_rejected() {
         use crate::scenario::ScenarioTimeline;
-        let mut sim = Engine::from_parts(chatters(2), AlwaysNull, AllActive, NoLoss, NoCrashes);
+        let mut sim = system(2, NoLoss, NoCrashes);
         sim.advance(&mut ());
         sim.set_schedule(ScenarioTimeline::new().compile());
     }
@@ -771,7 +627,7 @@ mod tests {
     fn delivery_from_a_non_broadcaster_rejected() {
         // Process 0 crashes before round 1, so it sends nothing.
         let crash = ScheduledCrashes::new().crash(ProcessId(0), Round(1));
-        let mut sim = Engine::from_parts(chatters(3), AlwaysNull, AllActive, RogueLoss, crash);
+        let mut sim = system(3, RogueLoss, crash);
         sim.advance(&mut ());
     }
 

@@ -19,9 +19,10 @@
 //! in `wan-cd`, contention-manager classes in `wan-cm`, and the consensus
 //! algorithms in `ccwan-core`. What lives here is the *execution* machinery
 //! (Definition 11): the [`Automaton`] trait (Definition 1), the round engine
-//! ([`Simulation`]), message-loss adversaries including the eventual
-//! collision freedom wrapper ([`loss::Ecf`], Property 1) and the classical
-//! *total collision model* baseline of Section 1.2
+//! ([`Engine`], run against a boxed [`Components`] bundle), message-loss
+//! adversaries including the eventual collision freedom wrapper
+//! ([`loss::Ecf`], Property 1) and the classical *total collision model*
+//! baseline of Section 1.2
 //! ([`loss::TotalCollisionLoss`]), crash adversaries, and full execution
 //! traces ([`ExecutionTrace`], one [`RoundObserver`] of the engine's
 //! rounds) from which transmission traces (Definition 4) and
@@ -33,7 +34,7 @@
 //! ## Example
 //!
 //! ```
-//! use wan_sim::{Automaton, CmAdvice, RoundInput, Simulation, Components};
+//! use wan_sim::{Automaton, CmAdvice, RoundInput, Engine, Components};
 //! use wan_sim::loss::NoLoss;
 //! use wan_sim::crash::NoCrashes;
 //! use wan_sim::{AlwaysNull, AllActive};
@@ -52,7 +53,7 @@
 //! }
 //!
 //! let procs = (0..4).map(|id| Counter { id, heard: 0, sent: false }).collect();
-//! let mut sim = Simulation::new(procs, Components {
+//! let mut sim = Engine::new(procs, Components {
 //!     detector: Box::new(AlwaysNull),
 //!     manager: Box::new(AllActive),
 //!     loss: Box::new(NoLoss),
@@ -78,7 +79,7 @@ pub mod traits;
 
 pub use advice::{CdAdvice, CmAdvice};
 pub use automaton::{Automaton, RoundInput};
-pub use engine::{Components, DynCrash, DynDetector, DynLoss, DynManager, Engine, Simulation};
+pub use engine::{Components, Engine};
 pub use fingerprint::StableHasher;
 pub use ids::{ProcessId, Round};
 pub use multiset::{Multiset, MultisetView};

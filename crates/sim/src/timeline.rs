@@ -55,22 +55,11 @@ pub fn render_timeline<M: Ord>(trace: &ExecutionTrace<M>, options: TimelineOptio
     }
     out.push('\n');
 
-    let mut dead = vec![false; trace.n()];
-    let mut dead_at: Vec<Option<usize>> = vec![None; trace.n()];
-    for (col, rec) in records.iter().enumerate() {
-        for p in rec.crashed() {
-            dead[p.index()] = true;
-            dead_at[p.index()] = Some(col);
-        }
-    }
-    let _ = dead;
-
-    #[allow(clippy::needless_range_loop)] // `i` indexes several per-round columns below
     for i in 0..trace.n() {
         let pid = ProcessId(i);
         let _ = write!(out, "{:<label_width$} |", pid.to_string());
         let mut is_dead = false;
-        for (col, rec) in records.iter().enumerate() {
+        for rec in &records {
             let crashed_now = rec.crashed().contains(&pid);
             let mut cell = String::new();
             if is_dead {
@@ -96,7 +85,6 @@ pub fn render_timeline<M: Ord>(trace: &ExecutionTrace<M>, options: TimelineOptio
                 cell.push('✝');
                 is_dead = true;
             }
-            let _ = dead_at[i].map(|c| c <= col);
             let _ = write!(out, " {cell:>3}");
         }
         out.push('\n');
@@ -167,6 +155,19 @@ mod tests {
     }
 
     #[test]
+    fn renders_the_sample_trace_exactly() {
+        // p0 is told to speak and broadcasts in round 1; p1 broadcasts in
+        // round 2; p2 gets collision advice and crashes in round 2.
+        assert_eq!(
+            timeline(&sample_trace()),
+            "round |   1   2   3\n\
+             p0    |  *B   1   .\n\
+             p1    |   1   B   .\n\
+             p2    |   .  ±✝   ×\n"
+        );
+    }
+
+    #[test]
     fn renders_all_cell_kinds() {
         let s = timeline(&sample_trace());
         // Active broadcaster.
@@ -199,7 +200,7 @@ mod tests {
     fn renders_live_simulation_traces() {
         use crate::crash::NoCrashes;
         use crate::loss::NoLoss;
-        use crate::{AllActive, AlwaysNull, Automaton, Components, RoundInput, Simulation};
+        use crate::{AllActive, AlwaysNull, Automaton, Components, Engine, RoundInput};
 
         struct Beacon;
         impl Automaton for Beacon {
@@ -209,7 +210,7 @@ mod tests {
             }
             fn transition(&mut self, _input: RoundInput<'_, u8>) {}
         }
-        let mut sim = Simulation::new(
+        let mut sim = Engine::new(
             vec![Beacon, Beacon],
             Components {
                 detector: Box::new(AlwaysNull),

@@ -15,8 +15,8 @@
 //! for tests and one-off callers; they are not meant to be overridden.
 //! A component that implements no writer does not compile.
 //!
-//! The `Box<dyn …>` adapters forward the writer (and the other
-//! per-component hooks), so dynamic dispatch reaches the same code.
+//! The engine holds every component as a `Box<dyn …>`
+//! ([`crate::Components`]) and calls these methods through the box.
 
 use crate::advice::{CdAdvice, CmAdvice};
 use crate::ids::{ProcessId, Round};
@@ -62,18 +62,6 @@ pub trait CollisionDetector {
     /// ignore it (the default). Must not allocate — the engine round is
     /// gated at zero allocations.
     fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {}
-}
-
-impl CollisionDetector for Box<dyn CollisionDetector> {
-    fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]) {
-        (**self).advise_into(round, tx, out)
-    }
-    fn accuracy_from(&self) -> Option<Round> {
-        (**self).accuracy_from()
-    }
-    fn apply_event(&mut self, round: Round, event: ScenarioEvent) {
-        (**self).apply_event(round, event)
-    }
 }
 
 /// What a contention manager may look at when producing advice.
@@ -134,21 +122,6 @@ pub trait ContentionManager {
     fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {}
 }
 
-impl ContentionManager for Box<dyn ContentionManager> {
-    fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]) {
-        (**self).advise_into(round, view, out)
-    }
-    fn observe(&mut self, round: Round, tx: &TransmissionEntry, senders: &[ProcessId]) {
-        (**self).observe(round, tx, senders)
-    }
-    fn stabilized_from(&self) -> Option<Round> {
-        (**self).stabilized_from()
-    }
-    fn apply_event(&mut self, round: Round, event: ScenarioEvent) {
-        (**self).apply_event(round, event)
-    }
-}
-
 /// A message-loss adversary: decides, every round, which broadcasts reach
 /// which receivers.
 ///
@@ -194,24 +167,6 @@ pub trait LossAdversary {
     /// [`crate::scenario`]), applied at the start of its round, before
     /// deliveries are resolved. Ignored by default; must not allocate.
     fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {}
-}
-
-impl LossAdversary for Box<dyn LossAdversary> {
-    fn deliver_into(
-        &mut self,
-        round: Round,
-        senders: &[ProcessId],
-        n: usize,
-        out: &mut DeliveryMatrix,
-    ) {
-        (**self).deliver_into(round, senders, n, out)
-    }
-    fn collision_free_from(&self) -> Option<Round> {
-        (**self).collision_free_from()
-    }
-    fn apply_event(&mut self, round: Round, event: ScenarioEvent) {
-        (**self).apply_event(round, event)
-    }
 }
 
 /// A crash adversary (Section 3.3): decides which processes crash each round.

@@ -13,7 +13,7 @@ use ccwan::cm::{FairWakeUp, KWakeUp};
 use ccwan::consensus::{alg2, counting, ConsensusRun, Value, ValueDomain};
 use ccwan::sim::crash::NoCrashes;
 use ccwan::sim::loss::{Ecf, RandomLoss};
-use ccwan::sim::{Components, Round, Simulation};
+use ccwan::sim::{Components, Engine, Round};
 
 fn main() {
     let n = 6;
@@ -21,7 +21,7 @@ fn main() {
     // Phase 1: how many of us are there? (No identifiers, no membership
     // list — the k-wake-up roster plus the Noise Lemma count heads.)
     let k = 2;
-    let mut census = Simulation::new(
+    let mut census = Engine::new(
         counting::processes(n, k),
         Components {
             detector: Box::new(

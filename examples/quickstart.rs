@@ -14,7 +14,7 @@ use ccwan::bench::sweep::{
 };
 use ccwan::cd::{CdClass, ClassDetector, FreedomPolicy};
 use ccwan::cm::{FairWakeUp, PreStabilization};
-use ccwan::consensus::{alg1, ConsensusRun, Value, ValueDomain};
+use ccwan::consensus::{alg1, ConsensusRun, Cst, Value, ValueDomain};
 use ccwan::sim::crash::NoCrashes;
 use ccwan::sim::loss::{Ecf, RandomLoss};
 use ccwan::sim::{Components, ExecutionTrace, Round, RoundView};
@@ -79,9 +79,9 @@ fn main() {
         cst: cst.0,
         contended: 0,
     }));
+    println!("declared {}", Cst::from_components(&components));
     let mut run = ConsensusRun::new(alg1::processes(domain, &proposals), components)
         .with_observer((ExecutionTrace::new(proposals.len()), probes));
-    println!("declared {}", run.cst());
 
     let outcome = run.run_to_completion(Round(100));
     let (trace, mut probes) = run.into_observer();

@@ -9,13 +9,13 @@ use ccwan::cm::{KWakeUp, PreStabilization, WakeUpService};
 use ccwan::consensus::{alg1, alg2, counting, ConsensusRun, Value, ValueDomain};
 use ccwan::sim::crash::NoCrashes;
 use ccwan::sim::loss::{Ecf, RandomLoss};
-use ccwan::sim::{Components, ProcessId, Round, Simulation};
+use ccwan::sim::{Components, Engine, ProcessId, Round};
 
 #[test]
 fn counting_is_exact_under_k_wakeup_with_heavy_loss() {
     for n in 1..=8usize {
         for (k, loss, seed) in [(1u64, 0.0, 1u64), (2, 0.8, 2), (3, 1.0, 3)] {
-            let mut sim = Simulation::new(
+            let mut sim = Engine::new(
                 counting::processes(n, k),
                 Components {
                     detector: Box::new(
