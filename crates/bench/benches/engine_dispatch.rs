@@ -22,7 +22,8 @@
 //!
 //! The process also runs under a **counting global allocator** and reports
 //! steady-state allocations/round and bytes/round of every lane, plus
-//! allocations/call of the SINR radio's `resolve_into`. The lanes add the
+//! allocations/call of the SINR radio's `resolve_into` and the
+//! allocations of one `RadioChannel::new`. The lanes add the
 //! churn and abstract-MAC stacks and the real Algorithm 1 and Algorithm 2
 //! automata on the registry's ECF stack. The allocation gates make
 //! the bench exit nonzero (which is what the CI bench-smoke step gates
@@ -34,7 +35,9 @@
 //!   growth only, gated at < 1 allocation/round in the steady-state
 //!   window;
 //! * `RadioChannel::resolve_into` into a reused `PhyRound` must be
-//!   exactly zero-allocation after warm-up.
+//!   exactly zero-allocation after warm-up;
+//! * `RadioChannel::new` must make exactly 2 allocations (its positions
+//!   and gains) at every lane's n.
 //!
 //! Besides the stdout report, the bench writes machine-readable results,
 //! with the host they were measured on, to `BENCH_engine.json` at the
@@ -596,11 +599,20 @@ fn main() {
     // allocation-free in steady state (the scratch buffers and the round's
     // output buffers all keep their storage). Every batched lane — up to
     // the n = 128 wide-system cell — is gated at exactly 0 allocs/call.
+    // Building the radio must cost exactly its two buffers (positions and
+    // gains) at every n.
     let _ = writeln!(json, "  \"phy_resolve\": [");
     let phy_cells: [(usize, usize); 4] = [(8, 4), (32, 16), (64, 32), (128, 64)];
     let count = phy_cells.len();
     for (i, (n, contenders)) in phy_cells.into_iter().enumerate() {
-        let channel = RadioChannel::new(PhyConfig::new(n, 11));
+        let (calls0, _) = alloc_snapshot();
+        let channel = black_box(RadioChannel::new(PhyConfig::new(n, 11)));
+        let allocs_per_new = alloc_snapshot().0 - calls0;
+        if allocs_per_new != 2 {
+            alloc_violations.push(format!(
+                "phy RadioChannel::new n={n}: {allocs_per_new} allocs (want 2)"
+            ));
+        }
         let senders: Vec<ProcessId> = (0..contenders).map(ProcessId).collect();
         let mut out = PhyRound::new();
         let mut next_round = 1u64;
@@ -626,7 +638,8 @@ fn main() {
         let ns_per_call = ns[ns.len() / 2];
         println!(
             "phy    n={n:<3} senders={contenders:<3} {allocs:>10.3} allocs/call  \
-             {bytes:>12.1} bytes/call  {ns_per_call:>10.1} ns/call"
+             {bytes:>12.1} bytes/call  {ns_per_call:>10.1} ns/call  \
+             {allocs_per_new} allocs/new"
         );
         if allocs != 0.0 {
             alloc_violations.push(format!(
@@ -638,7 +651,8 @@ fn main() {
         let _ = writeln!(json, "      \"senders\": {contenders},");
         let _ = writeln!(json, "      \"allocs_per_call\": {allocs:.3},");
         let _ = writeln!(json, "      \"bytes_per_call\": {bytes:.1},");
-        let _ = writeln!(json, "      \"ns_per_call\": {ns_per_call:.1}");
+        let _ = writeln!(json, "      \"ns_per_call\": {ns_per_call:.1},");
+        let _ = writeln!(json, "      \"allocs_per_new\": {allocs_per_new}");
         let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
     }
     let _ = writeln!(json, "  ]");
@@ -649,8 +663,9 @@ fn main() {
     println!("\nwrote {out}:\n{json}");
 
     // The CI gates: rounds under `none` and `probes` and phy resolve must
-    // be allocation-free in steady state, and rounds under `trace` O(1)
-    // amortized (arena growth only). (Checked after the JSON is written so
+    // be allocation-free in steady state, rounds under `trace` O(1)
+    // amortized (arena growth only), and a radio's construction exactly
+    // its two buffers. (Checked after the JSON is written so
     // a regression still leaves the numbers on disk.)
     assert!(
         alloc_violations.is_empty(),

@@ -128,30 +128,33 @@ pub struct RadioChannel {
 impl RadioChannel {
     /// Builds the radio: places nodes uniformly in the disc and fixes the
     /// static gains.
+    ///
+    /// Each link is computed once, for `i < j`, and stored at both
+    /// `(i, j)` and `(j, i)`. That is exact: the shadowing draw is keyed
+    /// by the unordered pair, and a swapped pair's coordinate differences
+    /// only change sign, so its distance is bit-equal. The two buffers
+    /// (positions, gains) are the only allocations.
     pub fn new(cfg: PhyConfig) -> Self {
         assert!(cfg.n >= 1, "need at least one node");
         assert!(cfg.slots_per_round >= 1, "need at least one slot");
-        let positions: Vec<(f64, f64)> = (0..cfg.n)
+        let n = cfg.n;
+        let positions: Vec<(f64, f64)> = (0..n)
             .map(|i| {
                 let r = cfg.radius_m * hash::uniform(&[cfg.seed, 0xB0, i as u64]).sqrt();
                 let theta = 2.0 * std::f64::consts::PI * hash::uniform(&[cfg.seed, 0xA1, i as u64]);
                 (r * theta.cos(), r * theta.sin())
             })
             .collect();
-        let mut gain = vec![0.0; cfg.n * cfg.n];
-        for i in 0..cfg.n {
-            for j in 0..cfg.n {
-                if i == j {
-                    continue;
-                }
-                let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-                let (xi, yi) = positions[i];
-                let (xj, yj) = positions[j];
+        let mut gain = vec![0.0; n * n];
+        for (i, &(xi, yi)) in positions.iter().enumerate() {
+            for (j, &(xj, yj)) in positions.iter().enumerate().skip(i + 1) {
                 let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt().max(1.0);
                 let path = d.powf(-cfg.pathloss_exp);
-                let shadow_db =
-                    cfg.shadowing_sigma_db * hash::standard_normal(&[cfg.seed, 0x5D, a, b]);
-                gain[i * cfg.n + j] = path * PhyConfig::db_to_linear(shadow_db);
+                let shadow_db = cfg.shadowing_sigma_db
+                    * hash::standard_normal(&[cfg.seed, 0x5D, i as u64, j as u64]);
+                let g = path * PhyConfig::db_to_linear(shadow_db);
+                gain[i * n + j] = g;
+                gain[j * n + i] = g;
             }
         }
         RadioChannel {
@@ -214,15 +217,6 @@ impl RadioChannel {
         } else {
             0.0
         }
-    }
-
-    /// Resolves one round into a fresh [`PhyRound`]. Convenience wrapper
-    /// over [`RadioChannel::resolve_into`] for callers that keep the
-    /// result; hot paths reuse one `PhyRound` instead.
-    pub fn resolve(&self, round: Round, senders: &[ProcessId]) -> PhyRound {
-        let mut out = PhyRound::new();
-        self.resolve_into(round, senders, &mut out);
-        out
     }
 
     /// Resolves one round — slot choices, fading, SINR decoding with
@@ -500,6 +494,7 @@ impl RadioChannel {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use wan_sim::StableHasher;
 
     fn channel(n: usize, seed: u64) -> RadioChannel {
         RadioChannel::new(PhyConfig::new(n, seed))
@@ -544,7 +539,8 @@ mod tests {
                 .filter(|&i| sender_bits & (1 << i) != 0)
                 .map(ProcessId)
                 .collect();
-            let batched = ch.resolve(Round(round), &senders);
+            let mut batched = PhyRound::new();
+            ch.resolve_into(Round(round), &senders, &mut batched);
             let reference = ch.resolve_scalar_reference(Round(round), &senders);
             prop_assert_eq!(&batched.delivered, &reference.delivered);
             prop_assert_eq!(&batched.collision, &reference.collision);
@@ -557,10 +553,11 @@ mod tests {
         // decoded at the overwhelming majority of receivers.
         let mut delivered = 0u64;
         let mut total = 0u64;
+        let mut out = PhyRound::new();
         for seed in 0..10 {
             let ch = channel(8, seed);
             for r in 1..50u64 {
-                let out = ch.resolve(Round(r), &[ProcessId(0)]);
+                ch.resolve_into(Round(r), &[ProcessId(0)], &mut out);
                 for rx in 1..8 {
                     total += 1;
                     delivered += u64::from(out.delivered(0, rx));
@@ -579,8 +576,9 @@ mod tests {
         let mut total = 0u64;
         let mut sensed_when_total_loss = 0u64;
         let mut total_loss_rounds = 0u64;
+        let mut out = PhyRound::new();
         for r in 1..200u64 {
-            let out = ch.resolve(Round(r), &senders);
+            ch.resolve_into(Round(r), &senders, &mut out);
             for rx in 0..8 {
                 for (si, s) in senders.iter().enumerate() {
                     if s.index() == rx {
@@ -609,8 +607,9 @@ mod tests {
         // the capture effect that breaks the total collision model.
         let ch = channel(8, 5);
         let mut captures = 0u64;
+        let mut out = PhyRound::new();
         for r in 1..300u64 {
-            let out = ch.resolve(Round(r), &[ProcessId(0), ProcessId(1)]);
+            ch.resolve_into(Round(r), &[ProcessId(0), ProcessId(1)], &mut out);
             for rx in 2..8 {
                 if out.delivered(0, rx) ^ out.delivered(1, rx) {
                     captures += 1;
@@ -626,13 +625,14 @@ mod tests {
         let ch = RadioChannel::new(cfg);
         // No senders at all: any collision flag is a false positive.
         let mut early = 0u64;
+        let mut out = PhyRound::new();
         for r in 1..100u64 {
-            let out = ch.resolve(Round(r), &[]);
+            ch.resolve_into(Round(r), &[], &mut out);
             early += out.collisions().iter().filter(|&&c| c).count() as u64;
         }
         assert!(early > 0, "interference should trigger false positives");
         for r in 100..200u64 {
-            let out = ch.resolve(Round(r), &[]);
+            ch.resolve_into(Round(r), &[], &mut out);
             assert!(
                 out.collisions().iter().all(|&c| !c),
                 "false positive after interference horizon at round {r}"
@@ -644,20 +644,22 @@ mod tests {
     fn resolution_is_deterministic() {
         let ch = channel(6, 11);
         let senders = [ProcessId(1), ProcessId(4)];
-        let a = ch.resolve(Round(17), &senders);
-        let b = ch.resolve(Round(17), &senders);
+        let (mut a, mut b) = (PhyRound::new(), PhyRound::new());
+        ch.resolve_into(Round(17), &senders, &mut a);
+        ch.resolve_into(Round(17), &senders, &mut b);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.collision, b.collision);
     }
 
     #[test]
-    fn resolve_into_reuses_buffers_and_matches_resolve() {
+    fn resolve_into_reused_buffer_matches_fresh_buffer() {
         let ch = channel(6, 13);
         let mut reused = PhyRound::new();
         for r in 1..40u64 {
             let senders = [ProcessId(r as usize % 6), ProcessId((r as usize + 2) % 6)];
             ch.resolve_into(Round(r), &senders, &mut reused);
-            let fresh = ch.resolve(Round(r), &senders);
+            let mut fresh = PhyRound::new();
+            ch.resolve_into(Round(r), &senders, &mut fresh);
             assert_eq!(reused.senders(), fresh.senders());
             assert_eq!(reused.delivered, fresh.delivered);
             assert_eq!(reused.collision, fresh.collision);
@@ -670,36 +672,78 @@ mod tests {
 
     #[test]
     fn gain_is_row_major_symmetric_and_matches_nested_reference() {
-        // Bug-adjacent pin for the flat layout: recompute the gains the
-        // way the seed-era nested `Vec<Vec<f64>>` did and require exact
-        // equality, plus the symmetry the shared shadowing term implies.
-        let cfg = PhyConfig::new(7, 42);
-        let ch = RadioChannel::new(cfg);
-        let positions = ch.positions();
-        let mut nested = vec![vec![0.0f64; cfg.n]; cfg.n];
-        #[allow(clippy::needless_range_loop)] // `i`/`j` index positions and nested
-        for i in 0..cfg.n {
-            for j in 0..cfg.n {
-                if i == j {
-                    continue;
+        // Bug-adjacent pin for the flat, half-computed layout: recompute
+        // every ordered link the way the seed-era nested `Vec<Vec<f64>>`
+        // did and require exact equality, plus the symmetry the shared
+        // shadowing term implies.
+        for (n, seed) in [(1, 0), (2, 5), (7, 42), (16, 42), (64, 7)] {
+            let cfg = PhyConfig::new(n, seed);
+            let ch = RadioChannel::new(cfg);
+            let positions = ch.positions();
+            let mut nested = vec![vec![0.0f64; cfg.n]; cfg.n];
+            #[allow(clippy::needless_range_loop)] // `i`/`j` index positions and nested
+            for i in 0..cfg.n {
+                for j in 0..cfg.n {
+                    if i == j {
+                        continue;
+                    }
+                    let (a, b) = (i.min(j) as u64, i.max(j) as u64);
+                    let (xi, yi) = positions[i];
+                    let (xj, yj) = positions[j];
+                    let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt().max(1.0);
+                    let path = d.powf(-cfg.pathloss_exp);
+                    let shadow_db =
+                        cfg.shadowing_sigma_db * hash::standard_normal(&[cfg.seed, 0x5D, a, b]);
+                    nested[i][j] = path * PhyConfig::db_to_linear(shadow_db);
                 }
-                let (a, b) = (i.min(j) as u64, i.max(j) as u64);
-                let (xi, yi) = positions[i];
-                let (xj, yj) = positions[j];
-                let d = ((xi - xj).powi(2) + (yi - yj).powi(2)).sqrt().max(1.0);
-                let path = d.powf(-cfg.pathloss_exp);
-                let shadow_db =
-                    cfg.shadowing_sigma_db * hash::standard_normal(&[cfg.seed, 0x5D, a, b]);
-                nested[i][j] = path * PhyConfig::db_to_linear(shadow_db);
+            }
+            #[allow(clippy::needless_range_loop)] // `i`/`j` index both layouts
+            for i in 0..cfg.n {
+                for j in 0..cfg.n {
+                    let g = ch.gain(i, j);
+                    assert_eq!(g.to_bits(), nested[i][j].to_bits(), "n={n} gain({i}, {j})");
+                    assert_eq!(
+                        g.to_bits(),
+                        ch.gain(j, i).to_bits(),
+                        "n={n} symmetry ({i}, {j})"
+                    );
+                }
+                assert_eq!(ch.gain(i, i), 0.0, "n={n} diagonal");
             }
         }
-        #[allow(clippy::needless_range_loop)] // `i`/`j` index both layouts
-        for i in 0..cfg.n {
-            for j in 0..cfg.n {
-                assert_eq!(ch.gain(i, j), nested[i][j], "gain({i}, {j})");
-                assert_eq!(ch.gain(i, j), ch.gain(j, i), "symmetry ({i}, {j})");
+    }
+
+    #[test]
+    fn positions_and_gains_match_pinned_fingerprints() {
+        // FNV-1a digests of the raw bits of `positions()` and of every
+        // `gain(i, j)` in row-major order, recorded from the channel that
+        // computed both halves of the matrix with a tuple-copying normal
+        // draw. Any change to a single bit of the geometry fails here.
+        let pinned: [(usize, u64, u64, u64); 4] = [
+            (1, 0, 0x661e_d5ae_ae13_12ef, 0xa8c7_f832_281a_39c5),
+            (2, 5, 0x20a6_45bb_4c15_f1f8, 0x7f84_05e4_913c_ff15),
+            (16, 42, 0x99ef_2869_8c80_2f50, 0xb640_939f_6b48_9509),
+            (64, 7, 0xba06_9422_72fb_c256, 0x0ebd_c6b5_3f53_1259),
+        ];
+        for (n, seed, positions_fp, gains_fp) in pinned {
+            let ch = channel(n, seed);
+            let mut positions = StableHasher::new();
+            for &(x, y) in ch.positions() {
+                positions.write_u64(x.to_bits());
+                positions.write_u64(y.to_bits());
             }
-            assert_eq!(ch.gain(i, i), 0.0, "diagonal");
+            let mut gains = StableHasher::new();
+            for i in 0..n {
+                for j in 0..n {
+                    gains.write_u64(ch.gain(i, j).to_bits());
+                }
+            }
+            assert_eq!(
+                positions.finish(),
+                positions_fp,
+                "positions, n={n} seed={seed}"
+            );
+            assert_eq!(gains.finish(), gains_fp, "gains, n={n} seed={seed}");
         }
     }
 }

@@ -71,13 +71,12 @@ impl LossAdversary for PhyLoss {
         shared
             .channel
             .resolve_into(round, senders, &mut shared.outcome);
+        // One branchless OR per (sender, receiver) pair, with the sender's
+        // word and bit hoisted out of the receiver loop.
         out.clear_and_resize(senders, n);
+        let outcome = &shared.outcome;
         for (si, &s) in senders.iter().enumerate() {
-            for r in 0..n {
-                if shared.outcome.delivered(si, r) {
-                    out.set(s, ProcessId(r), true);
-                }
-            }
+            out.deliver_from_where(s, |r| outcome.delivered(si, r.index()));
         }
         shared.resolved = Some(round);
     }
@@ -176,6 +175,49 @@ mod tests {
         // the Noise Lemma proxy everyone heard something or flagged.
         for p in sim.processes() {
             assert!(p.heard >= 1, "own message at least (constraint 5)");
+        }
+    }
+
+    #[test]
+    fn loss_hands_off_exactly_the_resolved_decodes() {
+        // The adapter must copy the radio's decodes into the delivery
+        // matrix bit for bit: every (sender, receiver) pair the radio
+        // decoded, nothing else, and no bit of a non-sender anywhere.
+        for n in [5, 16, 64] {
+            for interference in [false, true] {
+                let mut cfg = PhyConfig::new(n, 3 + n as u64);
+                if interference {
+                    cfg = cfg.with_interference(0.5, Some(Round(150)));
+                }
+                let (mut loss, _) = phy_components(cfg);
+                let reference = RadioChannel::new(cfg);
+                let mut resolved = PhyRound::new();
+                let mut state = 0x5EED_u64 ^ n as u64;
+                for r in 1..=200u64 {
+                    state = crate::hash::splitmix64(state);
+                    let density = state % 4;
+                    let senders: Vec<ProcessId> = (0..n)
+                        .filter(|&i| crate::hash::hash_tuple(&[state, i as u64]) % 4 <= density)
+                        .map(ProcessId)
+                        .collect();
+                    let m = loss.deliver(Round(r), &senders, n);
+                    reference.resolve_into(Round(r), &senders, &mut resolved);
+                    assert_eq!(m.senders().collect::<Vec<_>>(), senders);
+                    for rx in 0..n {
+                        let mut expected = vec![0u64; n.div_ceil(64)];
+                        for (si, s) in senders.iter().enumerate() {
+                            if resolved.delivered(si, rx) {
+                                expected[s.index() / 64] |= 1 << (s.index() % 64);
+                            }
+                        }
+                        assert_eq!(
+                            m.row_words(ProcessId(rx)),
+                            &expected[..],
+                            "n={n} interference={interference} round {r} receiver {rx}"
+                        );
+                    }
+                }
+            }
         }
     }
 

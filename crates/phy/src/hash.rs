@@ -72,19 +72,76 @@ pub fn exponential(parts: &[u64]) -> f64 {
 }
 
 /// A standard normal draw via Box–Muller (used for log-normal shadowing).
+///
+/// The two uniforms are the tuple extended by the salts `0xA5A5` and
+/// `0x5A5A`. The tuple is hashed once and each salt folded in with
+/// [`extend`], so a draw allocates nothing.
 pub fn standard_normal(parts: &[u64]) -> f64 {
-    let mut with_salt = parts.to_vec();
-    with_salt.push(0xA5A5);
-    let u1 = uniform_open(&with_salt);
-    with_salt.pop();
-    with_salt.push(0x5A5A);
-    let u2 = uniform(&with_salt);
+    let prefix = hash_tuple(parts);
+    let u1 = unit_from(extend(prefix, 0xA5A5));
+    let u1 = if u1 <= 0.0 { f64::MIN_POSITIVE } else { u1 };
+    let u2 = unit_from(extend(prefix, 0x5A5A));
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The seed-era `standard_normal`, which copied its tuple and pushed
+    /// each salt in turn: the bit-identity oracle for the prefix form.
+    fn standard_normal_reference(parts: &[u64]) -> f64 {
+        let mut with_salt = parts.to_vec();
+        with_salt.push(0xA5A5);
+        let u1 = uniform_open(&with_salt);
+        with_salt.pop();
+        with_salt.push(0x5A5A);
+        let u2 = uniform(&with_salt);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    #[test]
+    fn standard_normal_matches_seed_era_reference() {
+        let mut tuples: Vec<Vec<u64>> = Vec::new();
+        // Arbitrary words, every tuple length from 1 to 5.
+        let mut state = 0x00DD_BA11_u64;
+        for len in 1..=5usize {
+            for _ in 0..1_000 {
+                tuples.push(
+                    (0..len)
+                        .map(|_| {
+                            state = splitmix64(state);
+                            state
+                        })
+                        .collect(),
+                );
+            }
+        }
+        // The shadowing tuple of `RadioChannel::new` ...
+        for seed in [0, 7, 42] {
+            for a in 0..64u64 {
+                for b in a + 1..64 {
+                    tuples.push(vec![seed, 0x5D, a, b]);
+                }
+            }
+        }
+        // ... and the resynchronization jitter tuple of `sync`.
+        for seed in [1, 9] {
+            for r in 0..50u64 {
+                for i in 0..20u64 {
+                    tuples.push(vec![seed, 0x2E5, r, i]);
+                }
+            }
+        }
+        assert!(tuples.len() >= 10_000, "{} tuples", tuples.len());
+        for parts in &tuples {
+            assert_eq!(
+                standard_normal(parts).to_bits(),
+                standard_normal_reference(parts).to_bits(),
+                "tuple {parts:?}"
+            );
+        }
+    }
 
     #[test]
     fn deterministic() {

@@ -2,7 +2,7 @@
 //! satisfies, and how much it loses — the executable versions of the
 //! paper's Section 1 empirical claims (experiments E11/E12).
 
-use crate::channel::RadioChannel;
+use crate::channel::{PhyRound, RadioChannel};
 use crate::config::PhyConfig;
 use crate::hash;
 use wan_sim::{ProcessId, Round};
@@ -61,15 +61,19 @@ pub fn measure_properties(
     let mut lost_pairs = 0u64;
     let mut total_pairs = 0u64;
     let mut offered = 0u64;
+    let mut senders: Vec<ProcessId> = Vec::with_capacity(n);
+    let mut outcome = PhyRound::new();
 
     for r in 1..=rounds {
         let round = Round(r);
-        let senders: Vec<ProcessId> = (0..n)
-            .filter(|&i| hash::uniform(&[workload_seed, 0x10AD, r, i as u64]) < p_tx)
-            .map(ProcessId)
-            .collect();
+        senders.clear();
+        senders.extend(
+            (0..n)
+                .filter(|&i| hash::uniform(&[workload_seed, 0x10AD, r, i as u64]) < p_tx)
+                .map(ProcessId),
+        );
         offered += senders.len() as u64;
-        let outcome = channel.resolve(round, &senders);
+        channel.resolve_into(round, &senders, &mut outcome);
         let c = senders.len();
 
         let (mut zero_ok, mut maj_ok, mut half_ok, mut full_ok, mut acc_ok) =
