@@ -18,7 +18,7 @@
 //!   the pigeonhole pair-finders of Lemmas 21 and 22.
 //! * [`compose`] — the two-group composition of Lemma 23: the paired alpha
 //!   executions are spliced into one system whose scripted half-AC
-//!   detector advice is *certified* by `wan_cd::CheckedDetector`, and whose
+//!   detector advice is *certified* against `CdClass::admits`, and whose
 //!   per-group indistinguishability from the originals is checked
 //!   observation-by-observation (Definition 12).
 //! * [`indist`] — the observation-stream comparison behind those checks.

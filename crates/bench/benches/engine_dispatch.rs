@@ -60,7 +60,7 @@ use wan_cm::FairWakeUp;
 use wan_mac::{mac_components, MacConfig, MacDelayPolicy};
 use wan_phy::{PhyConfig, PhyRound, RadioChannel};
 use wan_sim::crash::{NoCrashes, TimelineCrashes};
-use wan_sim::loss::{Ecf, NoLoss, RandomLoss, TimelineLoss};
+use wan_sim::loss::{Ecf, NoLoss, RandomLoss};
 use wan_sim::{
     AllActive, AlwaysNull, Automaton, CmAdvice, Components, Engine, ExecutionTrace, ProcessId,
     Round, RoundInput, RoundObserver, ScenarioEvent, ScenarioTimeline, StaggeredJoin,
@@ -503,7 +503,7 @@ fn main() {
                 .accurate_from(Round(8)),
         ]);
         let manager = StaggeredJoin::new(FairWakeUp::immediate(), 25);
-        let loss = Ecf::new(TimelineLoss::new(0.3, 7), Round(8));
+        let loss = Ecf::new(RandomLoss::new(0.3, 7), Round(8));
         beacon_engine(
             50,
             Components {

@@ -96,13 +96,10 @@ pub fn e16_counting_separation(_scale: Scale) -> Table {
             let mut sim = Engine::new(
                 counting::processes(n, k),
                 Components {
-                    detector: Box::new(
-                        CheckedDetector::new(
-                            ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
-                            CdClass::ZERO_AC,
-                        )
-                        .strict(),
-                    ),
+                    detector: Box::new(CheckedDetector::new(
+                        ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
+                        CdClass::ZERO_AC,
+                    )),
                     manager: Box::new(KWakeUp::new(k, 0)),
                     loss: Box::new(NoLoss),
                     crash: Box::new(NoCrashes),

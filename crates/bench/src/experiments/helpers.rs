@@ -49,7 +49,7 @@ impl EnvPlan {
     }
 
     /// Builds the component bundle for a detector of `class`, certified
-    /// strict against it.
+    /// against it by a [`CheckedDetector`].
     pub fn components(&self, class: CdClass, seed: u64) -> Components {
         self.components_with_crash(class, seed, Box::new(NoCrashes))
     }
@@ -67,13 +67,10 @@ impl EnvPlan {
             FreedomPolicy::Quiet
         };
         Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(class, policy, seed ^ 0xCD).accurate_from(Round(self.r_acc)),
-                    class,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(class, policy, seed ^ 0xCD).accurate_from(Round(self.r_acc)),
+                class,
+            )),
             manager: Box::new(FairWakeUp::new(
                 Round(self.r_wake),
                 PreStabilization::Random { p: 0.4 },

@@ -17,9 +17,10 @@
 //!   allocs/round in steady state);
 //! * [`Probe::finish`] folds the accumulated state, plus the end-of-cell
 //!   context ([`CellEnd`]: judged outcome and the measurement reference
-//!   round), into typed metrics on a reusable [`MetricRow`];
-//! * [`Probe::reset`] clears the scratch so one probe instance can be
-//!   reused across cells (same discipline as the engine's `RoundBuffers`).
+//!   round), into typed metrics on a reusable [`MetricRow`].
+//!
+//! A probe observes one cell: every cell builds a fresh [`ProbeSet`], so
+//! a probe starts from its constructed state and is never reused.
 //!
 //! A [`ProbeManifest`] is the *data* form of a probe selection; it lives
 //! on the `ScenarioSpec`. [`ProbeSet::from_manifest`] instantiates the
@@ -340,13 +341,10 @@ pub struct CellEnd {
 /// and therefore implement `Probe<M>` for every `M`.
 ///
 /// The contract that keeps probed sweeps affordable: [`Probe::observe`]
-/// must not allocate — accumulate into plain counters or fixed scratch
-/// reset by [`Probe::reset`]. The `engine_dispatch` bench measures the
-/// built-in set as the engine's observer and CI gates it at 0
-/// allocs/round.
+/// must not allocate in steady state — accumulate into plain counters or
+/// scratch sized once. The `engine_dispatch` bench measures the built-in
+/// set as the engine's observer and CI gates it at 0 allocs/round.
 pub trait Probe<M: Ord> {
-    /// Clears accumulated state so the probe can observe a new cell.
-    fn reset(&mut self);
     /// Observes one round.
     fn observe(&mut self, view: &RoundView<'_, M>);
     /// Folds the accumulated state and the end-of-cell context into
@@ -413,6 +411,10 @@ impl ProbeKind {
     /// Whether this probe reads per-round views. Outcome-level probes
     /// ([`ProbeKind::Core`], [`ProbeKind::DecisionLatency`]) read only the
     /// end-of-cell [`CellEnd`].
+    ///
+    /// Nothing in this workspace branches on it, but the `sweepbench`
+    /// benchmark calls [`ProbeManifest::needs_trace`] (which folds this
+    /// over a manifest) to split its per-layer timings, so both stay.
     pub fn needs_trace(self) -> bool {
         !matches!(self, ProbeKind::Core | ProbeKind::DecisionLatency)
     }
@@ -503,10 +505,10 @@ impl Default for ProbeManifest {
     }
 }
 
-/// A composed set of probes driven over one cell's execution. Build it
-/// once ([`ProbeSet::from_manifest`], plus [`ProbeSet::push`] for custom
-/// probes), then per cell: [`ProbeSet::reset`] → [`RoundObserver::observe`]
-/// each round (as the run's observer, or over a recorded trace's views) →
+/// A composed set of probes driven over one cell's execution. Build one
+/// per cell ([`ProbeSet::from_manifest`], plus [`ProbeSet::push`] for
+/// custom probes), feed it [`RoundObserver::observe`] each round (as the
+/// run's observer, or over a recorded trace's views), then
 /// [`ProbeSet::finish`]. Steady-state observation performs zero
 /// allocations; the boxes are the build-time cost.
 pub struct ProbeSet<M: Ord> {
@@ -554,13 +556,6 @@ impl<M: Ord> ProbeSet<M> {
         self.probes.is_empty()
     }
 
-    /// Resets every probe for a new cell.
-    pub fn reset(&mut self) {
-        for probe in &mut self.probes {
-            probe.reset();
-        }
-    }
-
     /// Clears `out`, collects every probe's metrics into it, and seals it
     /// into canonical (ascending-id) order.
     pub fn finish(&mut self, end: &CellEnd, out: &mut MetricRow) {
@@ -599,7 +594,6 @@ impl<M: Ord> fmt::Debug for ProbeSet<M> {
 struct CoreOutcome;
 
 impl<M: Ord> Probe<M> for CoreOutcome {
-    fn reset(&mut self) {}
     fn observe(&mut self, _view: &RoundView<'_, M>) {}
     fn finish(&mut self, end: &CellEnd, out: &mut MetricRow) {
         out.set(MetricId::Reference, MetricValue::U64(end.reference));
@@ -620,7 +614,6 @@ impl<M: Ord> Probe<M> for CoreOutcome {
 struct DecisionLatency;
 
 impl<M: Ord> Probe<M> for DecisionLatency {
-    fn reset(&mut self) {}
     fn observe(&mut self, _view: &RoundView<'_, M>) {}
     fn finish(&mut self, end: &CellEnd, out: &mut MetricRow) {
         let latency = end.last_decision.map(|d| d as i64 - end.reference as i64);
@@ -639,9 +632,6 @@ struct BroadcastCountProbe {
 }
 
 impl<M: Ord> Probe<M> for BroadcastCountProbe {
-    fn reset(&mut self) {
-        *self = BroadcastCountProbe::default();
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         let sent = view.sent_count();
         self.total += sent as u64;
@@ -674,9 +664,6 @@ struct CdAccuracy {
 }
 
 impl<M: Ord> Probe<M> for CdAccuracy {
-    fn reset(&mut self) {
-        *self = CdAccuracy::default();
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         let sent = view.sent_count();
         let cd = view.cd();
@@ -718,9 +705,6 @@ struct CrashExposure {
 }
 
 impl<M: Ord> Probe<M> for CrashExposure {
-    fn reset(&mut self) {
-        *self = CrashExposure::default();
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         let crashed = view.crashed().len() as u64;
         self.crashes += crashed;
@@ -751,9 +735,6 @@ struct WakeupStabilization {
 }
 
 impl<M: Ord> Probe<M> for WakeupStabilization {
-    fn reset(&mut self) {
-        self.candidate = None;
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         if view.active_count() == 1 {
             if self.candidate.is_none() {
@@ -781,9 +762,8 @@ impl<M: Ord> Probe<M> for WakeupStabilization {
 /// process had decided ([`CellEnd::last_decision`]).
 ///
 /// The checkpoint list is fixed at construction
-/// ([`ProbeSet::from_manifest_at`]) and survives [`Probe::reset`] —
-/// membership tests are a binary search on the sorted list, so observing
-/// stays allocation-free.
+/// ([`ProbeSet::from_manifest_at`]); membership tests are a binary search
+/// on the sorted list, so observing stays allocation-free.
 struct CheckpointStats {
     checkpoints: Vec<u64>,
     reached: u64,
@@ -809,12 +789,6 @@ impl CheckpointStats {
 }
 
 impl<M: Ord> Probe<M> for CheckpointStats {
-    fn reset(&mut self) {
-        self.reached = 0;
-        self.alive_min = None;
-        self.cd_violations = 0;
-        self.cd_at_last = 0;
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         let sent = view.sent_count();
         let cd = view.cd();
@@ -905,8 +879,7 @@ fn mac_deferred<M: Ord>(view: &RoundView<'_, M>, s: usize, cleared: usize) -> bo
 
 /// [`ProbeKind::AckLatency`]: per-sender deferral streaks folded into the
 /// measured ack latency. The per-process scratch is sized on the first
-/// observed round and survives [`Probe::reset`], so steady-state
-/// observation is allocation-free.
+/// observed round, so steady-state observation is allocation-free.
 #[derive(Default)]
 struct AckLatencyProbe {
     streak: Vec<u64>,
@@ -915,11 +888,6 @@ struct AckLatencyProbe {
 }
 
 impl<M: Ord> Probe<M> for AckLatencyProbe {
-    fn reset(&mut self) {
-        self.streak.iter_mut().for_each(|s| *s = 0);
-        self.attempts_max = 0;
-        self.deferrals_total = 0;
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         let Some(cleared) = mac_cleared_count(view) else {
             return; // silent round: queued attempts persist
@@ -963,9 +931,6 @@ struct ProgressBoundProbe {
 }
 
 impl<M: Ord> Probe<M> for ProgressBoundProbe {
-    fn reset(&mut self) {
-        *self = ProgressBoundProbe::default();
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         let Some(cleared) = mac_cleared_count(view) else {
             return;
@@ -1078,7 +1043,6 @@ mod tests {
         trace.push_record(record(3, vec![Some(1), None, None], 1));
         let mut probes: ProbeSet<u8> = ProbeSet::from_manifest(&ProbeManifest::standard());
         let mut row = MetricRow::new();
-        probes.reset();
         replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
 
@@ -1103,13 +1067,6 @@ mod tests {
             row.get(MetricId::ObservedWakeupRound),
             Some(MetricValue::OptU64(Some(3)))
         );
-        // Reuse: a second cell through the same set starts clean.
-        probes.reset();
-        probes.finish(&end(), &mut row);
-        assert_eq!(
-            row.get(MetricId::BroadcastsTotal),
-            Some(MetricValue::U64(0))
-        );
     }
 
     #[test]
@@ -1121,7 +1078,6 @@ mod tests {
             last_decision: Some(4),
             ..end()
         };
-        probes.reset();
         probes.finish(&early, &mut row);
         assert_eq!(
             row.get(MetricId::DecisionLatency),
@@ -1143,7 +1099,6 @@ mod tests {
         let mut probes: ProbeSet<u8> =
             ProbeSet::from_manifest(&ProbeManifest::of(&[ProbeKind::CdAccuracy]));
         let mut row = MetricRow::new();
-        probes.reset();
         replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(
@@ -1203,7 +1158,6 @@ mod tests {
             ProbeKind::ProgressBound,
         ]));
         let mut row = MetricRow::new();
-        probes.reset();
         replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(
@@ -1225,14 +1179,6 @@ mod tests {
             row.get(MetricId::MacBlockedStreakMax),
             Some(MetricValue::U64(1))
         );
-        // Reuse starts clean.
-        probes.reset();
-        probes.finish(&end(), &mut row);
-        assert_eq!(row.get(MetricId::AckAttemptsMax), Some(MetricValue::U64(0)));
-        assert_eq!(
-            row.get(MetricId::MacBlockedRounds),
-            Some(MetricValue::U64(0))
-        );
     }
 
     #[test]
@@ -1248,7 +1194,6 @@ mod tests {
             ProbeKind::ProgressBound,
         ]));
         let mut row = MetricRow::new();
-        probes.reset();
         replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(
@@ -1281,7 +1226,6 @@ mod tests {
             safe: true,
             rounds_executed: 3,
         };
-        probes.reset();
         replay(&mut probes, &trace);
         probes.finish(&end, &mut row);
         // Checkpoint 5 is past the executed horizon: only round 2 counts.
@@ -1302,17 +1246,6 @@ mod tests {
             row.get(MetricId::CheckpointDecidedFrom),
             Some(MetricValue::OptU64(Some(2)))
         );
-        // Reset clears the samples but keeps the checkpoint list.
-        probes.reset();
-        probes.finish(&end, &mut row);
-        assert_eq!(
-            row.get(MetricId::CheckpointCount),
-            Some(MetricValue::U64(0))
-        );
-        assert_eq!(
-            row.get(MetricId::CheckpointAliveMin),
-            Some(MetricValue::OptU64(None))
-        );
     }
 
     #[test]
@@ -1328,7 +1261,6 @@ mod tests {
         let mut probes: ProbeSet<u8> =
             ProbeSet::from_manifest(&ProbeManifest::of(&[ProbeKind::CrashExposure]));
         let mut row = MetricRow::new();
-        probes.reset();
         replay(&mut probes, &trace);
         probes.finish(&end(), &mut row);
         assert_eq!(row.get(MetricId::CrashCount), Some(MetricValue::U64(1)));

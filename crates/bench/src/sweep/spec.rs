@@ -12,7 +12,7 @@ use wan_cm::{BackoffCm, FairWakeUp, NoCm, PreStabilization};
 use wan_mac::{mac_components, MacConfig, MacDelayPolicy};
 use wan_phy::{phy_components, PhyConfig};
 use wan_sim::crash::{NoCrashes, ScheduledCrashes, TimelineCrashes};
-use wan_sim::loss::{Ecf, RandomLoss, TimelineLoss};
+use wan_sim::loss::{Ecf, RandomLoss};
 use wan_sim::{
     CompiledSchedule, Components, CrashAdversary, ProcessId, Round, ScenarioEvent,
     ScenarioTimeline, StaggeredJoin,
@@ -57,21 +57,21 @@ pub enum EnvironmentPlan {
     /// measurement reference is the round failures cease.
     Nocf,
     /// The slotted SINR radio, end to end: carrier-sensing detector
-    /// (class-certified, non-strict), window-doubling backoff manager,
-    /// SINR decodes as the loss adversary wrapped in an explicit `r_cf = 1`
-    /// ECF declaration (the radio gives collision freedom only
-    /// statistically; the wrapper makes the measurement reference
-    /// well-defined). The backoff manager declares no `r_wake` — the
-    /// wake-up stabilization probe measures it from the trace instead.
+    /// (class-certified), window-doubling backoff manager, SINR decodes as
+    /// the loss adversary wrapped in an explicit `r_cf = 1` ECF
+    /// declaration (the radio gives collision freedom only statistically;
+    /// the wrapper makes the measurement reference well-defined). The
+    /// backoff manager declares no `r_wake` — the wake-up stabilization
+    /// probe measures it from the trace instead.
     Phy,
-    /// The fault-injection setting: every service is the timeline-aware
-    /// variant, so the spec's [`ScenarioTimeline`] can change the
-    /// environment mid-run — a [`Degrading`] detector switching between
-    /// the spec's class and [`ChurnPlan::degraded`], a [`StaggeredJoin`]
-    /// gate over the fair wake-up service, ECF-wrapped [`TimelineLoss`]
-    /// (rate swaps, partition split/heal), and [`TimelineCrashes`] over
-    /// the spec's crash schedule. The declared CST is the measurement
-    /// reference, exactly as under [`EnvironmentPlan::Ecf`].
+    /// The fault-injection setting: every service is timeline-aware, so
+    /// the spec's [`ScenarioTimeline`] can change the environment mid-run
+    /// — a [`Degrading`] detector switching between the spec's class and
+    /// [`ChurnPlan::degraded`], a [`StaggeredJoin`] gate over the fair
+    /// wake-up service, ECF-wrapped [`RandomLoss`] (rate swaps, partition
+    /// split/heal), and [`TimelineCrashes`] over the spec's crash
+    /// schedule. The declared CST is the measurement reference, exactly as
+    /// under [`EnvironmentPlan::Ecf`].
     Churn(ChurnPlan),
     /// The abstract MAC layer (Newport's *Consensus with an Abstract MAC
     /// Layer*): acknowledged local broadcast with `f_ack`/`f_prog`
@@ -333,7 +333,7 @@ impl ScenarioSpec {
                     FreedomPolicy::Quiet
                 };
                 // Stage 0 is the spec's class, stage 1 the degraded one.
-                // No strict CheckedDetector wrap here: the two stages have
+                // No CheckedDetector wrap here: the two stages have
                 // *different* class obligations, so no single class is the
                 // right certification target mid-switch — safety under
                 // churn is judged at the consensus level (the sweep-wide
@@ -355,7 +355,7 @@ impl ScenarioSpec {
                         plan.join_admit.min(self.n),
                     )),
                     loss: Box::new(Ecf::new(
-                        TimelineLoss::new(plan.loss, seed ^ 0x10),
+                        RandomLoss::new(plan.loss, seed ^ 0x10),
                         Round(plan.r_cf),
                     )),
                     crash: Box::new(TimelineCrashes::over(crash)),
@@ -1234,6 +1234,20 @@ mod tests {
     #[should_panic(expected = "alg3/v2-i2: id_bits = 64 does not fit a u64 id space")]
     fn alg3_with_an_id_space_past_u64_panics() {
         alg3_with_id_bits(64).run_cell(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "collision detector violated AC: missed collision")]
+    fn phy_cells_certify_their_detector_against_the_spec_class() {
+        // Carrier sensing cannot meet AC: a capture decodes one same-slot
+        // sender and hides the other's loss. The cell's certifying wrap
+        // must stop the run.
+        let spec = ScenarioSpec {
+            class: CdClass::AC,
+            ..phy_e2e_specs(Scale::Quick)[2].clone()
+        };
+        assert_eq!((spec.algorithm, spec.n), (Algorithm::Alg2, 8));
+        spec.run_cell(0, 0);
     }
 
     #[test]

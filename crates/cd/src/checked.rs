@@ -4,66 +4,17 @@ use crate::class::CdClass;
 use std::fmt;
 use wan_sim::{CdAdvice, CollisionDetector, ProcessId, Round, TransmissionEntry};
 
-/// Which obligation a piece of advice violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ViolationKind {
-    /// Completeness required `±` but the detector returned `null`.
-    MissedCollision,
-    /// Accuracy required `null` but the detector returned `±`
-    /// (a forbidden false positive).
-    FalsePositive,
-}
-
-impl fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ViolationKind::MissedCollision => write!(f, "missed collision (completeness)"),
-            ViolationKind::FalsePositive => write!(f, "false positive (accuracy)"),
-        }
-    }
-}
-
-/// One recorded class-obligation violation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Violation {
-    /// The round of the offending advice.
-    pub round: Round,
-    /// The process that received it.
-    pub process: ProcessId,
-    /// Which obligation was broken.
-    pub kind: ViolationKind,
-    /// Messages sent that round (`c`).
-    pub sent: usize,
-    /// Messages this process received (`T(i)`).
-    pub received: usize,
-}
-
-impl fmt::Display for Violation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} at {} for {}: c={}, T(i)={}",
-            self.kind, self.round, self.process, self.sent, self.received
-        )
-    }
-}
-
 /// Wraps a detector and checks, every round, that its advice is admissible
 /// for `class` (via [`CdClass::admits`]) — i.e. that the wrapped behaviour is
 /// one of the behaviours of the maximal detector `MAXCD(class)` of
 /// Definition 15.
 ///
-/// With `panic_on_violation` (the default in tests via
-/// [`CheckedDetector::strict`]), a violation aborts immediately; otherwise
-/// violations accumulate for later inspection — used by the experiment
-/// harness to *measure* how often a realistic (e.g. physical-layer) detector
-/// deviates from a class.
+/// The first inadmissible advice panics, naming the class, the broken
+/// obligation, the round, the process, `c` and `T(i)`.
 pub struct CheckedDetector<D> {
     inner: D,
     class: CdClass,
     r_acc: Round,
-    strict: bool,
-    violations: Vec<Violation>,
 }
 
 impl<D: CollisionDetector> CheckedDetector<D> {
@@ -79,21 +30,7 @@ impl<D: CollisionDetector> CheckedDetector<D> {
             inner,
             class,
             r_acc,
-            strict: false,
-            violations: Vec::new(),
         }
-    }
-
-    /// Panic on the first violation instead of recording it.
-    #[must_use]
-    pub fn strict(mut self) -> Self {
-        self.strict = true;
-        self
-    }
-
-    /// Violations recorded so far (empty in strict mode, which panics).
-    pub fn violations(&self) -> &[Violation] {
-        &self.violations
     }
 
     /// The wrapped detector.
@@ -120,21 +57,15 @@ impl<D: CollisionDetector> CollisionDetector for CheckedDetector<D> {
             let collision = a.is_collision();
             if !self.class.admits(round, self.r_acc, c, t, collision) {
                 let kind = if collision {
-                    ViolationKind::FalsePositive
+                    "false positive (accuracy)"
                 } else {
-                    ViolationKind::MissedCollision
+                    "missed collision (completeness)"
                 };
-                let v = Violation {
-                    round,
-                    process: ProcessId(i),
-                    kind,
-                    sent: c,
-                    received: t,
-                };
-                if self.strict {
-                    panic!("collision detector violated {}: {v}", self.class);
-                }
-                self.violations.push(v);
+                panic!(
+                    "collision detector violated {}: {kind} at {round} for {}: c={c}, T(i)={t}",
+                    self.class,
+                    ProcessId(i)
+                );
             }
         }
     }
@@ -152,7 +83,6 @@ impl<D> fmt::Debug for CheckedDetector<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CheckedDetector")
             .field("class", &self.class)
-            .field("violations", &self.violations.len())
             .finish_non_exhaustive()
     }
 }
@@ -174,14 +104,14 @@ mod tests {
 
     #[test]
     fn clean_detector_produces_no_violations() {
-        let mut d = CheckedDetector::new(ClassDetector::perfect(), CdClass::AC).strict();
+        let mut d = CheckedDetector::new(ClassDetector::perfect(), CdClass::AC);
         for r in 1..10u64 {
             d.advise(Round(r), &tx(3, vec![3, 2, 0]));
         }
-        assert!(d.violations().is_empty());
     }
 
     #[test]
+    #[should_panic(expected = "missed collision (completeness)")]
     fn missed_collision_is_caught() {
         // A script that stays silent on total loss violates zero
         // completeness.
@@ -191,38 +121,31 @@ mod tests {
             CdClass::ZERO_AC,
         );
         d.advise(Round(1), &tx(2, vec![0]));
-        assert_eq!(d.violations().len(), 1);
-        assert_eq!(d.violations()[0].kind, ViolationKind::MissedCollision);
-        let msg = d.violations()[0].to_string();
-        assert!(msg.contains("missed collision"), "{msg}");
     }
 
     #[test]
+    #[should_panic(expected = "false positive (accuracy)")]
     fn false_positive_is_caught_for_accurate_class() {
         let mut d = CheckedDetector::new(NoCdDetector, CdClass::ZERO_AC);
         // NoCD reports ± even though everyone received everything.
         d.advise(Round(1), &tx(1, vec![1, 1]));
-        assert_eq!(d.violations().len(), 2);
-        assert!(d
-            .violations()
-            .iter()
-            .all(|v| v.kind == ViolationKind::FalsePositive));
     }
 
     #[test]
     fn nocd_is_admissible_for_no_acc() {
         // Lemma 1: the trivial detector never violates NoACC.
-        let mut d = CheckedDetector::new(NoCdDetector, CdClass::NO_ACC).strict();
+        let mut d = CheckedDetector::new(NoCdDetector, CdClass::NO_ACC);
         for c in 0..4usize {
             d.advise(Round(1), &tx(c, vec![c.min(1); 3]));
         }
-        assert!(d.violations().is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "violated")]
-    fn strict_mode_panics() {
-        let mut d = CheckedDetector::new(NoCdDetector, CdClass::AC).strict();
+    #[should_panic(
+        expected = "collision detector violated AC: false positive (accuracy) at r1 for p0: c=0, T(i)=0"
+    )]
+    fn violation_message_names_class_kind_round_process_and_counts() {
+        let mut d = CheckedDetector::new(NoCdDetector, CdClass::AC);
         d.advise(Round(1), &tx(0, vec![0]));
     }
 
@@ -245,12 +168,11 @@ mod tests {
             };
             let inner = ClassDetector::new(class, policy, seed)
                 .accurate_from(Round(r_acc));
-            let mut d = CheckedDetector::new(inner, class).strict();
+            let mut d = CheckedDetector::new(inner, class);
             for (r, (c, t_raw)) in rounds.into_iter().enumerate() {
                 let t = t_raw.min(c);
                 d.advise(Round(r as u64 + 1), &tx(c, vec![t]));
             }
-            prop_assert!(d.violations().is_empty());
         }
 
         /// Monotonicity end-to-end: a detector checked clean against a class
@@ -270,7 +192,6 @@ mod tests {
                 let t = t_raw.min(c);
                 checked.advise(Round(r as u64 + 1), &tx(c, vec![t]));
             }
-            prop_assert!(checked.violations().is_empty());
         }
     }
 }

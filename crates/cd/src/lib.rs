@@ -29,8 +29,9 @@
 //!   exactly membership in the maximal detector `MAXCD(class)` of
 //!   Definition 15).
 //! * [`NoCdDetector`] — the trivial `NOCD` detector (always `±`).
-//! * [`CheckedDetector`] — a wrapper asserting the class obligations on
-//!   every round of advice (used pervasively in tests).
+//! * [`CheckedDetector`] — a wrapper that panics on the first advice its
+//!   class does not admit. The sweep wraps the detector of every ECF,
+//!   radio and abstract-MAC cell in it; so do most tests.
 
 pub mod checked;
 pub mod class;
@@ -40,7 +41,7 @@ pub mod occasional;
 pub mod scripted;
 pub mod trivial;
 
-pub use checked::{CheckedDetector, Violation, ViolationKind};
+pub use checked::CheckedDetector;
 pub use class::{Accuracy, CdClass, Completeness};
 pub use degrading::Degrading;
 pub use detector::{ClassDetector, FreedomPolicy};

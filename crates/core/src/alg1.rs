@@ -199,13 +199,10 @@ mod tests {
             &values.iter().map(|&v| Value(v)).collect::<Vec<_>>(),
         );
         let components = Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 0),
-                    CdClass::MAJ_EV_AC,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 0),
+                CdClass::MAJ_EV_AC,
+            )),
             manager: Box::new(FairWakeUp::immediate()),
             loss: Box::new(Ecf::new(RandomLoss::new(0.0, 0), Round(1))),
             crash: Box::new(NoCrashes),

@@ -313,13 +313,10 @@ mod tests {
 
     fn clean_components(policy: FreedomPolicy, seed: u64) -> Components {
         Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(CdClass::ZERO_EV_AC, policy, seed),
-                    CdClass::ZERO_EV_AC,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(CdClass::ZERO_EV_AC, policy, seed),
+                CdClass::ZERO_EV_AC,
+            )),
             manager: Box::new(FairWakeUp::immediate()),
             loss: Box::new(Ecf::new(RandomLoss::new(0.0, seed), Round(1))),
             crash: Box::new(NoCrashes),

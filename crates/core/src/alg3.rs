@@ -520,13 +520,10 @@ mod tests {
 
     fn components(seed: u64, crash: Box<dyn CrashAdversary>) -> Components {
         Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, seed),
-                    CdClass::ZERO_EV_AC,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, seed),
+                CdClass::ZERO_EV_AC,
+            )),
             manager: Box::new(FairWakeUp::immediate()),
             loss: Box::new(Ecf::new(RandomLoss::new(0.0, seed), Round(1))),
             crash,
@@ -631,18 +628,11 @@ mod tests {
                 seed,
             );
             let comps = Components {
-                detector: Box::new(
-                    CheckedDetector::new(
-                        ClassDetector::new(
-                            CdClass::ZERO_EV_AC,
-                            FreedomPolicy::Random { p: 0.3 },
-                            seed,
-                        )
+                detector: Box::new(CheckedDetector::new(
+                    ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Random { p: 0.3 }, seed)
                         .accurate_from(Round(40)),
-                        CdClass::ZERO_EV_AC,
-                    )
-                    .strict(),
-                ),
+                    CdClass::ZERO_EV_AC,
+                )),
                 manager: Box::new(FairWakeUp::immediate()),
                 loss: Box::new(Ecf::new(RandomLoss::new(0.5, seed), Round(40))),
                 crash: Box::new(NoCrashes),

@@ -207,13 +207,10 @@ mod tests {
     /// built for.
     fn nocf_components(p_loss: f64, seed: u64) -> Components {
         Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, seed),
-                    CdClass::ZERO_AC,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, seed),
+                CdClass::ZERO_AC,
+            )),
             manager: Box::new(NoCm),
             loss: Box::new(RandomLoss::new(p_loss, seed)),
             crash: Box::new(NoCrashes),

@@ -117,13 +117,10 @@ mod tests {
         let mut sim = Engine::new(
             processes(n, k),
             Components {
-                detector: Box::new(
-                    CheckedDetector::new(
-                        ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
-                        CdClass::ZERO_AC,
-                    )
-                    .strict(),
-                ),
+                detector: Box::new(CheckedDetector::new(
+                    ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
+                    CdClass::ZERO_AC,
+                )),
                 manager: Box::new(KWakeUp::new(k, 0)),
                 loss: Box::new(NoLoss),
                 crash: Box::new(NoCrashes),
@@ -157,13 +154,10 @@ mod tests {
         let mut sim = Engine::new(
             processes(n, k),
             Components {
-                detector: Box::new(
-                    CheckedDetector::new(
-                        ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
-                        CdClass::ZERO_AC,
-                    )
-                    .strict(),
-                ),
+                detector: Box::new(CheckedDetector::new(
+                    ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
+                    CdClass::ZERO_AC,
+                )),
                 manager: Box::new(KWakeUp::new(k, 0)),
                 loss: Box::new(wan_sim::loss::RandomLoss::new(1.0, 3)),
                 crash: Box::new(NoCrashes),

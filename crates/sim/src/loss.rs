@@ -14,7 +14,8 @@
 //!   Lemma 23: cross-group messages are lost; intra-group behaviour is
 //!   configurable.
 //! * [`RandomLoss`] — i.i.d. per-(sender, receiver) loss, the "20–50 %"
-//!   empirical regime.
+//!   empirical regime. Scenario-timeline events swap its rate and split or
+//!   heal a partition mid-run.
 //! * [`ScriptedLoss`] — an explicit per-round delivery schedule, for
 //!   hand-built worst cases.
 //! * [`Ecf`] — a wrapper adding the *eventual collision freedom* property
@@ -211,14 +212,25 @@ impl LossAdversary for PartitionLoss {
 
 /// Loses each (sender, receiver) pair independently with probability
 /// `p_loss`. Deterministic given the seed.
+///
+/// Scheduled scenario events (see [`crate::scenario`]) shift the regime:
+/// [`ScenarioEvent::SetLossRate`] swaps the loss probability,
+/// [`ScenarioEvent::Split`] partitions the system at an index boundary
+/// (cross-boundary messages are lost outright), and [`ScenarioEvent::Heal`]
+/// removes the partition.
+///
+/// The RNG stream is regime-independent: one draw per (sender, receiver)
+/// pair, sender order then ascending receiver order, every round. Shifting
+/// the regime mid-run therefore never re-aligns the stream.
 #[derive(Debug, Clone)]
 pub struct RandomLoss {
     p_loss: f64,
+    boundary: Option<usize>,
     rng: StdRng,
 }
 
 impl RandomLoss {
-    /// Creates a random-loss adversary.
+    /// Creates a random-loss adversary at `p_loss`, unpartitioned.
     ///
     /// # Panics
     ///
@@ -227,6 +239,7 @@ impl RandomLoss {
         assert!((0.0..=1.0).contains(&p_loss), "p_loss must be in [0,1]");
         RandomLoss {
             p_loss,
+            boundary: None,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -243,25 +256,50 @@ impl LossAdversary for RandomLoss {
         out.clear_and_resize(senders, n);
         // One draw per (sender, receiver) pair in this exact order: the
         // RNG stream is pinned by the determinism tests. A pair is
-        // delivered iff its draw clears the loss threshold. The degenerate
-        // regimes (threshold 0 delivers every pair, threshold 2^53 none)
-        // deliver in whole-word masks and just advance the stream, so
-        // later rounds see the exact same draws as the per-pair loop.
-        if self.p_loss == 0.0 || self.p_loss == 1.0 {
-            if self.p_loss == 0.0 {
-                out.deliver_all();
-            }
-            for _ in 0..senders.len() * n {
-                self.rng.next_u64();
-            }
-            return;
-        }
+        // delivered iff its draw clears the loss threshold and, under a
+        // partition, both ends are on the same side. `deliver_from_where`
+        // probes receivers in ascending index order, one predicate call
+        // (= one draw) per process.
         let threshold = LossThreshold::new(self.p_loss);
-        for &s in senders {
-            // `deliver_from_where` probes receivers in ascending index
-            // order, one predicate call (= one draw) per process: the
-            // stream stays bit-for-bit the nested per-pair loop's.
-            out.deliver_from_where(s, |_| threshold.delivers(self.rng.next_u64()));
+        let rng = &mut self.rng;
+        match self.boundary {
+            // Unpartitioned, the degenerate regimes (threshold 0 delivers
+            // every pair, threshold 2^53 none) deliver in whole-word masks
+            // and just advance the stream, so later rounds see the exact
+            // same draws as the per-pair loop.
+            None if self.p_loss == 0.0 || self.p_loss == 1.0 => {
+                if self.p_loss == 0.0 {
+                    out.deliver_all();
+                }
+                for _ in 0..senders.len() * n {
+                    rng.next_u64();
+                }
+            }
+            None => {
+                for &s in senders {
+                    out.deliver_from_where(s, |_| threshold.delivers(rng.next_u64()));
+                }
+            }
+            Some(b) => {
+                for &s in senders {
+                    let side = s.index() < b;
+                    out.deliver_from_where(s, |r| {
+                        threshold.delivers(rng.next_u64()) && (r.index() < b) == side
+                    });
+                }
+            }
+        }
+    }
+
+    fn apply_event(&mut self, _round: Round, event: ScenarioEvent) {
+        match event {
+            ScenarioEvent::SetLossRate { p } => {
+                assert!((0.0..=1.0).contains(&p), "p_loss must be in [0,1]");
+                self.p_loss = p;
+            }
+            ScenarioEvent::Split { boundary } => self.boundary = Some(boundary),
+            ScenarioEvent::Heal => self.boundary = None,
+            _ => {}
         }
     }
 }
@@ -287,83 +325,6 @@ impl LossThreshold {
     /// Whether the pair that drew `x` is delivered.
     fn delivers(self, x: u64) -> bool {
         x >> 11 >= self.0
-    }
-}
-
-/// A timeline-driven loss adversary: i.i.d. per-(sender, receiver) loss
-/// like [`RandomLoss`], whose regime shifts when scheduled scenario events
-/// fire (see [`crate::scenario`]): [`ScenarioEvent::SetLossRate`] swaps the
-/// loss probability, [`ScenarioEvent::Split`] partitions the system at an
-/// index boundary (cross-boundary messages are lost outright), and
-/// [`ScenarioEvent::Heal`] removes the partition.
-///
-/// The RNG stream discipline is [`RandomLoss`]'s, *regime-independent*: one
-/// draw per (sender, receiver) pair, sender order then ascending receiver
-/// order, every round — so shifting the regime mid-run never re-aligns the
-/// stream, and a `TimelineLoss` that receives no events behaves exactly
-/// like a `RandomLoss` with the same seed and probability.
-#[derive(Debug, Clone)]
-pub struct TimelineLoss {
-    p_loss: f64,
-    boundary: Option<usize>,
-    rng: StdRng,
-}
-
-impl TimelineLoss {
-    /// Creates a timeline-aware loss adversary starting at `p_loss`,
-    /// unpartitioned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_loss` is not within `[0, 1]`.
-    pub fn new(p_loss: f64, seed: u64) -> Self {
-        assert!((0.0..=1.0).contains(&p_loss), "p_loss must be in [0,1]");
-        TimelineLoss {
-            p_loss,
-            boundary: None,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl LossAdversary for TimelineLoss {
-    fn deliver_into(
-        &mut self,
-        _round: Round,
-        senders: &[ProcessId],
-        n: usize,
-        out: &mut DeliveryMatrix,
-    ) {
-        out.clear_and_resize(senders, n);
-        // One draw per pair regardless of regime (even at p ∈ {0, 1}, whose
-        // thresholds decide every pair the same way): the stream is a pure
-        // function of the round's sender set, never of the current loss
-        // rate or partition state.
-        let threshold = LossThreshold::new(self.p_loss);
-        let boundary = self.boundary;
-        let rng = &mut self.rng;
-        for &s in senders {
-            out.deliver_from_where(s, |r| {
-                let delivered = threshold.delivers(rng.next_u64());
-                let same_side = match boundary {
-                    None => true,
-                    Some(b) => (s.index() < b) == (r.index() < b),
-                };
-                delivered && same_side
-            });
-        }
-    }
-
-    fn apply_event(&mut self, _round: Round, event: ScenarioEvent) {
-        match event {
-            ScenarioEvent::SetLossRate { p } => {
-                assert!((0.0..=1.0).contains(&p), "p_loss must be in [0,1]");
-                self.p_loss = p;
-            }
-            ScenarioEvent::Split { boundary } => self.boundary = Some(boundary),
-            ScenarioEvent::Heal => self.boundary = None,
-            _ => {}
-        }
     }
 }
 
@@ -621,27 +582,52 @@ mod tests {
     }
 
     #[test]
-    fn timeline_loss_rate_swaps_match_a_random_bool_reference() {
-        // Mid-run `SetLossRate` events, the degenerate rates included,
-        // against the per-pair `random_bool` loop on the same stream.
-        let swaps = [(3, 0.25), (5, 0.0), (6, 0.8), (8, 1.0), (10, 0.5)];
+    fn random_loss_events_match_a_random_bool_reference() {
+        // Mid-run rate swaps, splits and heals, the degenerate rates
+        // included while split and unsplit, against the per-pair
+        // `random_bool` loop on the same stream with a same-side mask. The
+        // whole-word p ∈ {0, 1} path must neither bypass a partition nor
+        // skip a draw.
+        let events = [
+            (3, ScenarioEvent::SetLossRate { p: 0.25 }),
+            (4, ScenarioEvent::Split { boundary: 64 }),
+            (5, ScenarioEvent::SetLossRate { p: 0.0 }),
+            (6, ScenarioEvent::Heal),
+            (7, ScenarioEvent::SetLossRate { p: 0.8 }),
+            (8, ScenarioEvent::SetLossRate { p: 1.0 }),
+            (9, ScenarioEvent::Split { boundary: 5 }),
+            (10, ScenarioEvent::SetLossRate { p: 0.5 }),
+            (11, ScenarioEvent::SetLossRate { p: 0.0 }),
+            (11, ScenarioEvent::Split { boundary: 63 }),
+            (12, ScenarioEvent::SetLossRate { p: 1.0 }),
+            (13, ScenarioEvent::Heal),
+            (14, ScenarioEvent::SetLossRate { p: 0.0 }),
+            (15, ScenarioEvent::SetLossRate { p: 0.4 }),
+        ];
         let n = 70; // multi-word rows
         let senders = pids(&[0, 5, 63, 64, 69]);
-        let mut adv = TimelineLoss::new(0.6, 31);
+        let mut adv = RandomLoss::new(0.6, 31);
         let mut reference = StdRng::seed_from_u64(31);
-        let mut p = 0.6;
-        for round in 1..=12u64 {
-            if let Some(&(_, q)) = swaps.iter().find(|&&(at, _)| at == round) {
-                adv.apply_event(Round(round), ScenarioEvent::SetLossRate { p: q });
-                p = q;
+        let (mut p, mut boundary) = (0.6, None);
+        for round in 1..=16u64 {
+            for &(_, event) in events.iter().filter(|&&(at, _)| at == round) {
+                adv.apply_event(Round(round), event);
+                match event {
+                    ScenarioEvent::SetLossRate { p: q } => p = q,
+                    ScenarioEvent::Split { boundary: b } => boundary = Some(b),
+                    ScenarioEvent::Heal => boundary = None,
+                    _ => {}
+                }
             }
             let m = adv.deliver(Round(round), &senders, n);
             for &s in &senders {
                 for r in 0..n {
+                    let drawn = !reference.random_bool(p);
+                    let same_side = boundary.is_none_or(|b| (s.index() < b) == (r < b));
                     assert_eq!(
                         m.delivered(s, ProcessId(r)),
-                        !reference.random_bool(p),
-                        "round {round}, p = {p}, sender {s}, receiver {r}"
+                        drawn && same_side,
+                        "round {round}, p = {p}, boundary {boundary:?}, sender {s}, receiver {r}"
                     );
                 }
             }
@@ -763,36 +749,11 @@ mod tests {
                 prop_assert!(!m.delivered(ProcessId(1), ProcessId(r)));
             }
         }
-
-        /// With no events applied, `TimelineLoss` is bit-identical to
-        /// `RandomLoss` — same seed, same probability, same deliveries,
-        /// same RNG stream, round after round.
-        #[test]
-        fn timeline_loss_without_events_matches_random_loss(
-            seed in 0u64..500, permille in 0u64..=1000, n in 1usize..7, rounds in 1u64..6,
-        ) {
-            let p = permille as f64 / 1000.0;
-            let mut random = RandomLoss::new(p, seed);
-            let mut timeline = TimelineLoss::new(p, seed);
-            let senders: Vec<ProcessId> = (0..n).map(ProcessId).collect();
-            for round in 1..=rounds {
-                let a = random.deliver(Round(round), &senders, n);
-                let b = timeline.deliver(Round(round), &senders, n);
-                for s in 0..n {
-                    for r in 0..n {
-                        prop_assert_eq!(
-                            a.delivered(ProcessId(s), ProcessId(r)),
-                            b.delivered(ProcessId(s), ProcessId(r))
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]
-    fn timeline_loss_split_blocks_cross_boundary_and_heals() {
-        let mut adv = TimelineLoss::new(0.0, 7);
+    fn random_loss_split_blocks_cross_boundary_and_heals() {
+        let mut adv = RandomLoss::new(0.0, 7);
         let senders = [ProcessId(0), ProcessId(2)];
         adv.apply_event(Round(1), ScenarioEvent::Split { boundary: 2 });
         let m = adv.deliver(Round(1), &senders, 4);
@@ -821,8 +782,8 @@ mod tests {
     }
 
     #[test]
-    fn timeline_loss_rate_swap_takes_effect() {
-        let mut adv = TimelineLoss::new(0.0, 3);
+    fn random_loss_rate_swap_takes_effect() {
+        let mut adv = RandomLoss::new(0.0, 3);
         let senders = [ProcessId(0)];
         assert!(adv
             .deliver(Round(1), &senders, 3)
@@ -838,7 +799,7 @@ mod tests {
 
     #[test]
     fn ecf_forwards_events_to_its_inner_adversary() {
-        let mut adv = Ecf::new(TimelineLoss::new(0.0, 3), Round(50));
+        let mut adv = Ecf::new(RandomLoss::new(0.0, 3), Round(50));
         adv.apply_event(Round(1), ScenarioEvent::SetLossRate { p: 1.0 });
         // Two senders: ECF's solo guarantee does not apply, so the swapped
         // rate must show through.

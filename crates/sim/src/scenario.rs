@@ -16,6 +16,10 @@
 //! routes each event to the component family it targets
 //! ([`ScenarioEvent::target`]) through the `apply_event` hook on the four
 //! component traits; components that do not understand an event ignore it.
+//! In this crate [`crate::loss::RandomLoss`] handles the loss events (rate
+//! swaps, splits, heals), [`crate::crash::TimelineCrashes`] the crash
+//! bursts and [`StaggeredJoin`] the wake waves; `wan-cd`'s `Degrading` and
+//! `wan-cm`'s `FairWakeUp` handle the rest.
 //!
 //! An empty timeline compiles to an empty schedule and the engine skips the
 //! dispatch entirely — a scheduled engine with no events is bit-identical
@@ -57,14 +61,14 @@ pub enum ScenarioEvent {
         count: u32,
     },
     /// Swap the per-(sender, receiver) loss probability (handled by
-    /// [`crate::loss::TimelineLoss`]).
+    /// [`crate::loss::RandomLoss`]).
     SetLossRate {
         /// The new loss probability, in `[0, 1]`.
         p: f64,
     },
     /// Partition the system: processes with index `< boundary` and
     /// `>= boundary` stop hearing each other (handled by
-    /// [`crate::loss::TimelineLoss`]).
+    /// [`crate::loss::RandomLoss`]).
     Split {
         /// First index of the second group.
         boundary: usize,

@@ -24,13 +24,10 @@ fn main() {
     let mut census = Engine::new(
         counting::processes(n, k),
         Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
-                    CdClass::ZERO_AC,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, 0),
+                CdClass::ZERO_AC,
+            )),
             manager: Box::new(KWakeUp::new(k, 0)),
             loss: Box::new(RandomLoss::new(0.4, 11)),
             crash: Box::new(NoCrashes),
@@ -53,14 +50,11 @@ fn main() {
     let mut vote = ConsensusRun::new(
         alg2::processes(domain, &readings),
         Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Random { p: 0.2 }, 3)
-                        .accurate_from(Round(6)),
-                    CdClass::ZERO_EV_AC,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Random { p: 0.2 }, 3)
+                    .accurate_from(Round(6)),
+                CdClass::ZERO_EV_AC,
+            )),
             manager: Box::new(FairWakeUp::new(
                 Round(6),
                 ccwan::cm::PreStabilization::Random { p: 0.4 },

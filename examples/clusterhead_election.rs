@@ -35,13 +35,10 @@ fn main() {
     // the epoch machinery must detect the death and elect a successor.
     let crash = ScheduledCrashes::new().crash(ProcessId(2), Round(13));
     let components = Components {
-        detector: Box::new(
-            CheckedDetector::new(
-                ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, 5),
-                CdClass::ZERO_EV_AC,
-            )
-            .strict(),
-        ),
+        detector: Box::new(CheckedDetector::new(
+            ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, 5),
+            CdClass::ZERO_EV_AC,
+        )),
         manager: Box::new(FairWakeUp::immediate()),
         loss: Box::new(Ecf::new(RandomLoss::new(0.1, 5), Round(1))),
         crash: Box::new(crash),

@@ -19,18 +19,15 @@ use ccwan::sim::crash::NoCrashes;
 use ccwan::sim::loss::{Ecf, RandomLoss};
 use ccwan::sim::{Components, ExecutionTrace, Round, RoundView};
 
-/// A custom probe in ~15 lines: how many rounds *after* the declared CST
-/// still saw two or more broadcasters (the contention the stabilized
-/// wake-up service is supposed to have eliminated).
+/// A custom probe in about a dozen lines: how many rounds *after* the
+/// declared CST still saw two or more broadcasters (the contention the
+/// stabilized wake-up service is supposed to have eliminated).
 struct PostCstContention {
     cst: u64,
     contended: u64,
 }
 
 impl<M: Ord> Probe<M> for PostCstContention {
-    fn reset(&mut self) {
-        self.contended = 0;
-    }
     fn observe(&mut self, view: &RoundView<'_, M>) {
         if view.round().0 > self.cst && view.sent_count() >= 2 {
             self.contended += 1;

@@ -18,13 +18,10 @@ fn counting_is_exact_under_k_wakeup_with_heavy_loss() {
             let mut sim = Engine::new(
                 counting::processes(n, k),
                 Components {
-                    detector: Box::new(
-                        CheckedDetector::new(
-                            ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, seed),
-                            CdClass::ZERO_AC,
-                        )
-                        .strict(),
-                    ),
+                    detector: Box::new(CheckedDetector::new(
+                        ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, seed),
+                        CdClass::ZERO_AC,
+                    )),
                     manager: Box::new(KWakeUp::new(k, 0)),
                     loss: Box::new(RandomLoss::new(loss, seed)),
                     crash: Box::new(NoCrashes),

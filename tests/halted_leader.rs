@@ -32,20 +32,17 @@ fn stalled_run() -> ConsensusRun<alg1::MajEcfConsensus> {
         vec![CdAdvice::Null, CdAdvice::Collision, CdAdvice::Collision],
     ];
     let components = Components {
-        detector: Box::new(
-            CheckedDetector::new(
-                ScriptedDetector::new(
-                    cd_script,
-                    Box::new(
-                        ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 0)
-                            .accurate_from(Round(3)),
-                    ),
-                )
-                .declaring_accuracy_from(Some(Round(3))),
-                CdClass::MAJ_EV_AC,
+        detector: Box::new(CheckedDetector::new(
+            ScriptedDetector::new(
+                cd_script,
+                Box::new(
+                    ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 0)
+                        .accurate_from(Round(3)),
+                ),
             )
-            .strict(),
-        ),
+            .declaring_accuracy_from(Some(Round(3))),
+            CdClass::MAJ_EV_AC,
+        )),
         manager: Box::new(WakeUpService::new(
             Round(1),
             ProcessId(0),

@@ -25,14 +25,11 @@ fn run_with_crashes(
     let crash =
         ScheduledCrashes::from_pairs(crashes.iter().map(|&(p, r)| (ProcessId(p), Round(r))));
     let components = Components {
-        detector: Box::new(
-            CheckedDetector::new(
-                ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Random { p: 0.2 }, seed)
-                    .accurate_from(Round(r_stab)),
-                CdClass::ZERO_EV_AC,
-            )
-            .strict(),
-        ),
+        detector: Box::new(CheckedDetector::new(
+            ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Random { p: 0.2 }, seed)
+                .accurate_from(Round(r_stab)),
+            CdClass::ZERO_EV_AC,
+        )),
         manager: Box::new(FairWakeUp::new(
             Round(r_stab),
             ccwan::cm::PreStabilization::Random { p: 0.4 },
@@ -120,13 +117,10 @@ fn direct_mode_crash_tolerance() {
             .collect();
         let crash = ScheduledCrashes::new().crash(ProcessId(0), Round(3 + seed));
         let components = Components {
-            detector: Box::new(
-                CheckedDetector::new(
-                    ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, seed),
-                    CdClass::ZERO_EV_AC,
-                )
-                .strict(),
-            ),
+            detector: Box::new(CheckedDetector::new(
+                ClassDetector::new(CdClass::ZERO_EV_AC, FreedomPolicy::Quiet, seed),
+                CdClass::ZERO_EV_AC,
+            )),
             manager: Box::new(FairWakeUp::immediate()),
             loss: Box::new(Ecf::new(RandomLoss::new(0.0, seed), Round(1))),
             crash: Box::new(crash),

@@ -18,14 +18,11 @@ use proptest::prelude::*;
 /// advice within the class, random crash pressure, chaotic contention.
 fn hostile(class: CdClass, seed: u64, loss: f64, r_acc: u64, crashes: usize) -> Components {
     Components {
-        detector: Box::new(
-            CheckedDetector::new(
-                ClassDetector::new(class, FreedomPolicy::Random { p: 0.4 }, seed)
-                    .accurate_from(Round(r_acc)),
-                class,
-            )
-            .strict(),
-        ),
+        detector: Box::new(CheckedDetector::new(
+            ClassDetector::new(class, FreedomPolicy::Random { p: 0.4 }, seed)
+                .accurate_from(Round(r_acc)),
+            class,
+        )),
         manager: Box::new(FairWakeUp::new(
             Round(r_acc),
             PreStabilization::Random { p: 0.6 },
@@ -129,8 +126,7 @@ proptest! {
                     CheckedDetector::new(
                         ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, seed),
                         CdClass::ZERO_AC,
-                    )
-                    .strict(),
+                    ),
                 ),
                 manager: Box::new(NoCm),
                 loss: Box::new(RandomLoss::new(loss, seed ^ 9)),

@@ -19,14 +19,11 @@ use ccwan::sim::{Components, ProcessId, Round};
 /// against `class`.
 fn chaos_until(cst: u64, class: CdClass, seed: u64) -> Components {
     Components {
-        detector: Box::new(
-            CheckedDetector::new(
-                ClassDetector::new(class, FreedomPolicy::Random { p: 0.35 }, seed)
-                    .accurate_from(Round(cst)),
-                class,
-            )
-            .strict(),
-        ),
+        detector: Box::new(CheckedDetector::new(
+            ClassDetector::new(class, FreedomPolicy::Random { p: 0.35 }, seed)
+                .accurate_from(Round(cst)),
+            class,
+        )),
         manager: Box::new(FairWakeUp::new(
             Round(cst),
             PreStabilization::Random { p: 0.5 },
@@ -134,13 +131,10 @@ fn theorem_3_bst_decides_within_8_log_v_without_failures() {
             let mut run = ConsensusRun::new(
                 alg4::processes(domain, &values),
                 Components {
-                    detector: Box::new(
-                        CheckedDetector::new(
-                            ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, seed),
-                            CdClass::ZERO_AC,
-                        )
-                        .strict(),
-                    ),
+                    detector: Box::new(CheckedDetector::new(
+                        ClassDetector::new(CdClass::ZERO_AC, FreedomPolicy::Quiet, seed),
+                        CdClass::ZERO_AC,
+                    )),
                     manager: Box::new(NoCm),
                     loss: Box::new(RandomLoss::new(1.0, seed)),
                     crash: Box::new(NoCrashes),
