@@ -23,11 +23,11 @@
 use crate::alpha::AlphaExecution;
 use crate::indist::group_observations_equal;
 use ccwan_core::{ConsensusAutomaton, ConsensusOutcome, ConsensusRun};
-use wan_cd::{CdClass, ClassDetector, ScriptedDetector};
-use wan_cm::{LeaderElectionService, PreStabilization, ScriptedCm};
+use wan_cd::{CdClass, ClassDetector};
+use wan_cm::{LeaderElectionService, PreStabilization};
 use wan_sim::crash::NoCrashes;
 use wan_sim::loss::{IntraGroupRule, PartitionLoss};
-use wan_sim::{CdAdvice, CmAdvice, Components, ExecutionTrace, ProcessId, Round};
+use wan_sim::{CdAdvice, CmAdvice, Components, ExecutionTrace, ProcessId, Round, Script};
 
 /// What the composition construction established.
 #[derive(Debug)]
@@ -92,7 +92,7 @@ where
 
     // 2. Scripted collision advice: each group sees exactly its alpha's
     //    advice (Lemma 23, item 3 of the γ definition).
-    let script: Vec<Vec<CdAdvice>> = (0..k)
+    let cd: Vec<Vec<CdAdvice>> = (0..k)
         .map(|r| {
             let round = Round(r as u64 + 1);
             let mut advice = alpha_a
@@ -105,29 +105,11 @@ where
             advice
         })
         .collect();
-    let detector = ScriptedDetector::new(script, Box::new(ClassDetector::perfect()));
 
     // 3. Scripted contention advice: min(P) and min(P') active for the
     //    prefix (each group sees a single active process — its alpha's
     //    leader), then a leader election service on min(P) (item 4).
-    let cm_script: Vec<Vec<CmAdvice>> = (0..k)
-        .map(|_| {
-            let mut advice = vec![CmAdvice::Passive; 2 * n];
-            advice[0] = CmAdvice::Active;
-            advice[n] = CmAdvice::Active;
-            advice
-        })
-        .collect();
-    let manager = ScriptedCm::new(
-        cm_script,
-        Box::new(LeaderElectionService::new(
-            Round(k as u64 + 1),
-            ProcessId(0),
-            PreStabilization::AllPassive,
-            0,
-        )),
-    )
-    .declaring_stabilization(Round(k as u64 + 1));
+    let cm = group_leaders(n, k);
 
     // 4. Loss: alpha rule within each group, total loss across, healing at
     //    k+1 so γ satisfies eventual collision freedom (item 2).
@@ -136,15 +118,23 @@ where
 
     let mut composed_procs = build_a();
     composed_procs.extend(build_b());
-    let mut run = ConsensusRun::new(
-        composed_procs,
-        Components {
-            detector: Box::new(detector),
-            manager: Box::new(manager),
-            loss: Box::new(loss),
-            crash: Box::new(NoCrashes),
-        },
-    );
+    let components = Script {
+        cm,
+        cd,
+        ..Script::default()
+    }
+    .over(Components {
+        detector: Box::new(ClassDetector::perfect()),
+        manager: Box::new(LeaderElectionService::new(
+            Round(k as u64 + 1),
+            ProcessId(0),
+            PreStabilization::AllPassive,
+            0,
+        )),
+        loss: Box::new(loss),
+        crash: Box::new(NoCrashes),
+    });
+    let mut run = ConsensusRun::new(composed_procs, components);
     let outcome = run.run_rounds(k as u64);
 
     // 5. Indistinguishability of γ from each alpha (Definition 12).
@@ -168,6 +158,15 @@ where
         decided_within_k,
         outcome,
     }
+}
+
+/// `k` rounds of contention advice over two groups of `n` processes each:
+/// the first process of each group active, everyone else passive.
+pub(crate) fn group_leaders(n: usize, k: usize) -> Vec<Vec<CmAdvice>> {
+    let mut advice = vec![CmAdvice::Passive; 2 * n];
+    advice[0] = CmAdvice::Active;
+    advice[n] = CmAdvice::Active;
+    vec![advice; k]
 }
 
 /// Counts the process-rounds of `trace` whose collision advice `class`

@@ -6,18 +6,22 @@
 
 use crate::alpha::AlphaExecution;
 use crate::beta::{BetaExecution, OwnMessageOnly};
-use crate::compose::{compose_and_verify, CompositionReport};
+use crate::compose::{compose_and_verify, group_leaders, CompositionReport};
 use crate::indist::group_observations_equal;
 use crate::sequences::{lemma21_depth, lemma22_depth, longest_shared_prefix_pair};
 use ccwan_core::alg1::MajEcfConsensus;
 use ccwan_core::alg3::NonAnonConsensus;
 use ccwan_core::strawman::CdBlindOptimist;
 use ccwan_core::{alg2, alg4, ConsensusRun, IdSpace, SafetyViolation, Uid, Value, ValueDomain};
-use wan_cd::{CdClass, ClassDetector, FreedomPolicy, NoCdDetector, ScriptedDetector};
-use wan_cm::{LeaderElectionService, PreStabilization, ScriptedCm};
+use wan_cd::{
+    Accuracy, CdClass, CheckedDetector, ClassDetector, Completeness, FreedomPolicy, NoCdDetector,
+};
+use wan_cm::{LeaderElectionService, PreStabilization};
 use wan_sim::crash::NoCrashes;
 use wan_sim::loss::{IntraGroupRule, NoLoss, PartitionLoss};
-use wan_sim::{AllActive, BroadcastCount, CdAdvice, CmAdvice, Components, ProcessId, Round};
+use wan_sim::{
+    AllActive, BroadcastCount, CdAdvice, CmAdvice, Components, ProcessId, Round, Script,
+};
 
 /// The structured result of one theorem demonstration.
 #[derive(Debug)]
@@ -44,6 +48,16 @@ impl TheoremReport {
 
     fn note(&mut self, line: impl Into<String>) {
         self.details.push(line.into());
+    }
+}
+
+/// `components` with its detector certified, live, against `class`: the
+/// advice a construction replays must be a behaviour of `MAXCD(class)`
+/// (the first advice outside it panics).
+fn certified(components: Components, class: CdClass) -> Components {
+    Components {
+        detector: Box::new(CheckedDetector::new(components.detector, class)),
+        ..components
     }
 }
 
@@ -110,35 +124,28 @@ pub fn t4_no_cd(domain: ValueDomain, n: usize, horizon: u64) -> TheoremReport {
 
     // γ: partition for k rounds, then healed; CM: min of each group, then
     // min overall; detector: constant ± (the only NOCD behaviour).
-    let cm_script: Vec<Vec<CmAdvice>> = (0..k)
-        .map(|_| {
-            let mut advice = vec![CmAdvice::Passive; 2 * n];
-            advice[0] = CmAdvice::Active;
-            advice[n] = CmAdvice::Active;
-            advice
-        })
-        .collect();
     let mut composed_procs = build(v);
     composed_procs.extend(build(v_alt));
     let mut gamma = ConsensusRun::new(
         composed_procs,
-        Components {
+        Script {
+            cm: group_leaders(n, k as usize),
+            ..Script::default()
+        }
+        .over(Components {
             detector: Box::new(NoCdDetector),
-            manager: Box::new(ScriptedCm::new(
-                cm_script,
-                Box::new(LeaderElectionService::new(
-                    Round(k + 1),
-                    ProcessId(0),
-                    PreStabilization::AllPassive,
-                    0,
-                )),
+            manager: Box::new(LeaderElectionService::new(
+                Round(k + 1),
+                ProcessId(0),
+                PreStabilization::AllPassive,
+                0,
             )),
             loss: Box::new(
                 PartitionLoss::two_groups(2 * n, n, IntraGroupRule::Full)
                     .healing_from(Round(k + 1)),
             ),
             crash: Box::new(NoCrashes),
-        },
+        }),
     );
     let gamma_out = gamma.run_rounds(k);
     let indist_a = group_observations_equal(gamma.trace(), 0, n, solo_a.trace(), k as usize);
@@ -262,9 +269,9 @@ pub fn maj_half_gap(domain: ValueDomain) -> TheoremReport {
     );
     // Two processes, different values, both active in the proposal round,
     // partitioned: each receives only its own estimate (t=1 of c=2).
-    let script: Vec<Vec<CdAdvice>> = vec![vec![CdAdvice::Null; 2]; 2];
+    let cd: Vec<Vec<CdAdvice>> = vec![vec![CdAdvice::Null; 2]; 2];
     // The advice is half-AC-admissible...
-    let half_ok = (0..2).all(|_| CdClass::HALF_AC.admits(Round(1), Round(1), 2, 1, false));
+    let half_ok = CdClass::HALF_AC.admits(Round(1), Round(1), 2, 1, false);
     // ...but not maj-AC-admissible.
     let maj_bad = !CdClass::MAJ_AC.admits(Round(1), Round(1), 2, 1, false);
     report.note(format!(
@@ -276,27 +283,23 @@ pub fn maj_half_gap(domain: ValueDomain) -> TheoremReport {
         MajEcfConsensus::new(domain, Value(0)),
         MajEcfConsensus::new(domain, Value(1 % domain.size())),
     ];
-    let cm_script = vec![vec![CmAdvice::Active; 2]; 1];
-    let mut run = ConsensusRun::new(
-        procs,
-        Components {
-            detector: Box::new(ScriptedDetector::new(
-                script,
-                Box::new(ClassDetector::perfect()),
-            )),
-            manager: Box::new(ScriptedCm::new(
-                cm_script,
-                Box::new(LeaderElectionService::new(
-                    Round(2),
-                    ProcessId(0),
-                    PreStabilization::AllPassive,
-                    0,
-                )),
-            )),
-            loss: Box::new(PartitionLoss::two_groups(2, 1, IntraGroupRule::Full)),
-            crash: Box::new(NoCrashes),
-        },
-    );
+    let components = Script {
+        cm: vec![vec![CmAdvice::Active; 2]; 1],
+        cd,
+        ..Script::default()
+    }
+    .over(Components {
+        detector: Box::new(ClassDetector::perfect()),
+        manager: Box::new(LeaderElectionService::new(
+            Round(2),
+            ProcessId(0),
+            PreStabilization::AllPassive,
+            0,
+        )),
+        loss: Box::new(PartitionLoss::two_groups(2, 1, IntraGroupRule::Full)),
+        crash: Box::new(NoCrashes),
+    });
+    let mut run = ConsensusRun::new(procs, certified(components, CdClass::HALF_AC));
     let outcome = run.run_rounds(2);
     let split = outcome
         .safety_violations()
@@ -430,45 +433,36 @@ pub fn t8_ev_accuracy_nocf(domain: ValueDomain, n: usize) -> TheoremReport {
 
     // The losing group started with a value other than x.
     let (loser_base, loser_value) = if x == va { (n, vb) } else { (0, va) };
-    let script: Vec<Vec<CdAdvice>> = (1..=k)
+    let cd: Vec<Vec<CdAdvice>> = (1..=k)
         .map(|r| {
             let rec = gamma.trace().round(Round(r)).expect("recorded");
             rec.cd()[loser_base..loser_base + n].to_vec()
         })
         .collect();
-    // Solo replay: no loss, scripted advice declared eventually-accurate
-    // with r_acc after the prefix — all pre-r_acc false positives are
-    // admissible for ⋄AC. The contention advice must also replay what the
-    // losing group saw in γ: all-passive if the γ leader was in the other
-    // group (the proof's β fixes passive advice for the first k rounds).
-    let solo_manager: Box<dyn wan_sim::ContentionManager> = if loser_base == 0 {
-        Box::new(LeaderElectionService::min_leader_from_start())
-    } else {
-        Box::new(
-            ScriptedCm::new(
-                vec![vec![CmAdvice::Passive; n]; k as usize],
-                Box::new(LeaderElectionService::new(
-                    Round(k + 1),
-                    ProcessId(0),
-                    PreStabilization::AllPassive,
-                    0,
-                )),
-            )
-            .declaring_stabilization(Round(k + 1)),
-        )
-    };
-    let mut solo = ConsensusRun::new(
-        build(loser_value),
-        Components {
-            detector: Box::new(
-                ScriptedDetector::new(script, Box::new(ClassDetector::perfect()))
-                    .declaring_accuracy_from(Some(Round(k + 1))),
-            ),
-            manager: solo_manager,
-            loss: Box::new(NoLoss),
-            crash: Box::new(NoCrashes),
-        },
-    );
+    // Solo replay: no loss, and the scripted advice over a perfect
+    // detector, so r_acc falls at k + 1, after the prefix: every false
+    // positive in the prefix is admissible for ⋄AC. The contention advice
+    // must also replay what the losing group saw in γ: all-passive for the
+    // first k rounds if the γ leader was in the other group (the proof's β
+    // fixes it so), else the leader p0 from round 1.
+    let passive_rounds = if loser_base == 0 { 0 } else { k };
+    let components = Script {
+        cm: vec![vec![CmAdvice::Passive; n]; passive_rounds as usize],
+        cd,
+        ..Script::default()
+    }
+    .over(Components {
+        detector: Box::new(ClassDetector::perfect()),
+        manager: Box::new(LeaderElectionService::new(
+            Round(passive_rounds + 1),
+            ProcessId(0),
+            PreStabilization::AllPassive,
+            0,
+        )),
+        loss: Box::new(NoLoss),
+        crash: Box::new(NoCrashes),
+    });
+    let mut solo = ConsensusRun::new(build(loser_value), certified(components, CdClass::EV_AC));
     let solo_out = solo.run_rounds(k);
     let indist = group_observations_equal(gamma.trace(), loser_base, n, solo.trace(), k as usize);
     report.note(format!(
@@ -498,7 +492,7 @@ pub fn t8_ev_accuracy_nocf(domain: ValueDomain, n: usize) -> TheoremReport {
 /// all-`null` detector plus own-message-only loss drives it into deciding
 /// divergent estimates within one cycle — an agreement violation, caught
 /// live. (The advice script is certified *in*admissible for every class
-/// with completeness, and trivially admissible for `(Never, Accurate)`.)
+/// with completeness, and admissible, live, for `(Never, Accurate)`.)
 pub fn no_completeness(domain: ValueDomain, n: usize) -> TheoremReport {
     let mut report = TheoremReport::new(
         "§5.2 remark",
@@ -508,28 +502,31 @@ pub fn no_completeness(domain: ValueDomain, n: usize) -> TheoremReport {
     let cycle = u64::from(domain.bits()) + 2;
 
     // All-null advice for one full Algorithm 2 cycle.
-    let script: Vec<Vec<CdAdvice>> = vec![vec![CdAdvice::Null; n]; cycle as usize];
+    let cd: Vec<Vec<CdAdvice>> = vec![vec![CdAdvice::Null; n]; cycle as usize];
     // Certification: the script violates zero completeness (there will be
     // rounds with c > 0 and T(i) = 0 and null advice) but satisfies
     // accuracy — i.e. it is admissible exactly for the no-completeness
-    // class.
+    // class, against which the run certifies it live.
     let zero_inadmissible = !CdClass::ZERO_AC.admits(Round(1), Round(1), 2, 0, false);
     report.note(format!(
         "all-null advice at (c=2, T=0) inadmissible for 0-AC: {zero_inadmissible}"
     ));
 
     let values: Vec<Value> = (0..n).map(|i| Value(i as u64 % domain.size())).collect();
+    let components = Script {
+        cd,
+        ..Script::default()
+    }
+    .over(Components {
+        detector: Box::new(ClassDetector::perfect()),
+        manager: Box::new(AllActive),
+        loss: Box::new(OwnMessageOnly),
+        crash: Box::new(NoCrashes),
+    });
+    let class = CdClass::new(Completeness::Never, Accuracy::Accurate);
     let mut run = ConsensusRun::new(
         alg2::processes(domain, &values),
-        Components {
-            detector: Box::new(
-                ScriptedDetector::new(script, Box::new(ClassDetector::perfect()))
-                    .declaring_accuracy_from(Some(Round::FIRST)),
-            ),
-            manager: Box::new(AllActive),
-            loss: Box::new(crate::beta::OwnMessageOnly),
-            crash: Box::new(NoCrashes),
-        },
+        certified(components, class),
     );
     let outcome = run.run_rounds(cycle);
     let split = outcome

@@ -7,8 +7,8 @@ use ccwan_core::{alg1, ConsensusRun, Value, ValueDomain};
 use wan_cd::{CdClass, ClassDetector, FreedomPolicy};
 use wan_cm::FairWakeUp;
 use wan_sim::crash::NoCrashes;
-use wan_sim::loss::{ScriptedLoss, TotalCollisionLoss};
-use wan_sim::{Components, ProcessId, Round};
+use wan_sim::loss::{NoLoss, TotalCollisionLoss};
+use wan_sim::{Components, DeliveryMatrix, Round, Script};
 
 /// E14: (a) the total collision model baseline vs the arbitrary-loss model;
 /// (b) the detector-class ablation for Algorithm 1, including the
@@ -68,21 +68,22 @@ pub fn e14_model_and_detector_ablation(scale: Scale) -> Table {
     // Deterministic counterexample: three processes, all broadcasting, each
     // receiving only its own message (t=1 of c=3). A zero-complete detector
     // may stay silent; Algorithm 1 then splits.
-    fn own_only(s: ProcessId, r: ProcessId) -> bool {
-        s == r
-    }
     let mut split = ConsensusRun::new(
         alg1::processes(domain, &[Value(3), Value(7), Value(7)]),
-        Components {
+        Script {
+            deliveries: vec![DeliveryMatrix::none(&[], 3); 2],
+            ..Script::default()
+        }
+        .over(Components {
             detector: Box::new(ClassDetector::new(
                 CdClass::ZERO_AC,
                 FreedomPolicy::Quiet,
                 0,
             )),
             manager: Box::new(wan_cm::NoCm),
-            loss: Box::new(ScriptedLoss::new(vec![own_only, own_only])),
+            loss: Box::new(NoLoss),
             crash: Box::new(NoCrashes),
-        },
+        }),
     );
     let out = split.run_rounds(2);
     t.row(vec![

@@ -91,7 +91,6 @@ impl<D> fmt::Debug for CheckedDetector<D> {
 mod tests {
     use super::*;
     use crate::detector::{ClassDetector, FreedomPolicy};
-    use crate::scripted::ScriptedDetector;
     use crate::trivial::NoCdDetector;
     use proptest::prelude::*;
 
@@ -113,13 +112,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "missed collision (completeness)")]
     fn missed_collision_is_caught() {
-        // A script that stays silent on total loss violates zero
+        // A detector that stays silent on total loss violates zero
         // completeness.
-        let script = vec![vec![CdAdvice::Null]];
-        let mut d = CheckedDetector::new(
-            ScriptedDetector::new(script, Box::new(ClassDetector::perfect())),
-            CdClass::ZERO_AC,
-        );
+        let mut d = CheckedDetector::new(wan_sim::AlwaysNull, CdClass::ZERO_AC);
         d.advise(Round(1), &tx(2, vec![0]));
     }
 

@@ -23,22 +23,19 @@
 //!   [`FreedomPolicy`] (silent, maximally noisy, or random): this is how one
 //!   detector type covers best-case, adversarial, and realistic behaviour
 //!   inside a class.
-//! * [`ScriptedDetector`] — replays explicit advice (the lower-bound
-//!   constructions of Section 8 *choose* detector behaviour within a class;
-//!   certifying the script against the class with [`CheckedDetector`] is
-//!   exactly membership in the maximal detector `MAXCD(class)` of
-//!   Definition 15).
 //! * [`NoCdDetector`] — the trivial `NOCD` detector (always `±`).
 //! * [`CheckedDetector`] — a wrapper that panics on the first advice its
 //!   class does not admit. The sweep wraps the detector of every ECF,
-//!   radio and abstract-MAC cell in it; so do most tests.
+//!   radio and abstract-MAC cell in it; so do most tests, and so do the
+//!   lower-bound constructions that replay explicit advice (a
+//!   `wan_sim::Script`) as a behaviour of a class (Theorem 8, the maj/half
+//!   gap and the §5.2 remark).
 
 pub mod checked;
 pub mod class;
 pub mod degrading;
 pub mod detector;
 pub mod occasional;
-pub mod scripted;
 pub mod trivial;
 
 pub use checked::CheckedDetector;
@@ -46,5 +43,4 @@ pub use class::{Accuracy, CdClass, Completeness};
 pub use degrading::Degrading;
 pub use detector::{ClassDetector, FreedomPolicy};
 pub use occasional::OccasionalDetector;
-pub use scripted::ScriptedDetector;
 pub use trivial::NoCdDetector;

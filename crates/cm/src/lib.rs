@@ -24,19 +24,17 @@
 //! * [`FairWakeUp`] — a wake-up service that stabilizes onto a process that
 //!   is alive *and still contending*. The paper's termination proofs
 //!   implicitly require this (a wake-up service stabilized on a process
-//!   that has already decided-and-halted starves everyone else — see
-//!   DESIGN.md "Known subtleties" and the `halted_leader` test in
-//!   `ccwan-core`); any real backoff MAC has this property since halted
-//!   processes stop contending.
+//!   that has already decided-and-halted starves everyone else, as the
+//!   root package's `tests/halted_leader.rs` reproduces); any real backoff
+//!   MAC has this property since halted processes stop contending.
 //! * [`BackoffCm`] — a concrete randomized backoff protocol (window
 //!   doubling plus solo-winner lock-in), the kind of implementation the
 //!   paper says "one could imagine... implemented in a real system by a
 //!   backoff protocol". Its stabilization round is *measured*, not declared.
-//! * [`ScriptedCm`] — explicit advice schedules for the lower-bound
-//!   constructions (the `MAXLS` behaviours of Definition 14 are exactly the
-//!   scripts that pass [`verify_leader_election`]).
 //! * Trace validators [`verify_wakeup`] / [`verify_leader_election`] that
-//!   certify a recorded execution against the service properties.
+//!   certify a recorded execution against the service properties, also
+//!   one whose advice a `wan_sim::Script` chose (the lower-bound
+//!   constructions).
 //!
 //! The trivial all-active manager (`NOCM`, Section 4.2) is
 //! [`wan_sim::AllActive`], re-exported here as [`NoCm`].
@@ -51,7 +49,7 @@ pub use backoff::BackoffCm;
 pub use checked::{verify_leader_election, verify_wakeup};
 pub use kwakeup::KWakeUp;
 pub use oracle::FairWakeUp;
-pub use schedule::{LeaderElectionService, PreStabilization, ScriptedCm, WakeUpService};
+pub use schedule::{LeaderElectionService, PreStabilization, WakeUpService};
 
 /// The trivial contention manager `NOCM`: all processes active, all rounds
 /// (Section 4.2). Algorithm 3 of Section 7.4 runs with this manager.

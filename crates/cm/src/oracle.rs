@@ -10,13 +10,14 @@ use wan_sim::{CmAdvice, CmView, ContentionManager, Round, ScenarioEvent};
 /// that is alive **and still contending** (falling back to the lowest alive
 /// index, then to index 0, if none contend).
 ///
-/// Rationale (DESIGN.md, "Known subtleties"): the formal wake-up service of
-/// Property 2 is oblivious and may stabilize on a process that has already
-/// decided-and-halted, in which case no one ever broadcasts again and the
-/// termination bounds of Theorems 1 and 2 do not hold. A real contention
-/// manager is built from carrier sensing and backoff among processes that
-/// are *trying to send*, so it cannot elect a silent process; `FairWakeUp`
-/// models exactly that, and is what the upper-bound experiments use.
+/// Rationale (the root package's `tests/halted_leader.rs` reproduces it):
+/// the formal wake-up service of Property 2 is oblivious and may stabilize
+/// on a process that has already decided-and-halted, in which case no one
+/// ever broadcasts again and the termination bounds of Theorems 1 and 2 do
+/// not hold. A real contention manager is built from carrier sensing and
+/// backoff among processes that are *trying to send*, so it cannot elect a
+/// silent process; `FairWakeUp` models exactly that, and is what the
+/// upper-bound experiments use.
 #[derive(Debug, Clone)]
 pub struct FairWakeUp {
     r_wake: Round,

@@ -141,67 +141,6 @@ impl ContentionManager for LeaderElectionService {
     }
 }
 
-/// Replays an explicit advice schedule, then delegates to a fallback
-/// manager. The prefix constructions of Theorems 4 and 8 (two active
-/// processes for `k` rounds, then one) are scripts followed by a
-/// [`LeaderElectionService`].
-pub struct ScriptedCm {
-    script: Vec<Vec<CmAdvice>>,
-    fallback: Box<dyn ContentionManager>,
-    declared_stabilization: Option<Round>,
-}
-
-impl ScriptedCm {
-    /// Replays `script[r]` for trace index `r`, then behaves like
-    /// `fallback`.
-    pub fn new(script: Vec<Vec<CmAdvice>>, fallback: Box<dyn ContentionManager>) -> Self {
-        ScriptedCm {
-            script,
-            fallback,
-            declared_stabilization: None,
-        }
-    }
-
-    /// Declares the stabilization round reported by
-    /// [`ContentionManager::stabilized_from`]. The caller is responsible for
-    /// the declaration being truthful; certify with
-    /// [`crate::verify_wakeup`].
-    #[must_use]
-    pub fn declaring_stabilization(mut self, r_wake: Round) -> Self {
-        self.declared_stabilization = Some(r_wake);
-        self
-    }
-}
-
-impl std::fmt::Debug for ScriptedCm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScriptedCm")
-            .field("script_len", &self.script.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ContentionManager for ScriptedCm {
-    fn advise_into(&mut self, round: Round, view: &CmView<'_>, out: &mut [CmAdvice]) {
-        match self.script.get(round.trace_index()) {
-            Some(advice) => {
-                assert_eq!(
-                    advice.len(),
-                    view.n,
-                    "scripted CM arity mismatch at {round}"
-                );
-                out.copy_from_slice(advice);
-            }
-            None => self.fallback.advise_into(round, view, out),
-        }
-    }
-
-    fn stabilized_from(&self) -> Option<Round> {
-        self.declared_stabilization
-            .or_else(|| self.fallback.stabilized_from())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,25 +208,5 @@ mod tests {
         let v = view(2, &alive, &alive);
         assert_eq!(actives(&ls.advise(Round(1), &v)), vec![0]);
         assert_eq!(ls.stabilized_from(), Some(Round::FIRST));
-    }
-
-    #[test]
-    fn scripted_prefix_then_fallback() {
-        let script = vec![vec![CmAdvice::Active, CmAdvice::Active]];
-        let mut cm = ScriptedCm::new(
-            script,
-            Box::new(LeaderElectionService::new(
-                Round::FIRST,
-                ProcessId(0),
-                PreStabilization::AllPassive,
-                0,
-            )),
-        )
-        .declaring_stabilization(Round(2));
-        let alive = [true; 2];
-        let v = view(2, &alive, &alive);
-        assert_eq!(actives(&cm.advise(Round(1), &v)).len(), 2);
-        assert_eq!(actives(&cm.advise(Round(2), &v)), vec![0]);
-        assert_eq!(cm.stabilized_from(), Some(Round(2)));
     }
 }

@@ -9,7 +9,7 @@
 //! broadcast its value, and use negative-acknowledgement vetoes plus
 //! leader-failure detection to survive crashes.
 //!
-//! # Corrections (see DESIGN.md, "Known subtleties")
+//! # Corrections
 //!
 //! The informal sketch has unsafe corners (e.g. a leader crashing after one
 //! process received its value but before the rest can lead a later leader

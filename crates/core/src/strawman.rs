@@ -181,7 +181,7 @@ mod tests {
     use wan_cm::{LeaderElectionService, PreStabilization};
     use wan_sim::crash::NoCrashes;
     use wan_sim::loss::{IntraGroupRule, NoLoss, PartitionLoss};
-    use wan_sim::{Components, ProcessId, Round};
+    use wan_sim::{Components, ProcessId, Round, Script};
 
     #[test]
     fn optimist_works_in_honest_environments() {
@@ -221,21 +221,22 @@ mod tests {
             .into_iter()
             .map(|v| CdBlindOptimist::new(domain, Value(v)))
             .collect();
-        let script = vec![
-            vec![
-                wan_sim::CmAdvice::Active,
-                wan_sim::CmAdvice::Passive,
-                wan_sim::CmAdvice::Active,
-                wan_sim::CmAdvice::Passive,
-            ];
-            40
+        let leaders = vec![
+            CmAdvice::Active,
+            CmAdvice::Passive,
+            CmAdvice::Active,
+            CmAdvice::Passive,
         ];
-        let components = Components {
+        let components = Script {
+            cm: vec![leaders; 40],
+            ..Script::default()
+        }
+        .over(Components {
             detector: Box::new(NoCdDetector),
-            manager: Box::new(wan_cm::ScriptedCm::new(script, Box::new(wan_cm::NoCm))),
+            manager: Box::new(wan_cm::NoCm),
             loss: Box::new(PartitionLoss::two_groups(4, 2, IntraGroupRule::Full)),
             crash: Box::new(NoCrashes),
-        };
+        });
         let outcome = ConsensusRun::new(procs, components).run_to_completion(Round(30));
         let violations = outcome.safety_violations();
         assert!(

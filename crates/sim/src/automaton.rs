@@ -60,9 +60,9 @@ pub trait Automaton {
 
     /// Whether the process is still contending for the channel. The formal
     /// model has no such notion; it exists so *fair* contention managers
-    /// (see `wan-cm`) can avoid stabilizing on a process that has halted —
-    /// the practically-motivated refinement discussed in DESIGN.md. Formal
-    /// (oblivious) contention managers ignore it.
+    /// can avoid stabilizing on a process that has halted (`wan-cm`'s
+    /// `FairWakeUp` gives the rationale). Formal (oblivious) contention
+    /// managers ignore it.
     fn is_contending(&self) -> bool {
         true
     }

@@ -23,7 +23,9 @@
 //! adversaries including the eventual collision freedom wrapper
 //! ([`loss::Ecf`], Property 1) and the classical *total collision model*
 //! baseline of Section 1.2
-//! ([`loss::TotalCollisionLoss`]), crash adversaries, and full execution
+//! ([`loss::TotalCollisionLoss`]), crash adversaries, [`Script`]s that
+//! replay explicit per-round advice and deliveries ahead of any bundle
+//! (the executions the Section 8 lower bounds choose), and full execution
 //! traces ([`ExecutionTrace`], one [`RoundObserver`] of the engine's
 //! rounds) from which transmission traces (Definition 4) and
 //! broadcast-count sequences (Definition 22) are derived.
@@ -73,6 +75,7 @@ pub mod loss;
 pub mod matrix;
 pub mod multiset;
 pub mod scenario;
+pub mod script;
 pub mod timeline;
 pub mod trace;
 pub mod traits;
@@ -84,6 +87,7 @@ pub use fingerprint::StableHasher;
 pub use ids::{ProcessId, Round};
 pub use multiset::{Multiset, MultisetView};
 pub use scenario::{CompiledSchedule, EventTarget, ScenarioEvent, ScenarioTimeline, StaggeredJoin};
+pub use script::Script;
 pub use trace::{
     BroadcastCount, ExecutionTrace, RoundObserver, RoundRecord, RoundView, TransmissionEntry,
 };

@@ -16,10 +16,11 @@
 //! * [`RandomLoss`] — i.i.d. per-(sender, receiver) loss, the "20–50 %"
 //!   empirical regime. Scenario-timeline events swap its rate and split or
 //!   heal a partition mid-run.
-//! * [`ScriptedLoss`] — an explicit per-round delivery schedule, for
-//!   hand-built worst cases.
 //! * [`Ecf`] — a wrapper adding the *eventual collision freedom* property
 //!   (Property 1) to any inner adversary from a given round on.
+//!
+//! An explicit per-round delivery schedule, for hand-built worst cases, is
+//! the `deliveries` column of a [`crate::Script`].
 
 use crate::ids::{ProcessId, Round};
 use crate::scenario::ScenarioEvent;
@@ -325,44 +326,6 @@ impl LossThreshold {
     /// Whether the pair that drew `x` is delivered.
     fn delivers(self, x: u64) -> bool {
         x >> 11 >= self.0
-    }
-}
-
-/// Replays an explicit delivery schedule; rounds beyond the script fall back
-/// to full delivery. Used to build hand-crafted worst-case executions in
-/// tests and lower bounds.
-#[derive(Debug, Clone)]
-pub struct ScriptedLoss {
-    /// `script[r]` gives, for trace index `r`, a function from (sender,
-    /// receiver) to delivery, encoded as a closure-free table:
-    /// `(sender, receiver) -> bool`.
-    script: Vec<fn(ProcessId, ProcessId) -> bool>,
-}
-
-impl ScriptedLoss {
-    /// Creates a scripted adversary from per-round delivery predicates.
-    pub fn new(script: Vec<fn(ProcessId, ProcessId) -> bool>) -> Self {
-        ScriptedLoss { script }
-    }
-}
-
-impl LossAdversary for ScriptedLoss {
-    fn deliver_into(
-        &mut self,
-        round: Round,
-        senders: &[ProcessId],
-        n: usize,
-        out: &mut DeliveryMatrix,
-    ) {
-        out.clear_and_resize(senders, n);
-        match self.script.get(round.trace_index()) {
-            None => out.deliver_all(),
-            Some(pred) => {
-                for &s in senders {
-                    out.deliver_from_where(s, |r| pred(s, r));
-                }
-            }
-        }
     }
 }
 
@@ -708,18 +671,6 @@ mod tests {
                 b.deliver(Round(r), &pids(&[0, 1]), 4)
             );
         }
-    }
-
-    #[test]
-    fn scripted_loss_follows_script_then_full() {
-        fn drop_all(_: ProcessId, _: ProcessId) -> bool {
-            false
-        }
-        let mut adv = ScriptedLoss::new(vec![drop_all]);
-        let r1 = adv.deliver(Round(1), &pids(&[0]), 2);
-        assert!(!r1.delivered(ProcessId(0), ProcessId(1)));
-        let r2 = adv.deliver(Round(2), &pids(&[0]), 2);
-        assert!(r2.delivered(ProcessId(0), ProcessId(1)));
     }
 
     proptest! {

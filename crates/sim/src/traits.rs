@@ -73,7 +73,7 @@ pub trait CollisionDetector {
 /// channel") use the channel feedback passed to
 /// [`ContentionManager::observe`]; *fair* managers used in upper-bound
 /// experiments additionally use `alive`/`contending` as an oracle so they
-/// never stabilize on a halted process (see DESIGN.md, "Known subtleties").
+/// never stabilize on a halted process (see `wan-cm`'s `FairWakeUp`).
 #[derive(Debug, Clone, Copy)]
 pub struct CmView<'a> {
     /// Number of process indices in the system.
@@ -129,8 +129,9 @@ pub trait ContentionManager {
 /// ("any process can lose any arbitrary subset of messages sent by other
 /// processes during any round"); an implementation of this trait *is* that
 /// nondeterminism, resolved. Concrete adversaries (no loss, the total
-/// collision model, partitions, random loss, scripts, and the eventual
-/// collision freedom wrapper of Property 1) live in [`crate::loss`].
+/// collision model, partitions, random loss, and the eventual collision
+/// freedom wrapper of Property 1) live in [`crate::loss`]; explicit
+/// per-round delivery rows are a [`crate::Script`] column.
 ///
 /// Implement [`LossAdversary::deliver_into`]; see the module docs.
 pub trait LossAdversary {
@@ -175,8 +176,7 @@ pub trait LossAdversary {
 /// round `r` does not broadcast in `r` and never transitions again. (The
 /// formal model crashes at the transition instead — i.e. the dying process's
 /// round-`r` broadcast still happens; composing our start-of-round crashes
-/// with the unconstrained loss adversary recovers that behaviour, see
-/// DESIGN.md "Known subtleties".)
+/// with the unconstrained loss adversary recovers that behaviour.)
 ///
 /// Implement [`CrashAdversary::crashes_into`]; see the module docs.
 pub trait CrashAdversary {
@@ -196,6 +196,21 @@ pub trait CrashAdversary {
     /// [`crate::scenario`]), applied at the start of its round, before the
     /// round's crashes are selected. Ignored by default; must not allocate.
     fn apply_event(&mut self, _round: Round, _event: ScenarioEvent) {}
+}
+
+/// Lets a generic wrapper (`wan_cd::CheckedDetector`) take a boxed
+/// detector, such as the one [`crate::Script::over`] returns. Every
+/// overridable method forwards, so no declaration or event is lost.
+impl CollisionDetector for Box<dyn CollisionDetector> {
+    fn advise_into(&mut self, round: Round, tx: &TransmissionEntry, out: &mut [CdAdvice]) {
+        (**self).advise_into(round, tx, out)
+    }
+    fn accuracy_from(&self) -> Option<Round> {
+        (**self).accuracy_from()
+    }
+    fn apply_event(&mut self, round: Round, event: ScenarioEvent) {
+        (**self).apply_event(round, event)
+    }
 }
 
 impl CrashAdversary for Box<dyn CrashAdversary> {

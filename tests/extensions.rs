@@ -9,7 +9,7 @@ use ccwan::cm::{KWakeUp, PreStabilization, WakeUpService};
 use ccwan::consensus::{alg1, alg2, counting, ConsensusRun, Value, ValueDomain};
 use ccwan::sim::crash::NoCrashes;
 use ccwan::sim::loss::{Ecf, RandomLoss};
-use ccwan::sim::{Components, Engine, ProcessId, Round};
+use ccwan::sim::{Components, Engine, ProcessId, Round, StableHasher};
 
 #[test]
 fn counting_is_exact_under_k_wakeup_with_heavy_loss() {
@@ -42,6 +42,13 @@ fn counting_is_exact_under_k_wakeup_with_heavy_loss() {
 fn no_completeness_remark_holds() {
     let r = theorems::no_completeness(ValueDomain::new(16), 4);
     assert!(r.established, "{:#?}", r.details);
+    // The whole report, evidence lines included, as `tests/impossibility.rs`
+    // pins the Section 8 reports.
+    assert_eq!(
+        StableHasher::hash_str(&format!("{r:?}")),
+        0xc02cca65c36e7e52,
+        "report drifted from its pin: {r:#?}"
+    );
 }
 
 /// The Section 9 probe: there exists an environment in which Algorithm 1

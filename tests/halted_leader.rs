@@ -1,5 +1,5 @@
-//! The wake-up-service subtlety documented in DESIGN.md ("Known
-//! subtleties" #1), reproduced and then resolved:
+//! A wake-up-service subtlety the paper's termination proofs pass over,
+//! reproduced and then resolved:
 //!
 //! The formal wake-up service of Property 2 is *oblivious* — nothing stops
 //! it from stabilizing onto a process that has already decided-and-halted.
@@ -10,12 +10,44 @@
 //! broadcasts; a fair wake-up service (stabilize on a *contending*
 //! process — what any real backoff MAC does) restores the theorem.
 
-use ccwan::cd::{CdClass, CheckedDetector, ClassDetector, FreedomPolicy, ScriptedDetector};
+use ccwan::cd::{CdClass, CheckedDetector, ClassDetector, FreedomPolicy};
 use ccwan::cm::{FairWakeUp, PreStabilization, WakeUpService};
 use ccwan::consensus::{alg1, ConsensusAutomaton, ConsensusRun, Value, ValueDomain};
 use ccwan::sim::crash::NoCrashes;
-use ccwan::sim::loss::{Ecf, RandomLoss, ScriptedLoss};
-use ccwan::sim::{CdAdvice, Components, ProcessId, Round};
+use ccwan::sim::loss::{Ecf, NoLoss, RandomLoss};
+use ccwan::sim::{
+    CdAdvice, Components, ContentionManager, DeliveryMatrix, ProcessId, Round, Script,
+};
+
+/// The shared prefix of the stall: round 1 (proposal) clean everywhere;
+/// round 2 (veto) silent, but with false positives at p1 and p2. Replayed
+/// over a maj-⋄AC detector accurate from round 3, the bundle declares
+/// `r_acc = 3` and its detector is certified live against maj-⋄AC.
+fn false_positive_prefix(manager: Box<dyn ContentionManager>) -> Components {
+    let components = Script {
+        cd: vec![
+            vec![CdAdvice::Null; 3],
+            vec![CdAdvice::Null, CdAdvice::Collision, CdAdvice::Collision],
+        ],
+        ..Script::default()
+    }
+    .over(Components {
+        detector: Box::new(
+            ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 0).accurate_from(Round(3)),
+        ),
+        manager,
+        loss: Box::new(Ecf::new(RandomLoss::new(0.0, 0), Round(1))),
+        crash: Box::new(NoCrashes),
+    });
+    assert_eq!(components.detector.accuracy_from(), Some(Round(3)));
+    Components {
+        detector: Box::new(CheckedDetector::new(
+            components.detector,
+            CdClass::MAJ_EV_AC,
+        )),
+        ..components
+    }
+}
 
 /// An environment where process 0 decides early (a clean first exchange
 /// reaches only rounds it participates in), after which the *oblivious*
@@ -24,34 +56,15 @@ fn stalled_run() -> ConsensusRun<alg1::MajEcfConsensus> {
     let domain = ValueDomain::new(4);
     let procs = alg1::processes(domain, &[Value(1), Value(2), Value(2)]);
     // Round 1 (proposal): only p0 active; message delivered to everyone.
-    // Round 2 (veto): silence everywhere — but scripted false positives at
-    // p1 and p2 keep them from deciding, while p0 decides and halts.
-    // From round 3 on, the oblivious service keeps designating p0.
-    let cd_script = vec![
-        vec![CdAdvice::Null; 3],
-        vec![CdAdvice::Null, CdAdvice::Collision, CdAdvice::Collision],
-    ];
-    let components = Components {
-        detector: Box::new(CheckedDetector::new(
-            ScriptedDetector::new(
-                cd_script,
-                Box::new(
-                    ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 0)
-                        .accurate_from(Round(3)),
-                ),
-            )
-            .declaring_accuracy_from(Some(Round(3))),
-            CdClass::MAJ_EV_AC,
-        )),
-        manager: Box::new(WakeUpService::new(
-            Round(1),
-            ProcessId(0),
-            PreStabilization::AllPassive,
-            0,
-        )),
-        loss: Box::new(Ecf::new(RandomLoss::new(0.0, 0), Round(1))),
-        crash: Box::new(NoCrashes),
-    };
+    // Round 2 (veto): the false positives at p1 and p2 keep them from
+    // deciding, while p0 decides and halts. From round 3 on, the oblivious
+    // service keeps designating p0.
+    let components = false_positive_prefix(Box::new(WakeUpService::new(
+        Round(1),
+        ProcessId(0),
+        PreStabilization::AllPassive,
+        0,
+    )));
     ConsensusRun::new(procs, components)
 }
 
@@ -75,25 +88,11 @@ fn fair_wakeup_restores_the_theorem() {
     // *contending* process: once p0 halts, p1 gets the channel.
     let domain = ValueDomain::new(4);
     let procs = alg1::processes(domain, &[Value(1), Value(2), Value(2)]);
-    let cd_script = vec![
-        vec![CdAdvice::Null; 3],
-        vec![CdAdvice::Null, CdAdvice::Collision, CdAdvice::Collision],
-    ];
-    let components = Components {
-        detector: Box::new(
-            ScriptedDetector::new(
-                cd_script,
-                Box::new(
-                    ClassDetector::new(CdClass::MAJ_EV_AC, FreedomPolicy::Quiet, 0)
-                        .accurate_from(Round(3)),
-                ),
-            )
-            .declaring_accuracy_from(Some(Round(3))),
-        ),
-        manager: Box::new(FairWakeUp::new(Round(1), PreStabilization::AllPassive, 0)),
-        loss: Box::new(Ecf::new(RandomLoss::new(0.0, 0), Round(1))),
-        crash: Box::new(NoCrashes),
-    };
+    let components = false_positive_prefix(Box::new(FairWakeUp::new(
+        Round(1),
+        PreStabilization::AllPassive,
+        0,
+    )));
     let mut run = ConsensusRun::new(procs, components);
     let outcome = run.run_to_completion(Round(50));
     assert!(outcome.terminated, "fair wake-up must unblock the laggards");
@@ -110,15 +109,18 @@ fn fair_wakeup_restores_the_theorem() {
 /// accurate-from-round-1 classes never exhibit it.
 #[test]
 fn loss_alone_cannot_create_the_asymmetric_halt() {
-    fn proposal_only_self(s: ProcessId, r: ProcessId) -> bool {
-        s == r
-    }
-    fn all(_s: ProcessId, _r: ProcessId) -> bool {
-        true
-    }
     let domain = ValueDomain::new(4);
-    let loss = ScriptedLoss::new(vec![proposal_only_self, all]);
-    let components = Components {
+    // The proposal reaches only its sender (the engine always hands a
+    // broadcaster its own message); the veto round delivers everything.
+    let everyone = [ProcessId(0), ProcessId(1), ProcessId(2)];
+    let components = Script {
+        deliveries: vec![
+            DeliveryMatrix::none(&everyone, 3),
+            DeliveryMatrix::full(&everyone, 3),
+        ],
+        ..Script::default()
+    }
+    .over(Components {
         detector: Box::new(ClassDetector::new(
             CdClass::MAJ_AC, // accurate from round 1: no false positives
             FreedomPolicy::Quiet,
@@ -130,9 +132,9 @@ fn loss_alone_cannot_create_the_asymmetric_halt() {
             PreStabilization::AllPassive,
             0,
         )),
-        loss: Box::new(loss),
+        loss: Box::new(NoLoss),
         crash: Box::new(NoCrashes),
-    };
+    });
     let mut run = ConsensusRun::new(
         alg1::processes(domain, &[Value(1), Value(2), Value(2)]),
         components,
