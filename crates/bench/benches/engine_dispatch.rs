@@ -22,8 +22,9 @@
 //!
 //! The process also runs under a **counting global allocator** and reports
 //! steady-state allocations/round and bytes/round of every lane, plus
-//! allocations/call of the SINR radio's `resolve_into` and the
-//! allocations of one `RadioChannel::new`. The lanes add the
+//! allocations/call of the SINR radio's `resolve_into` and of
+//! `RandomLoss::deliver_into`, and the allocations of one
+//! `RadioChannel::new`. The lanes add the
 //! churn and abstract-MAC stacks and the real Algorithm 1 and Algorithm 2
 //! automata on the registry's ECF stack. The allocation gates make
 //! the bench exit nonzero (which is what the CI bench-smoke step gates
@@ -37,7 +38,11 @@
 //! * `RadioChannel::resolve_into` into a reused `PhyRound` must be
 //!   exactly zero-allocation after warm-up;
 //! * `RadioChannel::new` must make exactly 2 allocations (its positions
-//!   and gains) at every lane's n.
+//!   and gains) at every lane's n;
+//! * `RandomLoss::deliver_into` into a reused `DeliveryMatrix` (the
+//!   `loss_draws` lanes, n = 16 and 64 at `long-wide`'s p = 0.6 and 40 %
+//!   senders, timed in ns per pair with the kernel the host selects) must
+//!   be exactly zero-allocation after warm-up.
 //!
 //! Besides the stdout report, the bench writes machine-readable results,
 //! with the host they were measured on, to `BENCH_engine.json` at the
@@ -62,8 +67,9 @@ use wan_phy::{PhyConfig, PhyRound, RadioChannel};
 use wan_sim::crash::{NoCrashes, TimelineCrashes};
 use wan_sim::loss::{Ecf, NoLoss, RandomLoss};
 use wan_sim::{
-    AllActive, AlwaysNull, Automaton, CmAdvice, Components, Engine, ExecutionTrace, ProcessId,
-    Round, RoundInput, RoundObserver, ScenarioEvent, ScenarioTimeline, StaggeredJoin,
+    AllActive, AlwaysNull, Automaton, CmAdvice, Components, DeliveryMatrix, Engine, ExecutionTrace,
+    LossAdversary, ProcessId, Round, RoundInput, RoundObserver, ScenarioEvent, ScenarioTimeline,
+    StaggeredJoin,
 };
 
 const ROUNDS: u64 = 1000;
@@ -655,6 +661,67 @@ fn main() {
         let _ = writeln!(json, "      \"allocs_per_new\": {allocs_per_new}");
         let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
     }
+    let _ = writeln!(json, "  ],");
+
+    // Loss draws: `RandomLoss::deliver_into` alone, into a reused matrix,
+    // at `long-wide`'s shape (p = 0.6, 40 % of the processes sending).
+    // Each lane names the kernel this host selects for its round size and
+    // is gated at exactly 0 allocs/call.
+    let _ = writeln!(json, "  \"loss_draws\": [");
+    let loss_cells: [usize; 2] = [16, 64];
+    let count = loss_cells.len();
+    for (i, n) in loss_cells.into_iter().enumerate() {
+        let contenders = (0.4 * n as f64).round() as usize;
+        let senders: Vec<ProcessId> = (0..contenders)
+            .map(|j| ProcessId(j * n / contenders))
+            .collect();
+        let pairs = contenders * n;
+        let kernel = if RandomLoss::runs_avx512(pairs) {
+            "avx512"
+        } else {
+            "per-pair"
+        };
+        let mut loss = RandomLoss::new(0.6, 7);
+        let mut out = DeliveryMatrix::empty();
+        let mut next_round = 1u64;
+        let mut deliver_rounds = |count: u64| {
+            for _ in 0..count {
+                loss.deliver_into(Round(next_round), &senders, n, &mut out);
+                next_round += 1;
+            }
+            black_box(&out);
+        };
+        let (allocs, bytes) = steady_state_allocs(&mut deliver_rounds);
+        let mut sample_ns = |iters: u64| {
+            let start = std::time::Instant::now();
+            deliver_rounds(iters);
+            start.elapsed().as_nanos() as f64 / iters as f64
+        };
+        let once = sample_ns(1_000);
+        let iters = ((30_000_000.0 / once) as u64).max(1_000);
+        let samples = if quick { 5 } else { 11 };
+        let mut ns: Vec<f64> = (0..samples).map(|_| sample_ns(iters)).collect();
+        ns.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
+        let ns_per_pair = ns[ns.len() / 2] / pairs as f64;
+        println!(
+            "loss   n={n:<3} senders={contenders:<3} {kernel:<8} {ns_per_pair:>8.2} ns/pair  \
+             {allocs:>10.3} allocs/call  {bytes:>12.1} bytes/call"
+        );
+        if allocs != 0.0 {
+            alloc_violations.push(format!(
+                "loss draws n={n} senders={contenders}: {allocs} allocs/call"
+            ));
+        }
+        let _ = writeln!(json, "    {{");
+        let _ = writeln!(json, "      \"n\": {n},");
+        let _ = writeln!(json, "      \"senders\": {contenders},");
+        let _ = writeln!(json, "      \"p_loss\": 0.6,");
+        let _ = writeln!(json, "      \"kernel\": \"{kernel}\",");
+        let _ = writeln!(json, "      \"ns_per_pair\": {ns_per_pair:.2},");
+        let _ = writeln!(json, "      \"allocs_per_call\": {allocs:.3},");
+        let _ = writeln!(json, "      \"bytes_per_call\": {bytes:.1}");
+        let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
+    }
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
 
@@ -662,11 +729,11 @@ fn main() {
     std::fs::write(out, &json).expect("write BENCH_engine.json");
     println!("\nwrote {out}:\n{json}");
 
-    // The CI gates: rounds under `none` and `probes` and phy resolve must
-    // be allocation-free in steady state, rounds under `trace` O(1)
-    // amortized (arena growth only), and a radio's construction exactly
-    // its two buffers. (Checked after the JSON is written so
-    // a regression still leaves the numbers on disk.)
+    // The CI gates: rounds under `none` and `probes`, phy resolve and
+    // loss draws must be allocation-free in steady state, rounds under
+    // `trace` O(1) amortized (arena growth only), and a radio's
+    // construction exactly its two buffers. (Checked after the JSON is
+    // written so a regression still leaves the numbers on disk.)
     assert!(
         alloc_violations.is_empty(),
         "allocation gates failed:\n  {}",

@@ -14,19 +14,9 @@ use wan_phy::{phy_components, PhyConfig};
 use wan_sim::crash::{NoCrashes, ScheduledCrashes, TimelineCrashes};
 use wan_sim::loss::{Ecf, RandomLoss};
 use wan_sim::{
-    CompiledSchedule, Components, CrashAdversary, ProcessId, Round, ScenarioEvent,
+    splitmix64, CompiledSchedule, Components, CrashAdversary, ProcessId, Round, ScenarioEvent,
     ScenarioTimeline, StaggeredJoin,
 };
-
-/// SplitMix64 finalizer: the spec/cell seed mixer. Deterministic, stateless,
-/// and independent of execution order — the heart of the "same cell, same
-/// execution anywhere" guarantee.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Which consensus algorithm a scenario runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,7 +263,7 @@ impl ScenarioSpec {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
-        mix(h ^ mix(case))
+        splitmix64(h ^ splitmix64(case))
     }
 
     /// The initial values of cell `case`.
@@ -284,7 +274,7 @@ impl ScenarioSpec {
         }
         let seed = self.cell_seed(case);
         (0..self.n as u64)
-            .map(|i| Value(mix(seed ^ i) % self.v_size))
+            .map(|i| Value(splitmix64(seed ^ i) % self.v_size))
             .collect()
     }
 
@@ -616,7 +606,7 @@ fn unique_assignments(values: &[Value], ids: IdSpace, seed: u64) -> Vec<(Uid, Va
         .iter()
         .enumerate()
         .map(|(j, &v)| {
-            let mut u = Uid(mix(seed ^ (j as u64).wrapping_add(0x1D)) % ids.size());
+            let mut u = Uid(splitmix64(seed ^ (j as u64).wrapping_add(0x1D)) % ids.size());
             while !seen.insert(u) {
                 u = Uid((u.0 + 1) % ids.size());
             }

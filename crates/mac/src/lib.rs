@@ -54,8 +54,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 use wan_sim::{
-    CdAdvice, CollisionDetector, DeliveryMatrix, LossAdversary, ProcessId, Round, ScenarioEvent,
-    TransmissionEntry,
+    splitmix64, CdAdvice, CollisionDetector, DeliveryMatrix, LossAdversary, ProcessId, Round,
+    ScenarioEvent, TransmissionEntry,
 };
 
 /// How the MAC layer spends the slack its envelopes allow.
@@ -123,17 +123,9 @@ impl MacShared {
     }
 }
 
-/// SplitMix64 finalizer (the same mixer the sweep's seed derivation uses).
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// A deterministic uniform draw in `[0, 1)` from `(seed, round, sender)`.
 fn hash01(seed: u64, round: Round, sender: ProcessId) -> f64 {
-    let h = mix(seed ^ mix(round.0) ^ mix(sender.index() as u64 ^ 0xACE));
+    let h = splitmix64(seed ^ splitmix64(round.0) ^ splitmix64(sender.index() as u64 ^ 0xACE));
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 

@@ -5,13 +5,9 @@
 //! exactly and no hidden RNG state couples independent draws. A
 //! splitmix64 finalizer over the packed inputs provides that.
 
-/// The splitmix64 finalizer: a high-quality 64-bit mixer.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+/// The splitmix64 finalizer, the one `wan-sim` defines for the whole
+/// workspace.
+pub use wan_sim::splitmix64;
 
 /// Hashes a tuple of values into one word.
 pub fn hash_tuple(parts: &[u64]) -> u64 {

@@ -310,13 +310,13 @@ impl<A: Automaton> Engine<A> {
             }
         }
 
-        // 1. Crashes take effect at the start of the round.
+        // 1. Crashes take effect at the start of the round. A process
+        // counts once: the list keeps the first naming of each process
+        // still alive and drops the already-dead and the repeats.
         buf.crashed.clear();
         crash.crashes_into(now, alive, &mut buf.crashed);
-        buf.crashed.retain(|p| alive[p.index()]);
-        for p in &buf.crashed {
-            alive[p.index()] = false;
-        }
+        buf.crashed
+            .retain(|p| std::mem::replace(&mut alive[p.index()], false));
 
         // 2. Contention manager advice. The buffer is pre-filled with the
         // same default the Vec-form wrapper uses, so a writer that
@@ -519,6 +519,25 @@ mod tests {
         assert_eq!(trace.round(Round(3)).unwrap().senders(), [ProcessId(1)]);
         // p0 heard round 1 only; it never transitions after crashing.
         assert_eq!(sim.processes()[0].heard, vec![0, 1]);
+    }
+
+    #[test]
+    fn a_process_crashed_twice_in_one_round_is_reported_once() {
+        let crash = ScheduledCrashes::new()
+            .crash(ProcessId(0), Round(1))
+            .crash(ProcessId(0), Round(1))
+            .crash(ProcessId(1), Round(2))
+            .crash(ProcessId(0), Round(2));
+        let mut sim = system(3, NoLoss, crash);
+        let mut trace = ExecutionTrace::new(3);
+        run(&mut sim, 2, &mut trace);
+        assert_eq!(trace.round(Round(1)).unwrap().crashed(), [ProcessId(0)]);
+        assert_eq!(
+            trace.round(Round(2)).unwrap().crashed(),
+            [ProcessId(1)],
+            "an already-dead process is not crashed again"
+        );
+        assert_eq!(sim.alive(), &[false, false, true]);
     }
 
     #[test]

@@ -1,10 +1,16 @@
-//! Stable content fingerprints.
+//! Stable content fingerprints, and the workspace's one SplitMix64
+//! finalizer.
 //!
 //! Golden summaries (in `wan-bench`) digest sweep results with
 //! [`StableHasher`], and the test suite pins replayed executions by
 //! [`crate::ExecutionTrace::fingerprint`]. The hasher lives here, next to
 //! [`crate::ExecutionTrace`], because the trace fingerprint must observe
 //! every field a trace records.
+//!
+//! [`splitmix64`] mixes one word into another, stably in the same sense.
+//! [`crate::loss::RandomLoss`] draws its stream from it, the sweep derives
+//! cell seeds with it, and the radio and abstract-MAC channels hash their
+//! realizations with it.
 //!
 //! The hash is FNV-1a (64-bit): dependency-free, byte-order independent,
 //! and — unlike [`std::hash::DefaultHasher`] — **stable across processes,
@@ -13,6 +19,24 @@
 //! adversary.
 
 use std::fmt::{self, Write};
+
+/// The SplitMix64 increment, `⌊2^64 / φ⌋` (odd): the step between the
+/// counter values of consecutive draws.
+pub(crate) const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 finalizer (Steele, Lea & Flood 2014) of `x + γ`: a
+/// high-quality 64-bit mixer.
+///
+/// Draw `k` (from 0) of the SplitMix64 stream seeded with `seed` is
+/// `splitmix64(seed + k·γ)`, so any draw can be computed without the ones
+/// before it.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -105,6 +129,19 @@ pub fn absorb_debug<T: fmt::Debug>(hasher: &mut StableHasher, value: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splitmix64_draw_k_is_the_shim_streams_draw_k() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in [0, 1, 0x10, u64::MAX] {
+            let mut stream = StdRng::seed_from_u64(seed);
+            for k in 0..100u64 {
+                let z = seed.wrapping_add(k.wrapping_mul(GAMMA));
+                assert_eq!(splitmix64(z), stream.next_u64(), "seed {seed}, draw {k}");
+            }
+        }
+    }
 
     #[test]
     fn fnv_reference_vectors() {

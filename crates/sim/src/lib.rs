@@ -83,7 +83,7 @@ pub mod traits;
 pub use advice::{CdAdvice, CmAdvice};
 pub use automaton::{Automaton, RoundInput};
 pub use engine::{Components, Engine};
-pub use fingerprint::StableHasher;
+pub use fingerprint::{splitmix64, StableHasher};
 pub use ids::{ProcessId, Round};
 pub use multiset::{Multiset, MultisetView};
 pub use scenario::{CompiledSchedule, EventTarget, ScenarioEvent, ScenarioTimeline, StaggeredJoin};

@@ -226,6 +226,42 @@ impl DeliveryMatrix {
         }
     }
 
+    /// Delivers sender `s`'s message to receiver `64·w + i` for every set
+    /// bit `i` of `receivers`: up to 64 of one sender's decisions in one
+    /// call, the sender-major counterpart of
+    /// [`DeliveryMatrix::deliver_row_mask`]. Bits for receivers at or
+    /// beyond `n` are ignored. One-word rows (`n ≤ 64`) take one
+    /// branchless pass down the sender's column, which the compiler
+    /// vectorizes; wider rows take one OR per set bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not a sender in this matrix or `w` is not below
+    /// `⌈n/64⌉`.
+    #[inline]
+    pub fn deliver_from_word(&mut self, s: ProcessId, w: usize, receivers: u64) {
+        assert!(self.is_sender(s), "deliver_from_word() on a non-sender row");
+        assert!(
+            w < self.words_per_row,
+            "receiver word {w} out of range for n = {}",
+            self.n
+        );
+        let (word, shift) = (s.index() / 64, s.index() % 64);
+        if self.words_per_row == 1 {
+            for (r, row) in self.rows.iter_mut().enumerate() {
+                *row |= ((receivers >> r) & 1) << shift;
+            }
+        } else {
+            let first = 64 * w;
+            let mut rest = receivers & low_bits(self.n - first);
+            while rest != 0 {
+                let r = first + rest.trailing_zeros() as usize;
+                self.rows[r * self.words_per_row + word] |= 1 << shift;
+                rest &= rest - 1;
+            }
+        }
+    }
+
     /// ORs a sender mask into receiver `r`'s row in one pass of word-wise
     /// operations: every sender whose bit is set in `mask` delivers to
     /// `r`. Bits of non-senders are ignored (masked against the sender
@@ -239,6 +275,15 @@ impl DeliveryMatrix {
         for (w, word) in row.iter_mut().enumerate() {
             *word |= mask[w] & self.senders[w];
         }
+    }
+}
+
+/// The word whose low `min(k, 64)` bits are set.
+pub(crate) fn low_bits(k: usize) -> u64 {
+    if k >= 64 {
+        u64::MAX
+    } else {
+        (1 << k) - 1
     }
 }
 
@@ -317,6 +362,13 @@ mod tests {
     fn deliver_all_from_non_sender_panics() {
         let mut m = DeliveryMatrix::none(&[ProcessId(0)], 2);
         m.deliver_all_from(ProcessId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-sender")]
+    fn deliver_from_word_non_sender_panics() {
+        let mut m = DeliveryMatrix::none(&[ProcessId(0)], 2);
+        m.deliver_from_word(ProcessId(1), 0, 1);
     }
 
     #[test]
@@ -606,6 +658,39 @@ mod tests {
                     accept_seed.wrapping_add(r as u64).wrapping_mul(0x9E37) % 3 == 0;
                 prop_assert_eq!(m.delivered(s, ProcessId(r)), expect, "receiver {}", r);
             }
+        }
+
+        /// `deliver_from_word` sets exactly the sender's bit for the word's
+        /// receivers below `n`, on one-word and multi-word rows alike, and
+        /// leaves every other sender's bits alone.
+        #[test]
+        fn deliver_from_word_matches_per_bit_sets(
+            n in 1usize..150,
+            s in 0usize..150,
+            w in 0usize..3,
+            receivers in any::<u64>(),
+            ops in proptest::collection::vec(arb_op(), 0..20),
+        ) {
+            let (s, w) = (ProcessId(s % n), w % n.div_ceil(64));
+            let other = ProcessId((s.index() + 1) % n);
+            let mut m = DeliveryMatrix::none(&[s, other], n);
+            for op in ops {
+                if let Op::Set { s, r, delivered } = op {
+                    let s = ProcessId(s % n);
+                    if m.is_sender(s) {
+                        m.set(s, ProcessId(r % n), delivered);
+                    }
+                }
+            }
+            let mut bit_by_bit = m.clone();
+            for i in 0..64 {
+                let r = 64 * w + i;
+                if r < n && receivers & (1 << i) != 0 {
+                    bit_by_bit.set(s, ProcessId(r), true);
+                }
+            }
+            m.deliver_from_word(s, w, receivers);
+            prop_assert_eq!(&m, &bit_by_bit);
         }
 
         /// The panic contract matches the model: setting a non-sender row
