@@ -22,7 +22,7 @@ use wan_cd::ClassDetector;
 use wan_cm::LeaderElectionService;
 use wan_sim::crash::NoCrashes;
 use wan_sim::loss::TotalCollisionLoss;
-use wan_sim::{BroadcastCount, Components, Engine, ExecutionTrace, Round};
+use wan_sim::{BroadcastCount, Components, Engine, ExecutionTrace};
 
 /// The result of running an alpha execution for `k` rounds.
 pub struct AlphaExecution<A: ConsensusAutomaton> {
@@ -57,17 +57,6 @@ impl<A: ConsensusAutomaton> AlphaExecution<A> {
     /// (Definition 22).
     pub fn broadcast_seq(&self, k: usize) -> Vec<BroadcastCount> {
         self.trace.broadcast_count_seq(k)
-    }
-
-    /// The round of the earliest decision, if any process decided.
-    pub fn first_decision_round(&self, k: u64) -> Option<Round> {
-        // Re-derive by replay granularity: decisions are only observable at
-        // the end; callers needing exact rounds should use the harness.
-        // Here we only need "decided within k rounds at all".
-        self.processes
-            .iter()
-            .any(|p| p.decision().is_some())
-            .then_some(Round(k))
     }
 }
 

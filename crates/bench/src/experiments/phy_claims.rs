@@ -91,6 +91,7 @@ pub fn e13_backoff_and_end_to_end(scale: Scale) -> Table {
     let results = SweepRunner::parallel().run_fresh(&specs);
     for (i, spec) in specs.iter().enumerate() {
         let frame = results.spec(i);
+        let core = frame.core();
         // Like the pre-probe loop: the stabilization statistics cover
         // *successful* cells only, so a capped or unsafe run cannot skew
         // the wake/decision columns while the success column flags it.
@@ -98,8 +99,7 @@ pub fn e13_backoff_and_end_to_end(scale: Scale) -> Table {
         let mut decisions: Vec<u64> = Vec::new();
         let mut successes = 0u64;
         for idx in 0..frame.len() {
-            let cell = results.cell_result(i, idx);
-            if !(cell.terminated && cell.safe) {
+            if !(core.terminated[idx] && core.safe[idx]) {
                 continue;
             }
             successes += 1;
@@ -107,7 +107,7 @@ pub fn e13_backoff_and_end_to_end(scale: Scale) -> Table {
             if let Some(MetricValue::OptU64(Some(wake))) = row.get(MetricId::ObservedWakeupRound) {
                 wakes.push(wake);
             }
-            if let Some(decided) = cell.last_decision {
+            if let Some(decided) = core.last_decision[idx] {
                 decisions.push(decided);
             }
         }

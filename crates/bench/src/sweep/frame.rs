@@ -1,24 +1,22 @@
 //! The columnar sweep result frame: struct-of-arrays metric columns per
 //! spec, mirroring the trace arena's representation discipline.
 //!
-//! A sweep used to produce a `Vec<CellResult>` — one owned struct per
-//! cell, four hard-coded fields. A [`ResultsFrame`] instead holds, per
-//! spec, one typed column per [`MetricId`] the spec's probe manifest
-//! emitted ([`MetricColumn`] — `Vec<u64>`, `Vec<Option<u64>>`, …), plus
-//! the cell coordinate columns (case, derived seed). Summary and
-//! percentile accessors on the columns replace the ad-hoc aggregation the
-//! golden gate and the experiment tables used to hand-roll; the legacy
-//! [`CellResult`] remains available through the bit-compatible
-//! [`ResultsFrame::cell_result`] accessor, derived from the core columns.
+//! A [`ResultsFrame`] holds, per spec, one typed column per [`MetricId`]
+//! the spec's probe manifest emitted ([`MetricColumn`] — `Vec<u64>`,
+//! `Vec<Option<u64>>`, …), plus the cell coordinate columns (case,
+//! derived seed). Summary and percentile accessors on the columns serve
+//! the golden gate and the experiment tables. A cell's outcome is read
+//! through one typed view, [`SpecFrame::core`]: the four core columns
+//! every manifest emits ([`CoreColumns`]).
 //!
 //! Frames are deterministic down to the byte: columns are in ascending
 //! [`MetricId`] order, rows in cell order, and every value is an exact
-//! integer/bool — [`ResultsFrame::render`] and
-//! [`ResultsFrame::fingerprint`] are what the determinism suite pins
-//! across serial/parallel runs and across processes.
+//! integer/bool — frame equality and [`ResultsFrame::fingerprint`] are
+//! what the determinism suite pins across serial/parallel runs and across
+//! processes.
 
 use super::probe::{MetricId, MetricRow, MetricValue};
-use super::spec::{CellResult, CellRow, ScenarioSpec};
+use super::spec::{CellRow, ScenarioSpec};
 use wan_sim::fingerprint::{absorb_debug, StableHasher};
 
 /// One metric across all cells of a spec, stored as a typed array. The
@@ -205,17 +203,46 @@ impl SpecFrame {
         &self.seeds
     }
 
-    /// The metric ids this spec's cells emitted, ascending.
-    pub fn metric_ids(&self) -> impl Iterator<Item = MetricId> + '_ {
-        self.columns.iter().map(|&(id, _)| id)
-    }
-
     /// The column of `id`, if the spec's manifest emitted it.
     pub fn column(&self, id: MetricId) -> Option<&MetricColumn> {
         self.columns
             .iter()
             .find(|(col_id, _)| *col_id == id)
             .map(|(_, col)| col)
+    }
+
+    /// The core outcome columns, typed. A spec with no cells has empty
+    /// ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the spec if a core column is missing or mistyped.
+    /// Sweep frames always have them: every manifest selects
+    /// [`ProbeKind::Core`](super::probe::ProbeKind::Core).
+    pub fn core(&self) -> CoreColumns<'_> {
+        if self.is_empty() {
+            return CoreColumns::default();
+        }
+        let missing =
+            |id: MetricId| -> ! { panic!("core metric {id} missing from spec `{}`", self.name) };
+        let Some(MetricColumn::U64(reference)) = self.column(MetricId::Reference) else {
+            missing(MetricId::Reference)
+        };
+        let Some(MetricColumn::OptU64(last_decision)) = self.column(MetricId::LastDecision) else {
+            missing(MetricId::LastDecision)
+        };
+        let Some(MetricColumn::Bool(terminated)) = self.column(MetricId::Terminated) else {
+            missing(MetricId::Terminated)
+        };
+        let Some(MetricColumn::Bool(safe)) = self.column(MetricId::Safe) else {
+            missing(MetricId::Safe)
+        };
+        CoreColumns {
+            reference,
+            last_decision,
+            terminated,
+            safe,
+        }
     }
 
     /// Cell `idx`'s metrics, reassembled into a row.
@@ -246,10 +273,42 @@ impl SpecFrame {
     }
 }
 
+/// One spec's core outcome columns, borrowed from its [`SpecFrame`]
+/// ([`SpecFrame::core`]): the measurement reference, the last decision,
+/// termination and safety of every cell, in cell order. The golden
+/// summary, the safety scan and the experiment tables read a cell's
+/// outcome through this view only.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CoreColumns<'a> {
+    /// The measurement reference round: declared CST (ECF) or the round
+    /// failures cease (NOCF).
+    pub reference: &'a [u64],
+    /// The last decision round, if every correct process decided.
+    pub last_decision: &'a [Option<u64>],
+    /// Whether every correct process decided within the cap.
+    pub terminated: &'a [bool],
+    /// Whether agreement/validity held.
+    pub safe: &'a [bool],
+}
+
+impl CoreColumns<'_> {
+    /// The worst (max) rounds past the reference at the last decision,
+    /// over the deciding cells; `None` if no cell decided.
+    ///
+    /// **Saturating:** a decision that lands *before* the reference round
+    /// counts as 0, the same as a decision exactly at it. The
+    /// [`MetricId::DecisionLatency`] column carries the signed distance.
+    pub fn worst_rounds_past(&self) -> Option<u64> {
+        self.last_decision
+            .iter()
+            .zip(self.reference)
+            .filter_map(|(decision, &reference)| decision.map(|d| d.saturating_sub(reference)))
+            .max()
+    }
+}
+
 /// The outcome of a sweep: one [`SpecFrame`] per input spec, in spec
-/// order. Replaces the flat `Vec<CellResult>` of the pre-probe API; the
-/// legacy view is served by [`ResultsFrame::cell_result`] /
-/// [`ResultsFrame::cell_results`].
+/// order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResultsFrame {
     specs: Vec<SpecFrame>,
@@ -281,85 +340,26 @@ impl ResultsFrame {
         self.specs.iter().map(SpecFrame::len).sum()
     }
 
-    /// The legacy [`CellResult`] of one cell, bit-compatible with what
-    /// `run_cell` returned before the probe redesign — derived from the
-    /// core metric columns.
-    pub fn cell_result(&self, spec_index: usize, idx: usize) -> CellResult {
-        let spec = &self.specs[spec_index];
-        let u64_of = |id: MetricId| match spec.column(id) {
-            Some(MetricColumn::U64(col)) => col[idx],
-            _ => panic!("core metric {} missing from spec {}", id, spec.name),
-        };
-        let bool_of = |id: MetricId| match spec.column(id) {
-            Some(MetricColumn::Bool(col)) => col[idx],
-            _ => panic!("core metric {} missing from spec {}", id, spec.name),
-        };
-        let last_decision = match spec.column(MetricId::LastDecision) {
-            Some(MetricColumn::OptU64(col)) => col[idx],
-            _ => panic!("core metric last_decision missing from spec {}", spec.name),
-        };
-        CellResult {
-            spec_index,
-            case: spec.cases[idx],
-            cell_seed: spec.seeds[idx],
-            reference: u64_of(MetricId::Reference),
-            last_decision,
-            terminated: bool_of(MetricId::Terminated),
-            safe: bool_of(MetricId::Safe),
-        }
-    }
-
-    /// Every cell's legacy result, in canonical cell order.
-    pub fn cell_results(&self) -> Vec<CellResult> {
-        (0..self.specs.len())
-            .flat_map(|s| (0..self.specs[s].len()).map(move |i| (s, i)))
-            .map(|(s, i)| self.cell_result(s, i))
-            .collect()
-    }
-
-    /// The worst (max) rounds past the measurement reference across a
-    /// spec's cells; panics on any safety violation or non-termination so
-    /// experiment tables can't silently hide broken runs. (The saturating
-    /// legacy statistic — see [`MetricId::DecisionLatency`] for the
-    /// signed distance.)
+    /// The worst rounds past the measurement reference across a spec's
+    /// cells ([`CoreColumns::worst_rounds_past`], 0 if none decided).
+    /// Panics on any safety violation or non-termination, naming the cell
+    /// (`` spec `name` case N seed 0x… ``, as a `SafetyViolation` prints
+    /// it), so experiment tables can't silently hide broken runs.
     pub fn worst_rounds_past(&self, spec_index: usize) -> u64 {
         let spec = &self.specs[spec_index];
-        assert!(!spec.is_empty(), "spec {spec_index} has no cells");
-        let mut worst = 0;
+        assert!(!spec.is_empty(), "spec `{}` has no cells", spec.name);
+        let core = spec.core();
         for idx in 0..spec.len() {
-            let cell = self.cell_result(spec_index, idx);
-            assert!(
-                cell.safe,
-                "safety violation in spec {spec_index} cell {} (seed {})",
-                cell.case, cell.cell_seed
-            );
-            assert!(
-                cell.terminated,
-                "non-termination in spec {spec_index} cell {} (seed {})",
-                cell.case, cell.cell_seed
-            );
-            worst = worst.max(cell.rounds_past_reference().unwrap_or(0));
+            let cell = || {
+                format!(
+                    "spec `{}` case {} seed {:#018x}",
+                    spec.name, spec.cases[idx], spec.seeds[idx]
+                )
+            };
+            assert!(core.safe[idx], "safety violation in {}", cell());
+            assert!(core.terminated[idx], "non-termination in {}", cell());
         }
-        worst
-    }
-
-    /// A stable textual rendering of every cell and metric (for equality
-    /// assertions and byte-level determinism tests).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (spec_index, spec) in self.specs.iter().enumerate() {
-            for idx in 0..spec.len() {
-                out.push_str(&format!(
-                    "spec={} name={} case={} seed={:#018x} {}\n",
-                    spec_index,
-                    spec.name,
-                    spec.cases[idx],
-                    spec.seeds[idx],
-                    spec.row(idx).encode(),
-                ));
-            }
-        }
-        out
+        core.worst_rounds_past().unwrap_or(0)
     }
 
     /// A stable 64-bit fingerprint of the whole frame (all specs, all
@@ -376,11 +376,45 @@ impl ResultsFrame {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
     use crate::sweep::spec::lattice_specs;
     use crate::sweep::SweepRunner;
     use crate::Scale;
+
+    /// Rebuilds cell `idx`'s row with `id` set to `value` (a sealed row
+    /// is append-only, and a second `id` entry would not column-ize).
+    pub(crate) fn forge(rows: &mut [CellRow], idx: usize, id: MetricId, value: MetricValue) {
+        let mut forged = MetricRow::new();
+        for (row_id, row_value) in rows[idx].metrics.iter() {
+            forged.set(row_id, if row_id == id { value } else { row_value });
+        }
+        rows[idx].metrics = forged;
+    }
+
+    /// Three cells of a renamed lattice spec, with cell 1's `id` forged to
+    /// `value`.
+    fn forged_frame(id: MetricId, value: MetricValue) -> ResultsFrame {
+        let specs = [ScenarioSpec {
+            name: "lattice/forged".to_string(),
+            ..lattice_specs(Scale::Quick)[0].clone()
+        }];
+        let mut rows: Vec<CellRow> = (0..3).map(|case| specs[0].run_cell(0, case)).collect();
+        forge(&mut rows, 1, id, value);
+        ResultsFrame::from_rows(&specs, rows)
+    }
+
+    #[test]
+    #[should_panic(expected = "safety violation in spec `lattice/forged` case 1 seed 0x")]
+    fn worst_rounds_past_names_an_unsafe_cell() {
+        forged_frame(MetricId::Safe, MetricValue::Bool(false)).worst_rounds_past(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-termination in spec `lattice/forged` case 1 seed 0x")]
+    fn worst_rounds_past_names_a_non_terminated_cell() {
+        forged_frame(MetricId::Terminated, MetricValue::Bool(false)).worst_rounds_past(0);
+    }
 
     #[test]
     fn column_summaries() {
@@ -419,16 +453,22 @@ mod tests {
         for (id, value) in row.iter() {
             assert_eq!(spec.column(id).unwrap().value(1), value);
         }
-        // The compat accessor matches the legacy accessor's semantics.
-        let cell = frame.cell_result(0, 1);
-        assert_eq!(cell.case, spec.cases()[1]);
-        assert_eq!(cell.cell_seed, spec.seeds()[1]);
-        assert!(cell.safe && cell.terminated);
+        // The core view reads the same cell the row does.
+        let core = spec.core();
+        assert_eq!(core.reference.len(), spec.len());
+        assert_eq!(
+            row.get(MetricId::Reference),
+            Some(MetricValue::U64(core.reference[1]))
+        );
+        assert_eq!(
+            row.get(MetricId::LastDecision),
+            Some(MetricValue::OptU64(core.last_decision[1]))
+        );
+        assert!(core.safe[1] && core.terminated[1]);
         // Digest sensitivity: the same sweep re-run digests identically...
         let again = SweepRunner::serial().run_fresh(specs);
         assert_eq!(frame, again);
         assert_eq!(frame.fingerprint(), again.fingerprint());
-        assert_eq!(frame.render(), again.render());
         // ...and distinct specs digest differently.
         assert_ne!(frame.spec(0).digest(), frame.spec(1).digest());
     }

@@ -10,10 +10,11 @@
 //! first, and only a safe sweep is blessed or diffed.
 //!
 //! The summary is deliberately cell-exact at two depths: each spec row
-//! carries the legacy stable FNV digest over every cell's core result
-//! (continuity with the pre-probe gate) **and** a frame digest over every
+//! carries the legacy stable FNV digest over every cell's coordinates and
+//! core columns ([`SpecFrame::core`](super::frame::SpecFrame::core);
+//! continuity with the pre-probe gate) **and** a frame digest over every
 //! metric column the spec's probe manifest emitted — so the gate catches
-//! drift in any probe measurement, not just the four legacy fields, while
+//! drift in any probe measurement, not just the four core columns, while
 //! the committed file stays a reviewable handful of lines per spec.
 
 use super::frame::ResultsFrame;
@@ -81,13 +82,13 @@ impl fmt::Display for SafetyViolation {
 pub fn scan_safety(specs: &[ScenarioSpec], results: &ResultsFrame) -> Vec<SafetyViolation> {
     let mut violations = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
-        for idx in 0..results.spec(i).len() {
-            let cell = results.cell_result(i, idx);
-            if !cell.safe {
+        let frame = results.spec(i);
+        for (idx, &safe) in frame.core().safe.iter().enumerate() {
+            if !safe {
                 violations.push(SafetyViolation {
                     spec: spec.name.clone(),
-                    case: cell.case,
-                    cell_seed: cell.cell_seed,
+                    case: frame.cases()[idx],
+                    cell_seed: frame.seeds()[idx],
                 });
             }
         }
@@ -239,7 +240,9 @@ pub struct SpecSummary {
     /// How many cells terminated within the cap.
     pub terminated: u64,
     /// Worst rounds past the measurement reference, over deciding cells
-    /// (the saturating legacy statistic).
+    /// (saturating: [`CoreColumns::worst_rounds_past`]).
+    ///
+    /// [`CoreColumns::worst_rounds_past`]: super::frame::CoreColumns::worst_rounds_past
     pub worst_rounds_past: Option<u64>,
     /// Worst *signed* decision latency (`max` of the `decision_latency`
     /// metric over deciding cells — can be negative when every decision
@@ -294,42 +297,33 @@ impl SweepSummary {
             .enumerate()
             .map(|(i, spec)| {
                 let frame = results.spec(i);
-                let mut row = SpecSummary {
-                    name: spec.name.clone(),
-                    cells: frame.len() as u64,
-                    safe: 0,
-                    terminated: 0,
-                    worst_rounds_past: None,
-                    worst_latency: None,
-                    broadcasts: None,
-                    digest: 0,
-                    frame_digest: frame.digest(),
-                };
+                let core = frame.core();
                 let mut h = StableHasher::new();
                 for idx in 0..frame.len() {
-                    let cell = results.cell_result(i, idx);
-                    row.safe += u64::from(cell.safe);
-                    row.terminated += u64::from(cell.terminated);
-                    if let Some(past) = cell.rounds_past_reference() {
-                        row.worst_rounds_past =
-                            Some(row.worst_rounds_past.map_or(past, |w| w.max(past)));
-                    }
-                    h.write_u64(cell.case);
-                    h.write_u64(cell.cell_seed);
-                    h.write_u64(cell.reference);
-                    h.write_u64(cell.last_decision.map_or(u64::MAX, |d| d));
-                    h.write_u64(u64::from(cell.terminated));
-                    h.write_u64(u64::from(cell.safe));
+                    h.write_u64(frame.cases()[idx]);
+                    h.write_u64(frame.seeds()[idx]);
+                    h.write_u64(core.reference[idx]);
+                    h.write_u64(core.last_decision[idx].unwrap_or(u64::MAX));
+                    h.write_u64(u64::from(core.terminated[idx]));
+                    h.write_u64(u64::from(core.safe[idx]));
                 }
-                row.digest = h.finish();
-                row.worst_latency = frame
-                    .column(MetricId::DecisionLatency)
-                    .and_then(|col| col.max())
-                    .map(|v| v as i64);
-                row.broadcasts = frame
-                    .column(MetricId::BroadcastsTotal)
-                    .map(|col| col.sum() as u64);
-                row
+                let count = |flags: &[bool]| flags.iter().filter(|&&flag| flag).count() as u64;
+                SpecSummary {
+                    name: spec.name.clone(),
+                    cells: frame.len() as u64,
+                    safe: count(core.safe),
+                    terminated: count(core.terminated),
+                    worst_rounds_past: core.worst_rounds_past(),
+                    worst_latency: frame
+                        .column(MetricId::DecisionLatency)
+                        .and_then(|col| col.max())
+                        .map(|v| v as i64),
+                    broadcasts: frame
+                        .column(MetricId::BroadcastsTotal)
+                        .map(|col| col.sum() as u64),
+                    digest: h.finish(),
+                    frame_digest: frame.digest(),
+                }
             })
             .collect();
         SweepSummary {
@@ -483,7 +477,8 @@ impl SweepSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::probe::{MetricRow, MetricValue};
+    use crate::sweep::frame::tests::forge;
+    use crate::sweep::probe::MetricValue;
     use crate::sweep::spec::{absmac_specs, lattice_specs, CellRow};
 
     fn summary() -> SweepSummary {
@@ -499,21 +494,9 @@ mod tests {
         dir
     }
 
-    /// Flips cell `idx`'s `safe` bit (rebuilding the row — MetricRow is
-    /// append-only and a duplicate `safe` entry would not column-ize).
+    /// Flips cell `idx`'s `safe` bit.
     fn forge_unsafe(rows: &mut [CellRow], idx: usize) {
-        let mut forged = MetricRow::new();
-        for (id, value) in rows[idx].metrics.iter() {
-            forged.set(
-                id,
-                if id == MetricId::Safe {
-                    MetricValue::Bool(false)
-                } else {
-                    value
-                },
-            );
-        }
-        rows[idx].metrics = forged;
+        forge(rows, idx, MetricId::Safe, MetricValue::Bool(false));
     }
 
     #[test]
@@ -538,6 +521,103 @@ mod tests {
                 cell_seed: spec.cell_seed(1),
             }]
         );
+    }
+
+    /// The summary off the happy path: a forged undecided cell and a
+    /// forged unsafe cell are counted and digested, and the undecided cell
+    /// stays out of the worst-rounds-past statistic.
+    #[test]
+    fn summary_counts_and_digests_forged_outcomes() {
+        let specs = &lattice_specs(Scale::Quick)[..1];
+        let rows: Vec<CellRow> = (0..specs[0].seeds)
+            .map(|case| specs[0].run_cell(0, case))
+            .collect();
+        let cells = rows.len() as u64;
+        let summarize = |rows: Vec<CellRow>| {
+            let frame = ResultsFrame::from_rows(specs, rows);
+            let summary = SweepSummary::from_results(Scale::Quick, specs, &frame);
+            summary.specs.into_iter().next().expect("one spec row")
+        };
+        let rounds_past = |row: &CellRow| match (
+            row.metrics.get(MetricId::Reference),
+            row.metrics.get(MetricId::LastDecision),
+        ) {
+            (Some(MetricValue::U64(reference)), Some(MetricValue::OptU64(decision))) => {
+                decision.map(|d| d.saturating_sub(reference))
+            }
+            other => panic!("core metrics missing: {other:?}"),
+        };
+        // The undecided cell is the clean sweep's worst, so counting it
+        // would show; the unsafe cell is another one.
+        let undecided = (0..rows.len())
+            .max_by_key(|&idx| rounds_past(&rows[idx]))
+            .expect("cells");
+        let unsafe_cell = (undecided + 1) % rows.len();
+        let mut forged = rows.clone();
+        forge(
+            &mut forged,
+            undecided,
+            MetricId::Terminated,
+            MetricValue::Bool(false),
+        );
+        forge(
+            &mut forged,
+            undecided,
+            MetricId::LastDecision,
+            MetricValue::OptU64(None),
+        );
+        forge(
+            &mut forged,
+            unsafe_cell,
+            MetricId::Safe,
+            MetricValue::Bool(false),
+        );
+        let decided_worst = (0..rows.len())
+            .filter(|&idx| idx != undecided)
+            .filter_map(|idx| rounds_past(&rows[idx]))
+            .max();
+
+        let clean = summarize(rows.clone());
+        let forged = summarize(forged);
+        assert_eq!((clean.safe, clean.terminated), (cells, cells));
+        assert_eq!((forged.safe, forged.terminated), (cells - 1, cells - 1));
+        assert!(decided_worst.is_some());
+        assert_eq!(forged.worst_rounds_past, decided_worst);
+        assert_ne!(forged.digest, clean.digest);
+        assert_ne!(forged.frame_digest, clean.frame_digest);
+
+        // With no deciding cell there is no worst statistic at all.
+        let mut none_decided = rows;
+        for idx in 0..none_decided.len() {
+            forge(
+                &mut none_decided,
+                idx,
+                MetricId::LastDecision,
+                MetricValue::OptU64(None),
+            );
+        }
+        assert_eq!(summarize(none_decided).worst_rounds_past, None);
+    }
+
+    /// The legacy digest writes an undecided cell's last decision as
+    /// `u64::MAX` (golden format v2). Every registry cell decides, so
+    /// `check` never sees that case; this pins it instead.
+    #[test]
+    fn legacy_digest_writes_an_undecided_cell_as_u64_max() {
+        let specs = &lattice_specs(Scale::Quick)[..1];
+        let digest = |last_decision: Option<u64>| {
+            let mut rows: Vec<CellRow> = (0..3).map(|case| specs[0].run_cell(0, case)).collect();
+            forge(
+                &mut rows,
+                1,
+                MetricId::LastDecision,
+                MetricValue::OptU64(last_decision),
+            );
+            let frame = ResultsFrame::from_rows(specs, rows);
+            SweepSummary::from_results(Scale::Quick, specs, &frame).specs[0].digest
+        };
+        assert_eq!(digest(None), digest(Some(u64::MAX)));
+        assert_ne!(digest(None), digest(Some(0)));
     }
 
     /// The sweep-wide safety gate covers the abstract-MAC family: a forged

@@ -24,9 +24,10 @@
 //!   engine executes it, and no cell records a trace.
 //! * [`frame`] — the columnar [`ResultsFrame`]: struct-of-arrays metric
 //!   columns per spec (mirroring the trace arena), with
-//!   summary/percentile accessors replacing ad-hoc aggregation in the
-//!   golden gate and the experiment tables. The legacy [`CellResult`]
-//!   survives as a bit-compatible accessor derived from the core columns.
+//!   summary/percentile accessors for the golden gate and the experiment
+//!   tables. A cell's outcome has one form: the typed core columns
+//!   ([`CoreColumns`], from [`SpecFrame::core`]) that the golden summary,
+//!   the safety scan and the tables read.
 //! * [`SweepRunner`] — a work-stealing fan-out over OS threads
 //!   (`std::thread::scope`; the environment is offline so rayon is not
 //!   available, and the dependency-free pool below is all the sweep
@@ -38,7 +39,7 @@
 //!   `run_experiments check` compares a fresh run of the standard
 //!   registry against the committed `golden/sweeps/*.json` and exits
 //!   nonzero on any drift, down to single-cell changes via per-spec
-//!   digests over both the core results and the full frame columns. The
+//!   digests over both the core columns and the full frame columns. The
 //!   safety scan runs first ([`golden::gate`]): a cell that breaks
 //!   agreement or validity fails the gate by its spec/case/seed before
 //!   any golden file is read or written.
@@ -53,13 +54,12 @@ pub mod probe;
 pub mod runner;
 pub mod spec;
 
-pub use frame::{MetricColumn, ResultsFrame, SpecFrame};
+pub use frame::{CoreColumns, MetricColumn, ResultsFrame, SpecFrame};
 pub use golden::{scan_safety, SafetyViolation, SweepSummary};
 pub use probe::{
     CellEnd, MetricId, MetricRow, MetricValue, Probe, ProbeKind, ProbeManifest, ProbeSet,
 };
 pub use runner::SweepRunner;
 pub use spec::{
-    AbsMacPlan, Algorithm, CellResult, CellRow, ChurnPlan, CrashPlan, EnvironmentPlan, Registry,
-    ScenarioSpec,
+    AbsMacPlan, Algorithm, CellRow, ChurnPlan, CrashPlan, EnvironmentPlan, Registry, ScenarioSpec,
 };

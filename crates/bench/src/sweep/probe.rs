@@ -4,10 +4,7 @@
 //!
 //! Every claim the paper makes is a *measurement over executions* —
 //! decision rounds past the stabilization reference, broadcast and
-//! contention counts, collision-detector accuracy, crash impact. Before
-//! this module, the sweep substrate could only report the four hard-coded
-//! fields of the legacy `CellResult`, so every richer experiment
-//! hand-rolled its own loops outside the gated sweep path. A
+//! contention counts, collision-detector accuracy, crash impact. A
 //! [`Probe`] turns one such measurement into a reusable component:
 //!
 //! * [`Probe::observe`] is called once per round, as the engine executes
@@ -35,8 +32,8 @@ use std::fmt;
 use wan_sim::{ProcessId, Round, RoundObserver, RoundView};
 
 /// The typed vocabulary of metrics the built-in probes emit. Ordered
-/// (`Ord`) so metric columns and rendered rows have one canonical
-/// order; named ([`MetricId::name`]) so rows render readably and
+/// (`Ord`) so metric rows and columns have one canonical order; named
+/// ([`MetricId::name`]) so `metrics` tables label their columns and
 /// `metrics` globs can select them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MetricId {
@@ -52,8 +49,10 @@ pub enum MetricId {
     Safe,
     /// Signed distance `last_decision − reference`: negative when the
     /// decision landed *before* the reference round — the value the
-    /// legacy saturating `CellResult::rounds_past_reference` cannot
-    /// express.
+    /// saturating [`CoreColumns::worst_rounds_past`] (the golden `worst`
+    /// field) cannot express.
+    ///
+    /// [`CoreColumns::worst_rounds_past`]: super::frame::CoreColumns::worst_rounds_past
     DecisionLatency,
     /// Rounds the engine executed (equals the cap for non-terminating
     /// cells).
@@ -122,7 +121,7 @@ pub enum MetricId {
     /// An ad-hoc metric minted by a custom [`Probe`] (see the README's
     /// worked example and `examples/quickstart.rs`). Sorts after every
     /// built-in id and is not in [`MetricId::ALL`]; custom metrics flow
-    /// through frames and renders (the registry only runs built-in
+    /// through rows and frames (the registry only runs built-in
     /// manifests).
     Custom(&'static str),
 }
@@ -158,7 +157,8 @@ impl MetricId {
         MetricId::MacBlockedStreakMax,
     ];
 
-    /// The stable snake_case name used in renders and `metrics` globs.
+    /// The stable snake_case name used in frame digests, `metrics` tables
+    /// and `metrics` globs.
     pub fn name(self) -> &'static str {
         match self {
             MetricId::Reference => "reference",
@@ -228,20 +228,6 @@ impl MetricValue {
             MetricValue::OptI64(v) => v.map(i128::from),
         }
     }
-
-    /// The compact token (`u6`, `i-2`, `b1`, `o8`/`o-`, `s-2`/`s-`): one
-    /// tag character carrying the variant, then the payload.
-    pub fn encode(self) -> String {
-        match self {
-            MetricValue::U64(v) => format!("u{v}"),
-            MetricValue::I64(v) => format!("i{v}"),
-            MetricValue::Bool(b) => format!("b{}", u8::from(b)),
-            MetricValue::OptU64(Some(v)) => format!("o{v}"),
-            MetricValue::OptU64(None) => "o-".to_string(),
-            MetricValue::OptI64(Some(v)) => format!("s{v}"),
-            MetricValue::OptI64(None) => "s-".to_string(),
-        }
-    }
 }
 
 /// One cell's metrics: `(MetricId, MetricValue)` pairs in ascending id
@@ -292,29 +278,18 @@ impl MetricRow {
         self.entries.is_empty()
     }
 
-    /// Sorts by id and asserts uniqueness — the canonical form every
-    /// consumer (frame columns, renders) relies on.
+    /// Sorts by id and asserts uniqueness, in every build — the canonical
+    /// form frame columns rely on (a repeated id would become two columns
+    /// of one name).
     fn seal(&mut self) {
         self.entries.sort_unstable_by_key(|&(id, _)| id);
-        debug_assert!(
-            self.entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "two probes emitted the same metric id"
-        );
-    }
-
-    /// The compact rendering: `name=token` pairs joined by `;`
-    /// (e.g. `reference=u6;last_decision=o8;safe=b1`).
-    pub fn encode(&self) -> String {
-        let mut out = String::new();
-        for (i, (id, value)) in self.entries.iter().enumerate() {
-            if i > 0 {
-                out.push(';');
-            }
-            out.push_str(id.name());
-            out.push('=');
-            out.push_str(&value.encode());
+        for pair in self.entries.windows(2) {
+            assert!(
+                pair[0].0 != pair[1].0,
+                "two probes emitted the same metric id `{}`",
+                pair[0].0
+            );
         }
-        out
     }
 }
 
@@ -357,9 +332,10 @@ pub trait Probe<M: Ord> {
 /// with. Lives on `ScenarioSpec`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProbeKind {
-    /// The legacy `CellResult` fields: reference, last decision,
-    /// termination, safety, rounds executed. Outcome-only (no trace
-    /// needed).
+    /// The core outcome: reference, last decision, termination, safety,
+    /// rounds executed. Outcome-only (no trace needed). The golden
+    /// summary, the safety scan and the experiment tables read the first
+    /// four through [`SpecFrame::core`](super::frame::SpecFrame::core).
     Core,
     /// Signed `last_decision − reference` distance. Outcome-only.
     DecisionLatency,
@@ -478,7 +454,8 @@ impl ProbeManifest {
     }
 
     /// An explicit selection. [`ProbeKind::Core`] is always included —
-    /// the legacy `CellResult` compatibility accessor needs its metrics.
+    /// the golden summary, the safety scan and the experiment tables read
+    /// its columns.
     pub fn of(kinds: &[ProbeKind]) -> ProbeManifest {
         let mut kinds = kinds.to_vec();
         kinds.push(ProbeKind::Core);
@@ -590,7 +567,7 @@ impl<M: Ord> fmt::Debug for ProbeSet<M> {
     }
 }
 
-/// [`ProbeKind::Core`]: the legacy `CellResult` fields as metrics.
+/// [`ProbeKind::Core`]: the cell's judged outcome as metrics.
 struct CoreOutcome;
 
 impl<M: Ord> Probe<M> for CoreOutcome {
@@ -1005,7 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn rows_encode_in_canonical_order() {
+    fn rows_seal_in_canonical_order() {
         let mut row = MetricRow::new();
         row.set(MetricId::DecisionLatency, MetricValue::OptI64(Some(-3)));
         row.set(MetricId::Reference, MetricValue::U64(6));
@@ -1013,9 +990,33 @@ mod tests {
         row.set(MetricId::Safe, MetricValue::Bool(true));
         row.seal();
         assert_eq!(
-            row.encode(),
-            "reference=u6;last_decision=o-;safe=b1;decision_latency=s-3"
+            row.iter().collect::<Vec<_>>(),
+            [
+                (MetricId::Reference, MetricValue::U64(6)),
+                (MetricId::LastDecision, MetricValue::OptU64(None)),
+                (MetricId::Safe, MetricValue::Bool(true)),
+                (MetricId::DecisionLatency, MetricValue::OptI64(Some(-3))),
+            ]
         );
+    }
+
+    /// A custom probe emitting one fixed metric.
+    struct Emits(&'static str);
+
+    impl<M: Ord> Probe<M> for Emits {
+        fn observe(&mut self, _view: &RoundView<'_, M>) {}
+        fn finish(&mut self, _end: &CellEnd, out: &mut MetricRow) {
+            out.set(MetricId::Custom(self.0), MetricValue::U64(1));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "two probes emitted the same metric id `dup`")]
+    fn a_metric_id_emitted_twice_fails_the_seal_in_every_build() {
+        let mut probes: ProbeSet<u8> = ProbeSet::from_manifest(&ProbeManifest::outcome_only());
+        probes.push(Box::new(Emits("dup")));
+        probes.push(Box::new(Emits("dup")));
+        probes.finish(&end(), &mut MetricRow::new());
     }
 
     #[test]

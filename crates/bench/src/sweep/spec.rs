@@ -1,6 +1,6 @@
 //! Scenario specifications and the standard registry.
 
-use super::probe::{CellEnd, MetricId, MetricRow, MetricValue, ProbeManifest, ProbeSet};
+use super::probe::{CellEnd, MetricRow, ProbeManifest, ProbeSet};
 use crate::experiments::helpers::EnvPlan;
 use crate::Scale;
 use ccwan_core::{
@@ -164,48 +164,9 @@ pub struct ScenarioSpec {
     pub probes: ProbeManifest,
 }
 
-/// The legacy fixed-field view of one executed cell, kept as a
-/// compatibility accessor: cells now produce typed [`MetricRow`]s
-/// ([`CellRow`]), and a `CellResult` is derived from the core metrics
-/// ([`CellRow::to_cell_result`], `ResultsFrame::cell_result`) —
-/// bit-compatible with what `run_cell` returned before the probe
-/// redesign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellResult {
-    /// Index of the spec in the sweep's spec list.
-    pub spec_index: usize,
-    /// Cell (seed) index within the spec.
-    pub case: u64,
-    /// The derived RNG seed the cell ran with.
-    pub cell_seed: u64,
-    /// The measurement reference round: declared CST (ECF) or the round
-    /// failures cease (NOCF).
-    pub reference: u64,
-    /// The last decision round, if every correct process decided.
-    pub last_decision: Option<u64>,
-    /// Whether every correct process decided within the cap.
-    pub terminated: bool,
-    /// Whether agreement/validity held.
-    pub safe: bool,
-}
-
-impl CellResult {
-    /// Rounds past the measurement reference at the last decision.
-    ///
-    /// **Saturating:** a decision that lands *before* the reference round
-    /// comes out as `Some(0)`, indistinguishable from a decision exactly
-    /// at the reference — this legacy accessor cannot go negative. The
-    /// [`MetricId::DecisionLatency`] metric carries the signed distance
-    /// (`last_decision − reference` as `i64`); use it whenever "how early"
-    /// matters.
-    pub fn rounds_past_reference(&self) -> Option<u64> {
-        self.last_decision.map(|d| d.saturating_sub(self.reference))
-    }
-}
-
 /// The outcome of one executed cell: its coordinates plus the typed
 /// metrics its probe manifest emitted, in canonical (ascending
-/// [`MetricId`]) order.
+/// [`MetricId`](super::probe::MetricId)) order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellRow {
     /// Index of the spec in the sweep's spec list.
@@ -216,41 +177,6 @@ pub struct CellRow {
     pub cell_seed: u64,
     /// The probe measurements.
     pub metrics: MetricRow,
-}
-
-impl CellRow {
-    /// The legacy fixed-field view, derived from the core metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the row is missing a core metric (every manifest includes
-    /// [`super::probe::ProbeKind::Core`], so rows produced by the sweep
-    /// always have them).
-    pub fn to_cell_result(&self) -> CellResult {
-        let missing = |name: &str| -> ! { panic!("cell row missing core metric {name}") };
-        let Some(MetricValue::U64(reference)) = self.metrics.get(MetricId::Reference) else {
-            missing("reference")
-        };
-        let Some(MetricValue::OptU64(last_decision)) = self.metrics.get(MetricId::LastDecision)
-        else {
-            missing("last_decision")
-        };
-        let Some(MetricValue::Bool(terminated)) = self.metrics.get(MetricId::Terminated) else {
-            missing("terminated")
-        };
-        let Some(MetricValue::Bool(safe)) = self.metrics.get(MetricId::Safe) else {
-            missing("safe")
-        };
-        CellResult {
-            spec_index: self.spec_index,
-            case: self.case,
-            cell_seed: self.cell_seed,
-            reference,
-            last_decision,
-            terminated,
-            safe,
-        }
-    }
 }
 
 impl ScenarioSpec {
@@ -1177,7 +1103,13 @@ pub fn absmac_specs(scale: Scale) -> Vec<ScenarioSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::probe::{MetricId, MetricValue};
     use wan_sim::RoundObserver;
+
+    /// Whether the row's core flag `id` (`Safe`, `Terminated`) is set.
+    fn flag(row: &CellRow, id: MetricId) -> bool {
+        row.metrics.get(id) == Some(MetricValue::Bool(true))
+    }
 
     #[test]
     fn registry_names_unique_and_resolvable() {
@@ -1246,9 +1178,8 @@ mod tests {
         let one = spec.run_cell(0, 2);
         let two = spec.run_cell(0, 2);
         assert_eq!(one, two);
-        let result = one.to_cell_result();
-        assert!(result.safe);
-        assert!(result.terminated);
+        assert!(flag(&one, MetricId::Safe));
+        assert!(flag(&one, MetricId::Terminated));
         // A standard-manifest cell carries round-derived metrics.
         assert!(one.metrics.get(MetricId::BroadcastsTotal).is_some());
     }
@@ -1378,13 +1309,13 @@ mod tests {
     fn phy_cells_ride_the_sweep_substrate() {
         let spec = &phy_e2e_specs(Scale::Quick)[0];
         let row = spec.run_cell(0, 0);
-        let result = row.to_cell_result();
         assert_eq!(
-            result.reference, 1,
+            row.metrics.get(MetricId::Reference),
+            Some(MetricValue::U64(1)),
             "the radio's ECF wrap declares r_cf = 1"
         );
         assert!(
-            result.safe,
+            flag(&row, MetricId::Safe),
             "Algorithm 2 in class must stay safe on the radio"
         );
         assert!(
@@ -1408,9 +1339,15 @@ mod tests {
                 .iter()
                 .find(|s| s.name == name)
                 .expect("the crash arms register");
-            let result = spec.run_cell(0, 0).to_cell_result();
-            assert!(result.safe, "{name}: agreement/validity under crash");
-            assert!(result.terminated, "{name}: must decide within the cap");
+            let row = spec.run_cell(0, 0);
+            assert!(
+                flag(&row, MetricId::Safe),
+                "{name}: agreement/validity under crash"
+            );
+            assert!(
+                flag(&row, MetricId::Terminated),
+                "{name}: must decide within the cap"
+            );
         }
     }
 
@@ -1422,12 +1359,14 @@ mod tests {
             .find(|s| s.name == "churn/b2-r6-mild")
             .expect("the burst grid registers");
         let row = burst.run_cell(0, 0);
-        let result = row.to_cell_result();
         assert!(
-            result.safe,
+            flag(&row, MetricId::Safe),
             "agreement/validity must survive the injected schedule"
         );
-        assert!(result.terminated, "the settled suffix still decides");
+        assert!(
+            flag(&row, MetricId::Terminated),
+            "the settled suffix still decides"
+        );
         assert_eq!(
             row.metrics.get(MetricId::CrashCount),
             Some(MetricValue::U64(2)),
@@ -1459,8 +1398,7 @@ mod tests {
             .expect("the baseline registers");
         assert!(baseline.timeline.is_empty());
         let row = baseline.run_cell(0, 0);
-        let result = row.to_cell_result();
-        assert!(result.safe && result.terminated);
+        assert!(flag(&row, MetricId::Safe) && flag(&row, MetricId::Terminated));
         assert_eq!(
             row.metrics.get(MetricId::CrashCount),
             Some(MetricValue::U64(0)),
@@ -1509,10 +1447,19 @@ mod tests {
                 .find(|s| s.name == name)
                 .expect("the mac arms register");
             let row = spec.run_cell(0, 0);
-            let result = row.to_cell_result();
-            assert!(result.safe, "{name}: agreement/validity under the MAC");
-            assert!(result.terminated, "{name}: must decide within the cap");
-            assert_eq!(result.reference, 6, "the reference is f_ack");
+            assert!(
+                flag(&row, MetricId::Safe),
+                "{name}: agreement/validity under the MAC"
+            );
+            assert!(
+                flag(&row, MetricId::Terminated),
+                "{name}: must decide within the cap"
+            );
+            assert_eq!(
+                row.metrics.get(MetricId::Reference),
+                Some(MetricValue::U64(6)),
+                "the reference is f_ack"
+            );
             let Some(MetricValue::U64(attempts)) = row.metrics.get(MetricId::AckAttemptsMax) else {
                 panic!("{name}: mac arms carry the ack-latency probe");
             };

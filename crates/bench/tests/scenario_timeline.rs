@@ -103,13 +103,14 @@ fn churn_sweeps_are_order_independent_and_safe() {
         parallel.fingerprint(),
         "serial and parallel churn sweeps must be byte-identical"
     );
-    assert_eq!(serial.render(), parallel.render());
+    assert_eq!(serial, parallel);
     assert!(
         scan_safety(&specs, &serial).is_empty(),
         "no injected schedule may break agreement/validity"
     );
-    // The timelines actually did something: the baseline spec is the only
-    // one with zero crashes everywhere.
-    let results = serial.cell_results();
-    assert!(results.iter().all(|cell| cell.terminated));
+    // And every cell still decides within its cap.
+    assert!(serial
+        .specs()
+        .iter()
+        .all(|spec| spec.core().terminated.iter().all(|&done| done)));
 }
