@@ -42,7 +42,12 @@
 //! * `RandomLoss::deliver_into` into a reused `DeliveryMatrix` (the
 //!   `loss_draws` lanes, n = 16 and 64 at `long-wide`'s p = 0.6 and 40 %
 //!   senders, timed in ns per pair with the kernel the host selects) must
-//!   be exactly zero-allocation after warm-up.
+//!   be exactly zero-allocation after warm-up;
+//! * an engine round whose cost is mostly receive assembly (the
+//!   `assembly` lanes: `long-wide`'s shapes, 40 % of the processes
+//!   sending one or six distinct messages at 40 % delivery, replayed
+//!   from pre-drawn matrices, timed in ns per round) must be exactly
+//!   zero-allocation after warm-up.
 //!
 //! Besides the stdout report, the bench writes machine-readable results,
 //! with the host they were measured on, to `BENCH_engine.json` at the
@@ -335,6 +340,69 @@ fn lane<O: Observer + 'static>(stack: &'static str, mut engine: Engine<Beacon>) 
             black_box(&observer);
         }),
     }
+}
+
+/// Sends a fixed message every round, or nothing, and ignores what it
+/// hears: the `assembly` lanes' automaton.
+struct Fixed(Option<u64>);
+
+impl Automaton for Fixed {
+    type Msg = u64;
+    fn message(&self, _cm: CmAdvice) -> Option<u64> {
+        self.0
+    }
+    fn transition(&mut self, input: RoundInput<'_, u64>) {
+        black_box(input.received);
+    }
+}
+
+/// Replays pre-drawn delivery matrices in a cycle, one per round, each
+/// copied row by row into the engine's matrix.
+struct Replayed(Vec<DeliveryMatrix>, usize);
+
+impl LossAdversary for Replayed {
+    fn deliver_into(
+        &mut self,
+        _round: Round,
+        senders: &[ProcessId],
+        n: usize,
+        out: &mut DeliveryMatrix,
+    ) {
+        let Replayed(rounds, next) = self;
+        out.clear_and_resize(senders, n);
+        for r in (0..n).map(ProcessId) {
+            out.deliver_row_mask(r, rounds[*next].row_words(r));
+        }
+        *next = (*next + 1) % rounds.len();
+    }
+}
+
+/// An engine whose rounds cost mostly receive assembly: `contenders` of
+/// `n` processes, evenly spaced, send one of `messages` distinct values
+/// every round; the others stay silent. Deliveries replay 64 rounds drawn
+/// at `long-wide`'s p = 0.6 (40 % delivery), the detector and manager are
+/// the trivial ones, and the automata do no work.
+fn assembly_engine(n: usize, contenders: usize, messages: u64) -> Engine<Fixed> {
+    let senders: Vec<ProcessId> = (0..contenders)
+        .map(|j| ProcessId(j * n / contenders))
+        .collect();
+    let mut procs: Vec<Fixed> = (0..n).map(|_| Fixed(None)).collect();
+    for (j, s) in senders.iter().enumerate() {
+        procs[s.index()] = Fixed(Some(j as u64 * 7 % messages));
+    }
+    let mut draws = RandomLoss::new(0.6, 11);
+    let rounds = (1..=64)
+        .map(|r| draws.deliver(Round(r), &senders, n))
+        .collect();
+    Engine::new(
+        procs,
+        black_box(Components {
+            detector: Box::new(AlwaysNull),
+            manager: Box::new(AllActive),
+            loss: Box::new(Replayed(rounds, 0)),
+            crash: Box::new(NoCrashes),
+        }),
+    )
 }
 
 /// A real consensus automaton at n = 50 on the registry's ECF stack
@@ -722,6 +790,53 @@ fn main() {
         let _ = writeln!(json, "      \"bytes_per_call\": {bytes:.1}");
         let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
     }
+    let _ = writeln!(json, "  ],");
+
+    // Receive assembly: engine rounds built so that assembly is most of
+    // their cost (see `assembly_engine`), at `long-wide`'s shapes — n = 64
+    // with one distinct message (most of its rounds) and with six, and
+    // n = 16. Each lane is gated at exactly 0 allocs/round.
+    let _ = writeln!(json, "  \"assembly\": [");
+    let assembly_cells: [(usize, usize, u64); 3] = [(64, 28, 1), (64, 28, 6), (16, 6, 1)];
+    let count = assembly_cells.len();
+    for (i, (n, contenders, messages)) in assembly_cells.into_iter().enumerate() {
+        let mut engine = assembly_engine(n, contenders, messages);
+        let mut advance_rounds = |count: u64| {
+            for _ in 0..count {
+                engine.advance(&mut ());
+            }
+        };
+        let (allocs, bytes) = steady_state_allocs(&mut advance_rounds);
+        let mut sample_ns = |iters: u64| {
+            let start = std::time::Instant::now();
+            advance_rounds(iters);
+            start.elapsed().as_nanos() as f64 / iters as f64
+        };
+        let once = sample_ns(1_000);
+        let iters = ((30_000_000.0 / once) as u64).max(1_000);
+        let samples = if quick { 5 } else { 11 };
+        let mut ns: Vec<f64> = (0..samples).map(|_| sample_ns(iters)).collect();
+        ns.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
+        let ns_per_round = ns[ns.len() / 2];
+        println!(
+            "assembly n={n:<3} senders={contenders:<3} messages={messages:<2} \
+             {ns_per_round:>8.1} ns/round  {allocs:>10.3} allocs/round  {bytes:>12.1} bytes/round"
+        );
+        if allocs != 0.0 {
+            alloc_violations.push(format!(
+                "assembly n={n} senders={contenders} messages={messages}: {allocs} allocs/round"
+            ));
+        }
+        let _ = writeln!(json, "    {{");
+        let _ = writeln!(json, "      \"n\": {n},");
+        let _ = writeln!(json, "      \"senders\": {contenders},");
+        let _ = writeln!(json, "      \"messages\": {messages},");
+        let _ = writeln!(json, "      \"delivery\": 0.4,");
+        let _ = writeln!(json, "      \"ns_per_round\": {ns_per_round:.1},");
+        let _ = writeln!(json, "      \"allocs_per_round\": {allocs:.3},");
+        let _ = writeln!(json, "      \"bytes_per_round\": {bytes:.1}");
+        let _ = writeln!(json, "    }}{}", if i + 1 < count { "," } else { "" });
+    }
     let _ = writeln!(json, "  ]");
     json.push_str("}\n");
 
@@ -729,11 +844,11 @@ fn main() {
     std::fs::write(out, &json).expect("write BENCH_engine.json");
     println!("\nwrote {out}:\n{json}");
 
-    // The CI gates: rounds under `none` and `probes`, phy resolve and
-    // loss draws must be allocation-free in steady state, rounds under
-    // `trace` O(1) amortized (arena growth only), and a radio's
-    // construction exactly its two buffers. (Checked after the JSON is
-    // written so a regression still leaves the numbers on disk.)
+    // The CI gates: rounds under `none` and `probes`, phy resolve, loss
+    // draws and assembly rounds must be allocation-free in steady state,
+    // rounds under `trace` O(1) amortized (arena growth only), and a
+    // radio's construction exactly its two buffers. (Checked after the
+    // JSON is written so a regression still leaves the numbers on disk.)
     assert!(
         alloc_violations.is_empty(),
         "allocation gates failed:\n  {}",

@@ -679,7 +679,7 @@ mod tests {
             let received: Multiset<Alg3Msg> = msgs.iter().copied().collect();
             p.transition(RoundInput {
                 round: Round(round),
-                received: &received,
+                received: received.view(),
                 cd,
                 cm: CmAdvice::Passive,
             });

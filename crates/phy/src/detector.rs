@@ -67,7 +67,11 @@ impl LossAdversary for PhyLoss {
         out: &mut DeliveryMatrix,
     ) {
         let shared = &mut *self.shared.borrow_mut();
-        assert_eq!(shared.channel.config().n, n, "radio sized for {n} nodes");
+        let radio = shared.channel.config().n;
+        assert_eq!(
+            radio, n,
+            "radio sized for {radio} nodes driven with n = {n}"
+        );
         shared
             .channel
             .resolve_into(round, senders, &mut shared.outcome);
@@ -230,6 +234,14 @@ mod tests {
         assert_eq!(noisy.accuracy_from(), Some(Round(40)));
         let (_, forever) = phy_components(PhyConfig::new(4, 1).with_interference(0.2, None));
         assert_eq!(forever.accuracy_from(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "radio sized for 8 nodes driven with n = 16")]
+    fn a_radio_driven_at_another_size_names_both_sizes() {
+        let (mut loss, _) = phy_components(PhyConfig::new(8, 1));
+        let mut out = DeliveryMatrix::empty();
+        loss.deliver_into(Round(1), &[ProcessId(0)], 16, &mut out);
     }
 
     #[test]

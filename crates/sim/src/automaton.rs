@@ -2,7 +2,7 @@
 
 use crate::advice::{CdAdvice, CmAdvice};
 use crate::ids::Round;
-use crate::multiset::Multiset;
+use crate::multiset::MultisetView;
 
 /// Everything a process observes at the end of a round: the round number, the
 /// multiset of messages it received (`N_r[i]`), the collision detector advice
@@ -14,9 +14,14 @@ use crate::multiset::Multiset;
 pub struct RoundInput<'a, M: Ord> {
     /// The (1-based) round that is ending.
     pub round: Round,
-    /// Messages received this round, including the process's own broadcast if
-    /// it sent one (constraint 5 of Definition 11).
-    pub received: &'a Multiset<M>,
+    /// Messages received this round (`N_r[i]`), including the process's
+    /// own broadcast if it sent one (constraint 5 of Definition 11). A
+    /// borrowed view into the engine's receive arena, which is rebuilt
+    /// every round: it offers `SET(N_r[i])` ([`MultisetView::support`],
+    /// ascending), its minimum, emptiness and multiplicities, and
+    /// [`MultisetView::to_multiset`] copies it out. A hand-driven
+    /// automaton passes [`crate::Multiset::view`].
+    pub received: MultisetView<'a, M>,
     /// Collision detector advice for this round.
     pub cd: CdAdvice,
     /// Contention manager advice for this round (the same advice that was
@@ -71,6 +76,7 @@ pub trait Automaton {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::multiset::Multiset;
 
     /// A minimal automaton used to check the trait is implementable for
     /// unit-ish state machines.
@@ -96,7 +102,7 @@ mod tests {
         let recv: Multiset<u8> = [9, 3].into_iter().collect();
         e.transition(RoundInput {
             round: Round::FIRST,
-            received: &recv,
+            received: recv.view(),
             cd: CdAdvice::Null,
             cm: CmAdvice::Active,
         });

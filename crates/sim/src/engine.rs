@@ -7,7 +7,7 @@
 use crate::advice::{CdAdvice, CmAdvice};
 use crate::automaton::{Automaton, RoundInput};
 use crate::ids::{ProcessId, Round};
-use crate::multiset::Multiset;
+use crate::multiset::MultisetView;
 use crate::scenario::{CompiledSchedule, EventTarget};
 use crate::trace::{Receives, RoundObserver, RoundView, TransmissionEntry};
 use crate::traits::{
@@ -84,19 +84,21 @@ struct RoundBuffers<M: Ord> {
     /// The resolved delivery matrix `N_r` (bitset; reused via
     /// [`DeliveryMatrix::clear_and_resize`]).
     matrix: DeliveryMatrix,
-    /// Per-process receive multisets, length `n`; each keeps its storage
-    /// across rounds ([`Multiset::clear`]).
-    received: Vec<Multiset<M>>,
+    /// The receive multisets `N_r`, pooled: process `i`'s canonical
+    /// `(message, multiplicity)` entries, ascending, for every `i` in
+    /// turn (variable length; during assembly, one slot per receiver and
+    /// distinct message).
+    recv_entries: Vec<(M, usize)>,
+    /// End of each process's span of `recv_entries`, length `n`.
+    recv_ends: Vec<usize>,
     /// The transmission entry `(c, T)`; its `received` vector is reused.
     tx: TransmissionEntry,
-    /// This round's distinct messages, as one representative sender each,
-    /// in ascending message order (variable length).
-    distinct: Vec<ProcessId>,
-    /// `rank[s]`: the position in `distinct` of sender `s`'s message,
-    /// length `n` (meaningful for this round's senders only).
-    rank: Vec<usize>,
-    /// Per-rank delivery counts of the receiver being assembled.
-    rank_counts: Vec<usize>,
+    /// This round's distinct messages, ascending (variable length).
+    distinct: Vec<M>,
+    /// One sender mask per distinct message, each a row's width
+    /// (`⌈n/64⌉` words): bit `s` of mask `d` is set iff sender `s` sent
+    /// `distinct[d]`.
+    masks: Vec<u64>,
 }
 
 impl<M: Ord + Clone> RoundBuffers<M> {
@@ -109,26 +111,42 @@ impl<M: Ord + Clone> RoundBuffers<M> {
             sent: (0..n).map(|_| None).collect(),
             senders: Vec::with_capacity(n),
             matrix: DeliveryMatrix::empty(),
-            received: (0..n).map(|_| Multiset::new()).collect(),
+            recv_entries: Vec::with_capacity(n),
+            recv_ends: Vec::with_capacity(n),
             tx: TransmissionEntry {
                 sent_count: 0,
                 received: Vec::with_capacity(n),
             },
             distinct: Vec::with_capacity(n),
-            rank: vec![0; n],
-            rank_counts: Vec::with_capacity(n),
+            masks: Vec::new(),
         }
     }
 
-    /// Receive assembly: each process's receive multiset `N_r[i]` and its
-    /// count `T(i)`, from the round's messages `sent`, broadcasters
-    /// `senders` and forced-diagonal delivery matrix.
+    /// Receive assembly: each process's receive multiset `N_r[i]`, into
+    /// the pooled `recv_entries`/`recv_ends`, and its count `T(i)`, from
+    /// the round's messages `sent`, broadcasters `senders` and
+    /// forced-diagonal delivery matrix. One kernel builds one sender mask
+    /// per distinct message, then takes receiver `r`'s count of message
+    /// `d` as `popcount(row_r & mask_d)` and appends the round's multisets
+    /// into one pooled arena.
     ///
-    /// The round's distinct messages are ranked once. A receiver then
-    /// costs a row popcount (its `T(i)`) when the round carries one
-    /// distinct message, and otherwise one count per delivery, tallied by
-    /// rank and appended in rank order: one clone per distinct message
-    /// received, never one per delivery.
+    /// * **Ranking and masks, one pass over the senders.** A sender whose
+    ///   message equals its predecessor's (every sender of a one-message
+    ///   round) costs one comparison and one bit set; any other is ranked
+    ///   by binary search, inserting its message into `distinct`
+    ///   (ascending) with a new zeroed mask if it is not there yet. Any
+    ///   number of distinct messages, from none to one per sender, takes
+    ///   this path.
+    /// * **Counts.** A row holds sender bits only and the masks partition
+    ///   the senders, so `T(r)`, the row's popcount, is the sum of the
+    ///   receiver's per-message counts.
+    /// * **Branch-free appends.** The arena has a slot for every
+    ///   (receiver, message) pair. Each pair writes its entry into the
+    ///   slot at the cursor and advances the cursor only if its count is
+    ///   non-zero, so the kept entries are canonical (multiplicities ≥ 1)
+    ///   without a data-dependent branch; the arena is cut at the cursor
+    ///   afterwards. A zero-count pair costs one clone of the message;
+    ///   every message type here is a small value.
     ///
     /// # Panics
     ///
@@ -140,64 +158,62 @@ impl<M: Ord + Clone> RoundBuffers<M> {
             sent,
             senders,
             matrix,
-            received,
+            recv_entries,
+            recv_ends,
             tx,
             distinct,
-            rank,
-            rank_counts,
+            masks,
             ..
         } = self;
         assert!(
             matrix.is_keyed_by(senders),
             "delivery matrix may only deliver from this round's senders"
         );
-        let msg = |s: ProcessId| sent[s.index()].as_ref().expect("senders broadcast");
+        let w = matrix.words_per_row();
 
-        // Rank the distinct messages. A one-message round needs no ranks.
         distinct.clear();
+        masks.clear();
+        let mut d = 0;
         for &s in senders.iter() {
-            let m = msg(s);
-            if let Err(at) = distinct.binary_search_by(|&d| msg(d).cmp(m)) {
-                distinct.insert(at, s);
+            let m = sent[s.index()].as_ref().expect("senders broadcast");
+            if distinct.get(d) != Some(m) {
+                d = match distinct.binary_search(m) {
+                    Ok(d) => d,
+                    Err(at) => {
+                        distinct.insert(at, m.clone());
+                        masks.splice(at * w..at * w, std::iter::repeat_n(0, w));
+                        at
+                    }
+                };
             }
-        }
-        if distinct.len() > 1 {
-            for &s in senders.iter() {
-                let m = msg(s);
-                rank[s.index()] = distinct
-                    .binary_search_by(|&d| msg(d).cmp(m))
-                    .expect("every message was ranked");
-            }
+            masks[d * w + s.index() / 64] |= 1 << (s.index() % 64);
         }
 
-        tx.received.clear();
-        for (r, bucket) in received.iter_mut().enumerate() {
-            bucket.clear();
-            let row = matrix.row_words(ProcessId(r));
-            let total: usize = row.iter().map(|w| w.count_ones() as usize).sum();
-            tx.received.push(total);
-            if total == 0 {
-                continue;
+        // One slot per (receiver, message) pair; only the first `cursor`
+        // slots are kept. New slots are filled with a clone of the round's
+        // first message (there is one whenever there is a slot).
+        let n = matrix.n();
+        tx.received.resize(n, 0);
+        recv_ends.resize(n, 0);
+        recv_entries.resize_with(n * distinct.len(), || (distinct[0].clone(), 0));
+        let mut cursor = 0;
+        let receivers = tx.received.iter_mut().zip(recv_ends.iter_mut());
+        for (row, (count_r, end_r)) in matrix.all_row_words().chunks_exact(w).zip(receivers) {
+            let mut total = 0;
+            for (m, mask) in distinct.iter().zip(masks.chunks_exact(w)) {
+                let count: usize = row
+                    .iter()
+                    .zip(mask)
+                    .map(|(&row_word, &mask_word)| (row_word & mask_word).count_ones() as usize)
+                    .sum();
+                recv_entries[cursor] = (m.clone(), count);
+                cursor += usize::from(count != 0);
+                total += count;
             }
-            if let [only] = distinct[..] {
-                bucket.push_greatest(msg(only).clone(), total);
-                continue;
-            }
-            rank_counts.clear();
-            rank_counts.resize(distinct.len(), 0);
-            for (wi, &w) in row.iter().enumerate() {
-                let mut rest = w;
-                while rest != 0 {
-                    rank_counts[rank[wi * 64 + rest.trailing_zeros() as usize]] += 1;
-                    rest &= rest - 1;
-                }
-            }
-            for (&d, &count) in distinct.iter().zip(rank_counts.iter()) {
-                if count > 0 {
-                    bucket.push_greatest(msg(d).clone(), count);
-                }
-            }
+            *count_r = total;
+            *end_r = cursor;
         }
+        recv_entries.truncate(cursor);
     }
 }
 
@@ -271,7 +287,7 @@ impl<A: Automaton> Engine<A> {
     /// Every phase writes through the engine's reused round buffers, so after
     /// warm-up the round itself allocates nothing: components write their
     /// advice into reused slices, the loss adversary re-keys the reused
-    /// bitset matrix, and the receive multisets keep their storage. The
+    /// bitset matrix, and the receive multisets refill one pooled arena. The
     /// observer then reads those buffers through one borrowed
     /// [`RoundView`]; it pays for whatever it keeps (nothing for `()` or
     /// the sweep's probes, amortized arena growth for an
@@ -361,16 +377,19 @@ impl<A: Automaton> Engine<A> {
         buf.cd.fill(CdAdvice::Null);
         detector.advise_into(now, &buf.tx, &mut buf.cd);
 
-        // 6. Transitions for live processes.
-        for (i, p) in procs.iter_mut().enumerate() {
+        // 6. Transitions for live processes, each reading its span of the
+        // receive arena.
+        let mut from = 0;
+        for (i, (p, &to)) in procs.iter_mut().zip(&buf.recv_ends).enumerate() {
             if alive[i] {
                 p.transition(RoundInput {
                     round: now,
-                    received: &buf.received[i],
+                    received: MultisetView::over(&buf.recv_entries[from..to]),
                     cd: buf.cd[i],
                     cm: buf.cm[i],
                 });
             }
+            from = to;
         }
 
         // Channel feedback for adaptive managers.
@@ -383,7 +402,11 @@ impl<A: Automaton> Engine<A> {
             senders: &buf.senders,
             cd: &buf.cd,
             received_counts: &buf.tx.received,
-            received: Receives::Live(&buf.received),
+            received: Receives::Pooled {
+                start: 0,
+                ends: &buf.recv_ends,
+                entries: &buf.recv_entries,
+            },
             crashed: &buf.crashed,
             alive,
         });
@@ -412,7 +435,7 @@ mod tests {
     use crate::advice::{CdAdvice, CmAdvice};
     use crate::crash::{NoCrashes, ScheduledCrashes};
     use crate::loss::{NoLoss, TotalCollisionLoss};
-    use crate::{AllActive, AlwaysNull, ExecutionTrace};
+    use crate::{AllActive, AlwaysNull, ExecutionTrace, Multiset};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -650,29 +673,30 @@ mod tests {
         sim.advance(&mut ());
     }
 
-    /// The per-delivery receive assembly that rank counting replaced, kept
-    /// as the reference: one sorted insert per delivered message, and each
-    /// count `T(i)` from a separate row popcount.
+    /// The per-delivery receive assembly the kernel replaced, kept as the
+    /// reference: one sorted insert per delivered message, each count
+    /// `T(i)` from a separate row popcount, and the multisets pooled in
+    /// process order.
     fn reference_receives<M: Ord + Clone>(
         sent: &[Option<M>],
         matrix: &DeliveryMatrix,
-    ) -> (Vec<Multiset<M>>, Vec<usize>) {
-        let receivers = (0..matrix.n()).map(ProcessId);
-        let received = receivers
-            .clone()
-            .map(|r| {
-                let mut bucket = Multiset::new();
-                for s in matrix.delivered_to(r) {
-                    let msg = sent[s.index()]
-                        .as_ref()
-                        .expect("delivery matrix may only deliver from this round's senders");
-                    bucket.insert(msg.clone());
-                }
-                bucket
-            })
+    ) -> (Vec<usize>, Vec<(M, usize)>, Vec<usize>) {
+        let (mut entries, mut ends) = (Vec::new(), Vec::new());
+        for r in (0..matrix.n()).map(ProcessId) {
+            let mut bucket = Multiset::new();
+            for s in matrix.delivered_to(r) {
+                let msg = sent[s.index()]
+                    .as_ref()
+                    .expect("delivery matrix may only deliver from this round's senders");
+                bucket.insert(msg.clone());
+            }
+            entries.extend(bucket.iter().map(|(v, c)| (v.clone(), c)));
+            ends.push(entries.len());
+        }
+        let counts = (0..matrix.n())
+            .map(|r| matrix.received_count(ProcessId(r)))
             .collect();
-        let counts = receivers.map(|r| matrix.received_count(r)).collect();
-        (received, counts)
+        (counts, entries, ends)
     }
 
     /// Who broadcasts in a generated round.
@@ -721,34 +745,33 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
-        /// Rank-counted assembly equals the per-delivery reference — every
-        /// receive multiset and every count `T(i)` — across widths around
-        /// the word boundaries, alphabets of 1, 2 and 3 values and all
-        /// distinct, silent and crashed processes, and rounds with no
+        /// The masked-popcount kernel equals the per-delivery reference —
+        /// every count `T(i)`, the pooled entries and their ends — across
+        /// widths on both sides of every word boundary, alphabets of 1, 2,
+        /// 3, 16 and 17 values and all distinct (so up to `n` distinct
+        /// messages), silent and crashed processes, and rounds with no
         /// senders. One buffer set per width is reused across all of its
-        /// rounds, as the engine reuses it, so stale state would show.
+        /// rounds, as the engine reuses it, while the alphabet grows and
+        /// then shrinks again, so a stale mask, rank or entry would show.
         #[test]
-        fn rank_counted_assembly_matches_per_delivery_reference(
+        fn masked_popcount_assembly_matches_per_delivery_reference(
             seed in any::<u64>(),
             density_permille in 0u64..=1000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let density = density_permille as f64 / 1000.0;
-            for n in [1usize, 4, 63, 64, 65, 130] {
+            let alphabets = [Some(1), Some(2), Some(3), Some(16), Some(17), None];
+            for n in [1usize, 4, 16, 31, 32, 33, 63, 64, 65, 130] {
                 let mut buf = RoundBuffers::<u64>::for_n(n);
-                for alphabet in [Some(1), Some(2), Some(3), None] {
+                for &alphabet in alphabets.iter().chain(alphabets.iter().rev()) {
                     for who in [Broadcasters::Nobody, Broadcasters::Everyone, Broadcasters::Some] {
                         random_round(&mut buf, &mut rng, n, alphabet, who, density);
-                        let (received, counts) = reference_receives(&buf.sent, &buf.matrix);
+                        let (counts, entries, ends) = reference_receives(&buf.sent, &buf.matrix);
                         buf.assemble_receives();
-                        prop_assert_eq!(
-                            &buf.received, &received,
-                            "n = {}, alphabet {:?}, {:?}", n, alphabet, who
-                        );
-                        prop_assert_eq!(
-                            &buf.tx.received, &counts,
-                            "n = {}, alphabet {:?}, {:?}", n, alphabet, who
-                        );
+                        let at = format!("n = {n}, alphabet {alphabet:?}, {who:?}");
+                        prop_assert_eq!(&buf.tx.received, &counts, "{}", at);
+                        prop_assert_eq!(&buf.recv_entries, &entries, "{}", at);
+                        prop_assert_eq!(&buf.recv_ends, &ends, "{}", at);
                     }
                 }
             }

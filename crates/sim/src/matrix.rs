@@ -203,6 +203,17 @@ impl DeliveryMatrix {
         self.row(r)
     }
 
+    /// Every receiver's [`DeliveryMatrix::row_words`], concatenated in
+    /// receiver order: [`DeliveryMatrix::words_per_row`] words each.
+    pub(crate) fn all_row_words(&self) -> &[u64] {
+        &self.rows
+    }
+
+    /// The row width, `⌈n/64⌉` words.
+    pub(crate) fn words_per_row(&self) -> usize {
+        self.words_per_row
+    }
+
     /// Delivers sender `s`'s message to exactly the receivers `pred`
     /// accepts, probing every process in ascending index order (`0..n`).
     /// The strict probe order is load-bearing for adversaries whose

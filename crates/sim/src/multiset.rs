@@ -9,14 +9,15 @@ use std::fmt;
 /// `(value, positive multiplicity)` entries.
 ///
 /// This is the `Multi(V)` of Section 2. The receive set `N_r[i]` of every
-/// round is a `Multiset` of messages; constraint 4 of Definition 11 (receive
+/// round is a multiset of messages; constraint 4 of Definition 11 (receive
 /// sets are sub-multisets of the round's broadcasts) is checked with
 /// [`Multiset::is_submultiset_of`].
 ///
-/// The vector backing (rather than a `BTreeMap`) is a hot-path choice:
-/// [`Multiset::clear`] keeps the allocation, so the engine's reusable
-/// per-process receive buffers insert into already-warm storage and a
-/// steady-state round performs no heap allocation at all.
+/// The sorted-vector backing (rather than a `BTreeMap`) is the canonical
+/// entry layout every receive multiset shares: the engine pools a round's
+/// `N_r` as such entries in one arena, and automata and traces read them
+/// through a [`MultisetView`] ([`Multiset::view`] gives one over an owned
+/// multiset). [`Multiset::clear`] keeps the allocation.
 ///
 /// # Examples
 ///
@@ -67,20 +68,6 @@ impl<T: Ord> Multiset<T> {
             Ok(i) => self.entries[i].1 += n,
             Err(i) => self.entries.insert(i, (value, n)),
         }
-        self.total += n;
-    }
-
-    /// Appends `n ≥ 1` occurrences of `value`, which must be greater than
-    /// every value already present (checked in debug builds). The engine's
-    /// receive assembly produces each multiset in ascending order, so it
-    /// appends instead of searching.
-    pub(crate) fn push_greatest(&mut self, value: T, n: usize) {
-        debug_assert!(n >= 1, "multiplicities are positive");
-        debug_assert!(
-            self.entries.last().is_none_or(|(last, _)| *last < value),
-            "push_greatest() below the current maximum"
-        );
-        self.entries.push((value, n));
         self.total += n;
     }
 
@@ -135,26 +122,39 @@ impl<T: Ord> Multiset<T> {
         self.entries.iter().all(|e| other.count(&e.0) >= e.1)
     }
 
-    /// A borrowed view of this multiset.
-    pub(crate) fn view(&self) -> MultisetView<'_, T> {
+    /// A borrowed view of this multiset: the form an automaton receives
+    /// its round's messages in ([`crate::RoundInput::received`]).
+    pub fn view(&self) -> MultisetView<'_, T> {
         MultisetView::over(&self.entries)
     }
 
     /// Rebuilds a multiset from entries already in canonical form.
     fn from_canonical(entries: Vec<(T, usize)>) -> Multiset<T> {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        debug_assert!(entries.iter().all(|e| e.1 >= 1));
+        debug_assert_canonical(&entries);
         let total = entries.iter().map(|e| e.1).sum();
         Multiset { entries, total }
     }
 }
 
+/// Checks, in debug builds, that `entries` are canonical: sorted by value
+/// with no repeats, and every multiplicity positive.
+fn debug_assert_canonical<T: Ord>(entries: &[(T, usize)]) {
+    debug_assert!(
+        entries.windows(2).all(|w| w[0].0 < w[1].0),
+        "multiset entries must be sorted and distinct"
+    );
+    debug_assert!(
+        entries.iter().all(|e| e.1 >= 1),
+        "multiset multiplicities must be positive"
+    );
+}
+
 /// A borrowed multiset: a view over a canonical slice of sorted
-/// `(value, multiplicity)` entries — a live [`Multiset`]'s own, or a span
-/// of the trace arena's receive-multiset pool. Offers the read-side of
-/// the [`Multiset`] API without owning (or allocating) anything;
-/// [`MultisetView::to_multiset`] materializes an owned copy when one is
-/// needed.
+/// `(value, multiplicity)` entries — an owned [`Multiset`]'s own, or a
+/// span of a receive-multiset pool (the engine's round arena or a trace's).
+/// Offers the read-side of the [`Multiset`] API without owning (or
+/// allocating) anything; [`MultisetView::to_multiset`] materializes an
+/// owned copy when one is needed.
 #[derive(PartialEq, Eq)]
 pub struct MultisetView<'a, T> {
     entries: &'a [(T, usize)],
@@ -171,9 +171,11 @@ impl<T> Copy for MultisetView<'_, T> {}
 
 impl<'a, T: Ord> MultisetView<'a, T> {
     /// Wraps a canonical entry slice (sorted by value, multiplicities
-    /// ≥ 1).
+    /// ≥ 1, both checked in debug builds). [`MultisetView::is_empty`]
+    /// relies on the second: a zero-count entry would make an empty
+    /// multiset look non-empty.
     pub(crate) fn over(entries: &'a [(T, usize)]) -> Self {
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert_canonical(entries);
         MultisetView { entries }
     }
 
@@ -380,6 +382,34 @@ mod tests {
             format!("{m:?}"),
             "Multiset { counts: {4: 1, 7: 2}, total: 3 }"
         );
+    }
+
+    #[test]
+    fn views_read_like_their_multisets() {
+        let m: Multiset<u8> = [7, 7, 4].into_iter().collect();
+        let v = m.view();
+        assert_eq!(v.total(), 3);
+        assert_eq!(v.count(&7), 2);
+        assert_eq!(v.min(), Some(&4));
+        assert!(!v.is_empty() && Multiset::<u8>::new().view().is_empty());
+        assert_eq!(format!("{v:?}"), format!("{m:?}"));
+        assert_eq!(v.to_multiset(), m);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "multiplicities must be positive")]
+    fn a_zero_count_span_is_not_a_multiset_view() {
+        // A pool span holding a zero-count entry would read as non-empty
+        // while it holds nothing.
+        let _ = MultisetView::over(&[(1u8, 2), (3, 0)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sorted and distinct")]
+    fn an_unsorted_span_is_not_a_multiset_view() {
+        let _ = MultisetView::over(&[(3u8, 1), (1, 1)]);
     }
 
     #[test]

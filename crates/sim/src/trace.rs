@@ -177,7 +177,9 @@ impl<M: Ord, A: RoundObserver<M>, B: RoundObserver<M>> RoundObserver<M> for (A, 
 
 /// The trace recorder: appends every observed round to the arena, receive
 /// multisets included — a handful of `extend_from_slice` calls into warm
-/// columns, no per-round records.
+/// columns, no per-round records. A round's receive multisets arrive
+/// pooled, so they append as one entry span plus its `n` ends, rebased
+/// onto the trace's pool.
 ///
 /// # Panics
 ///
@@ -210,13 +212,18 @@ impl<M: Ord + Clone> RoundObserver<M> for ExecutionTrace<M> {
         self.sender_ends.push(self.senders.len());
         self.cd.extend_from_slice(view.cd);
         self.received_counts.extend_from_slice(view.received_counts);
-        if full {
-            for i in 0..self.n {
-                let bucket = view.received_of(ProcessId(i)).expect("full detail");
-                self.recv_entries
-                    .extend(bucket.iter().map(|(v, c)| (v.clone(), c)));
-                self.recv_ends.push(self.recv_entries.len());
-            }
+        if let Receives::Pooled {
+            start,
+            ends,
+            entries,
+        } = view.received
+        {
+            assert_eq!(ends.len(), self.n, "received arity");
+            let base = self.recv_entries.len();
+            let end = ends.last().map_or(start, |&end| end);
+            self.recv_entries.extend_from_slice(&entries[start..end]);
+            self.recv_ends
+                .extend(ends.iter().map(|&end| base + (end - start)));
         }
         self.crashed.extend_from_slice(view.crashed);
         self.crash_ends.push(self.crashed.len());
@@ -324,8 +331,13 @@ impl<M: Ord> ExecutionTrace<M> {
     where
         M: Clone,
     {
+        // Pool the record's multisets, as the engine pools a round's.
+        let (mut entries, mut ends) = (Vec::new(), Vec::new());
         if let Some(received) = &record.received {
-            assert_eq!(received.len(), self.n, "received arity");
+            for bucket in received {
+                entries.extend(bucket.iter().map(|(v, c)| (v.clone(), c)));
+                ends.push(entries.len());
+            }
         }
         let senders = record.senders();
         self.observe(&RoundView {
@@ -335,10 +347,14 @@ impl<M: Ord> ExecutionTrace<M> {
             senders: &senders,
             cd: &record.cd,
             received_counts: &record.received_counts,
-            received: record
-                .received
-                .as_deref()
-                .map_or(Receives::Absent, Receives::Live),
+            received: match record.received {
+                Some(_) => Receives::Pooled {
+                    start: 0,
+                    ends: &ends,
+                    entries: &entries,
+                },
+                None => Receives::Absent,
+            },
             crashed: &record.crashed,
             alive: &record.alive,
         });
@@ -499,10 +515,9 @@ pub struct RoundView<'a, M: Ord> {
 pub(crate) enum Receives<'a, M: Ord> {
     /// Not recorded (a hand-built counts-only trace).
     Absent,
-    /// The engine's per-process receive buffers.
-    Live(&'a [Multiset<M>]),
-    /// A trace arena's entry pool: process `i`'s multiset spans
-    /// `entries[ends[i - 1]..ends[i]]`, starting at `start` for `i = 0`.
+    /// An entry pool — the engine's round arena (`start` 0) or a trace
+    /// arena's: process `i`'s multiset spans `entries[ends[i - 1]..ends[i]]`,
+    /// starting at `start` for `i = 0`.
     Pooled {
         start: usize,
         ends: &'a [usize],
@@ -607,7 +622,6 @@ impl<'a, M: Ord> RoundView<'a, M> {
     pub fn received_of(self, i: ProcessId) -> Option<MultisetView<'a, M>> {
         match self.received {
             Receives::Absent => None,
-            Receives::Live(buckets) => Some(buckets[i.index()].view()),
             Receives::Pooled {
                 start,
                 ends,
@@ -948,6 +962,36 @@ mod tests {
         let mut t: ExecutionTrace<u8> = ExecutionTrace::new(2);
         t.push_record(record(1, vec![None, None], 0));
         t.push_record(full_record(2, vec![Some(1), None]));
+    }
+
+    #[test]
+    #[should_panic(expected = "received arity")]
+    fn a_record_with_too_few_multisets_rejected() {
+        let mut t: ExecutionTrace<u8> = ExecutionTrace::new(2);
+        let mut rec = full_record(1, vec![Some(4), Some(4)]);
+        rec.received.as_mut().expect("full detail").pop();
+        t.push_record(rec);
+    }
+
+    #[test]
+    fn pooled_rounds_append_rebased_onto_the_trace_pool() {
+        // Copying a recorded trace round by round re-pools each round's
+        // span from its offset in the source arena.
+        let mut source: ExecutionTrace<u8> = ExecutionTrace::new(3);
+        source.push_record(full_record(1, vec![Some(3), None, Some(1)]));
+        source.push_record(full_record(2, vec![None, Some(2), Some(2)]));
+        let mut copy: ExecutionTrace<u8> = ExecutionTrace::new(3);
+        for view in source.rounds() {
+            copy.observe(&view);
+        }
+        assert_eq!(format!("{copy:?}"), format!("{source:?}"));
+        let v = copy.round(Round(2)).expect("recorded");
+        assert_eq!(
+            v.received_of(ProcessId(0))
+                .expect("full detail")
+                .to_multiset(),
+            [2u8, 2].into_iter().collect()
+        );
     }
 
     #[test]
