@@ -4,7 +4,8 @@
 //! a renderable [`table::Table`]. The `run_experiments` binary prints
 //! them (`run --only eN` for one) and gates the [`sweep`] registry
 //! against the committed goldens; the `engine_dispatch` bench target
-//! holds the round engine's allocation gates and micro lanes.
+//! times registry cells and micro lanes and holds the round engine's
+//! allocation gates.
 
 pub mod experiments;
 pub mod sweep;

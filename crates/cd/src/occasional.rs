@@ -23,7 +23,7 @@
 //! weak guarantee and only its *speed* from the strong rounds, which is
 //! precisely the safety/liveness separation the paper advocates.
 
-use crate::class::{CdClass, Completeness};
+use crate::class::Completeness;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wan_sim::{CdAdvice, CollisionDetector, Round, TransmissionEntry};
@@ -73,11 +73,6 @@ impl OccasionalDetector {
             seed,
         )
     }
-
-    /// The declared (guaranteed) class: weak completeness, full accuracy.
-    pub fn declared_class(&self) -> CdClass {
-        CdClass::new(self.weak, crate::class::Accuracy::Accurate)
-    }
 }
 
 impl CollisionDetector for OccasionalDetector {
@@ -105,6 +100,7 @@ impl CollisionDetector for OccasionalDetector {
 mod tests {
     use super::*;
     use crate::checked::CheckedDetector;
+    use crate::class::CdClass;
 
     fn tx(c: usize, t: Vec<usize>) -> TransmissionEntry {
         TransmissionEntry {
@@ -150,12 +146,6 @@ mod tests {
                 CdAdvice::Collision
             );
         }
-    }
-
-    #[test]
-    fn declared_class_is_the_weak_one() {
-        let det = OccasionalDetector::zero_sometimes_complete(0.9, 1);
-        assert_eq!(det.declared_class(), CdClass::ZERO_AC);
     }
 
     #[test]

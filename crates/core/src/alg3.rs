@@ -123,7 +123,6 @@ enum Slot {
 /// process knows its own [`Uid`], and nothing else about membership.
 #[derive(Debug, Clone)]
 pub struct NonAnonConsensus {
-    ids: IdSpace,
     domain: ValueDomain,
     my_id: Uid,
     initial: Value,
@@ -163,7 +162,6 @@ impl NonAnonConsensus {
             Alg2Core::new(ids.as_domain(), Value(my_id.0))
         };
         NonAnonConsensus {
-            ids,
             domain,
             my_id,
             initial,
@@ -201,11 +199,6 @@ impl NonAnonConsensus {
     /// This process's identifier.
     pub fn uid(&self) -> Uid {
         self.my_id
-    }
-
-    /// The identifier space `I`.
-    pub fn id_space(&self) -> IdSpace {
-        self.ids
     }
 
     /// The value domain `V`.

@@ -38,15 +38,6 @@ impl Cst {
             _ => None,
         }
     }
-
-    /// `CST` with a measured `r_wake` substituted for a missing declaration.
-    pub fn value_with_measured_wake(&self, measured: Option<Round>) -> Option<Round> {
-        Cst {
-            r_wake: self.r_wake.or(measured),
-            ..*self
-        }
-        .value()
-    }
 }
 
 impl fmt::Display for Cst {
@@ -86,10 +77,6 @@ mod tests {
             r_wake: None,
         };
         assert_eq!(cst.value(), None);
-        assert_eq!(
-            cst.value_with_measured_wake(Some(Round(11))),
-            Some(Round(11))
-        );
         assert_eq!(cst.to_string(), "CST{r_cf=r3, r_acc=r9, r_wake=?}");
     }
 }

@@ -142,16 +142,6 @@ impl ValueDomain {
     pub fn values(&self) -> impl Iterator<Item = Value> {
         (0..self.size).map(Value)
     }
-
-    /// The smallest value.
-    pub fn min_value(&self) -> Value {
-        Value(0)
-    }
-
-    /// The largest value.
-    pub fn max_value(&self) -> Value {
-        Value(self.size - 1)
-    }
 }
 
 impl fmt::Display for ValueDomain {
@@ -195,8 +185,6 @@ mod tests {
         let d = ValueDomain::new(5);
         assert!(d.contains(Value(4)));
         assert!(!d.contains(Value(5)));
-        assert_eq!(d.min_value(), Value(0));
-        assert_eq!(d.max_value(), Value(4));
         assert_eq!(d.values().count(), 5);
     }
 

@@ -43,12 +43,6 @@ impl ScheduledCrashes {
             .into_iter()
             .fold(Self::new(), |s, (p, r)| s.crash(p, r))
     }
-
-    /// The last round at which this schedule crashes anything; after it,
-    /// "failures cease" in the sense of Theorem 3.
-    pub fn last_crash_round(&self) -> Option<Round> {
-        self.schedule.keys().next_back().copied()
-    }
 }
 
 impl CrashAdversary for ScheduledCrashes {
@@ -190,7 +184,6 @@ mod tests {
             vec![ProcessId(1), ProcessId(0)]
         );
         assert_eq!(adv.crashes(Round(5), &[true; 3]), vec![ProcessId(2)]);
-        assert_eq!(adv.last_crash_round(), Some(Round(5)));
     }
 
     #[test]

@@ -73,53 +73,51 @@ impl<T: Ord> Multiset<T> {
 
     /// The multiplicity of `value` in the multiset (zero if absent).
     pub fn count(&self, value: &T) -> usize {
-        self.entries
-            .binary_search_by(|(v, _)| v.cmp(value))
-            .map(|i| self.entries[i].1)
-            .unwrap_or(0)
+        self.view().count(value)
     }
 
-    /// The total number of occurrences, the paper's `|M|`.
+    /// The total number of occurrences, the paper's `|M|`. Cached, so
+    /// O(1), where a view sums its entries.
     pub fn total(&self) -> usize {
         self.total
     }
 
     /// `true` iff the multiset contains no elements.
     pub fn is_empty(&self) -> bool {
-        self.total == 0
+        self.view().is_empty()
     }
 
     /// The number of *distinct* values, `|SET(M)|`.
     pub fn unique_len(&self) -> usize {
-        self.entries.len()
+        self.view().unique_len()
     }
 
     /// Iterates over the distinct values in ascending order: the paper's
     /// `SET(M)`.
     pub fn support(&self) -> impl Iterator<Item = &T> {
-        self.entries.iter().map(|(v, _)| v)
+        self.view().support()
     }
 
     /// Iterates over `(value, multiplicity)` pairs in ascending value order.
     pub fn iter(&self) -> impl Iterator<Item = (&T, usize)> {
-        self.entries.iter().map(|e| (&e.0, e.1))
+        self.view().iter()
     }
 
     /// The minimum value, if the multiset is non-empty. Algorithms 1 and 2
     /// update their estimate to `min{messages}`.
     pub fn min(&self) -> Option<&T> {
-        self.entries.first().map(|(v, _)| v)
+        self.view().min()
     }
 
     /// The maximum value, if the multiset is non-empty.
     pub fn max(&self) -> Option<&T> {
-        self.entries.last().map(|(v, _)| v)
+        self.view().max()
     }
 
     /// Sub-multiset inclusion (`M₁ ⊆ M₂` of Section 2): every value of `self`
     /// appears in `other` with at least the same multiplicity.
     pub fn is_submultiset_of(&self, other: &Multiset<T>) -> bool {
-        self.entries.iter().all(|e| other.count(&e.0) >= e.1)
+        self.view().is_submultiset_of(other)
     }
 
     /// A borrowed view of this multiset: the form an automaton receives
@@ -152,8 +150,9 @@ fn debug_assert_canonical<T: Ord>(entries: &[(T, usize)]) {
 /// A borrowed multiset: a view over a canonical slice of sorted
 /// `(value, multiplicity)` entries — an owned [`Multiset`]'s own, or a
 /// span of a receive-multiset pool (the engine's round arena or a trace's).
-/// Offers the read-side of the [`Multiset`] API without owning (or
-/// allocating) anything; [`MultisetView::to_multiset`] materializes an
+/// It is the one implementation of the read side of the [`Multiset`] API
+/// (an owned multiset reads through [`Multiset::view`]), without owning
+/// (or allocating) anything; [`MultisetView::to_multiset`] materializes an
 /// owned copy when one is needed.
 #[derive(PartialEq, Eq)]
 pub struct MultisetView<'a, T> {
@@ -236,8 +235,10 @@ impl<'a, T: Ord> MultisetView<'a, T> {
     }
 }
 
-/// Formats exactly like [`Multiset`]'s `Debug`, so debug-rendered trace
-/// views are byte-identical to their owned-record equivalents.
+/// Formats like the seed-era `BTreeMap`-backed derive (`Multiset { counts:
+/// {v: c, …}, total: t }`). [`Multiset`]'s `Debug` is this one, so
+/// debug-rendered trace views are byte-identical to their owned-record
+/// equivalents and to traces from before the representation change.
 impl<T: Ord + fmt::Debug> fmt::Debug for MultisetView<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         struct Counts<'a, T>(&'a [(T, usize)]);
@@ -255,23 +256,10 @@ impl<T: Ord + fmt::Debug> fmt::Debug for MultisetView<'_, T> {
     }
 }
 
-/// Formats like the seed-era `BTreeMap`-backed derive (`Multiset { counts:
-/// {v: c, …}, total: t }`), so debug-rendered execution traces are
-/// byte-identical across the representation change.
+/// Formats as its [`MultisetView`] does.
 impl<T: Ord + fmt::Debug> fmt::Debug for Multiset<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        struct Counts<'a, T>(&'a [(T, usize)]);
-        impl<T: fmt::Debug> fmt::Debug for Counts<'_, T> {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                f.debug_map()
-                    .entries(self.0.iter().map(|(v, c)| (v, c)))
-                    .finish()
-            }
-        }
-        f.debug_struct("Multiset")
-            .field("counts", &Counts(&self.entries))
-            .field("total", &self.total)
-            .finish()
+        self.view().fmt(f)
     }
 }
 
@@ -284,13 +272,6 @@ impl<T: Ord + Clone> Multiset<T> {
             out.insert_n(v.clone(), c);
         }
         out
-    }
-
-    /// The set of distinct values as a new multiset with multiplicity one:
-    /// `MS(SET(M))`.
-    #[must_use]
-    pub fn to_set(&self) -> Multiset<T> {
-        self.support().cloned().collect()
     }
 }
 
@@ -410,15 +391,6 @@ mod tests {
     #[should_panic(expected = "sorted and distinct")]
     fn an_unsorted_span_is_not_a_multiset_view() {
         let _ = MultisetView::over(&[(3u8, 1), (1, 1)]);
-    }
-
-    #[test]
-    fn set_operation() {
-        let m: Multiset<u8> = [1, 1, 1, 2].into_iter().collect();
-        let s = m.to_set();
-        assert_eq!(s.total(), 2);
-        assert_eq!(s.count(&1), 1);
-        assert_eq!(s.count(&2), 1);
     }
 
     #[test]

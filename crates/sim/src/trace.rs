@@ -55,11 +55,6 @@ impl TransmissionEntry {
     pub fn n(&self) -> usize {
         self.received.len()
     }
-
-    /// `T(i)` for process `i`.
-    pub fn received_by(&self, i: ProcessId) -> usize {
-        self.received[i.index()]
-    }
 }
 
 /// The paper's three-way broadcast count of Definition 22: each round of an
